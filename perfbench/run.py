@@ -7,9 +7,11 @@ workload runs in fresh interpreters started here:
 
 * ``setup_s`` is timed from process start to readiness (interpreter, import
   of orbindex, generating and loading the documents, filling the caches); it
-  is taken SETUP_SAMPLES times and the median is reported;
+  is taken SETUP_SAMPLES times, each scaled by the host's speed measured
+  right after it (hostspeed.py), and the median is reported;
 * ``--trace 0`` then runs whole cycles of the workload for S seconds with no
-  tracing and reports the end-to-end metrics;
+  tracing and reports the end-to-end metrics, with each op's time scaled by
+  the host's speed measured right after it;
 * ``--trace 1`` runs one cycle twice untraced and then traced, and reports
   the per-layer metrics.
 
@@ -33,7 +35,7 @@ from scenes import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 WORKER_TIMEOUT_S = 170.0
 
 
@@ -100,14 +102,15 @@ def main() -> int:
         return 2
     deadline = time.monotonic() + WORKER_TIMEOUT_S
     try:
-        setups = [run_worker(args.workload, args.seed, "setup", 0, deadline)[0]
+        setups = [run_worker(args.workload, args.seed, "setup", 0, deadline)
                   for _ in range(SETUP_SAMPLES - 1)]
         mode = "trace" if args.trace else "measure"
         ready_s, result = run_worker(args.workload, args.seed, mode, args.seconds, deadline)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    setups.append(ready_s)
+    setups.append((ready_s, result))
+    scaled_setups = [s * r["setup_scale"] for s, r in setups]
     if not result["ok_ops"]:
         print("error: no op succeeded, so no timing can be formed", file=sys.stderr)
         return 2
@@ -123,16 +126,17 @@ def main() -> int:
               f"share {entry['ops'] / result['attempted']:.4f}")
     print(f"# op_tail_ms is the p{result['op_tail_percentile']:.2f} of "
           f"{result['ok_ops']} successful ops ({result['op_tail_beyond']} beyond it)")
-    print(f"# setup samples (s): {', '.join(f'{s:.3f}' for s in setups)}")
-    if "raw_ops_per_s" in result:
-        print(f"# raw, before taking each op at its fastest repeat: "
-              f"ops_per_s {result['raw_ops_per_s']:.6g}, "
-              f"op_p50_ms {result['raw_op_p50_s'] * 1e3:.6g}, "
-              f"op_tail_ms {result['raw_op_tail_s'] * 1e3:.6g}")
+    unscaled = ", ".join(f"{s:.3f}" for s, _ in setups)
+    scales = ", ".join(f"{r['setup_scale']:.3f}" for _, r in setups)
+    print(f"# setup samples (s): unscaled {unscaled}; scales {scales}")
     if args.trace:
         metrics = result["layers"]
     else:
-        metrics = end_to_end(result, statistics.median(setups))
+        print(f"# host factor {result['host_factor']:.4f}; unscaled: "
+              f"ops_per_s {result['unscaled_ops_per_s']:.6g}, "
+              f"op_p50_ms {result['unscaled_op_p50_s'] * 1e3:.6g}, "
+              f"op_tail_ms {result['unscaled_op_tail_s'] * 1e3:.6g}")
+        metrics = end_to_end(result, statistics.median(scaled_setups))
     for name, m in metrics.items():
         print(f"{name} = {m['value']:.6g} {m['unit']}")
     print(json.dumps({"correct": correct, "attempted": result["attempted"],

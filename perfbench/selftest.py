@@ -26,7 +26,9 @@ import pytest  # noqa: E402
 import scenes as sc  # noqa: E402
 import workloads  # noqa: E402
 from tracing import PER_LAYER, Tracer, layer_metrics  # noqa: E402
-from worker import run_ops  # noqa: E402
+import hostspeed  # noqa: E402
+from hostspeed import REFERENCE_MS  # noqa: E402
+from worker import MIN_CYCLES, run_ops, summarize  # noqa: E402
 
 
 @pytest.fixture
@@ -128,6 +130,46 @@ def test_counts_repeat_across_traced_runs(workdir):
     assert runs[0] == runs[2]
     assert runs[1] == runs[3]
     assert runs[0]["exactnum.cyclo_ops"] > 0 and runs[1]["exactnum.cyclo_ops"] > 0
+
+
+def test_summary_takes_each_op_at_its_median_and_scales_it():
+    # op a: 1, 2, 9 ms over three cycles, scales 1, 0.5, 1; op b: 4 ms three
+    # times at scale 0.5, failing once
+    records = [(c, "a", dt, "ok", "", f)
+               for c, (dt, f) in enumerate(((1e-3, 1.0), (2e-3, 0.5), (9e-3, 1.0)))]
+    records += [(c, "b", 4e-3, "known" if c == 0 else "ok", "d", 0.5) for c in range(3)]
+    out = summarize(records, 1.0)
+    assert out["attempted"] == 6 and out["failed"] == 1 and out["cycles"] == 3
+    assert out["known_defects"] == {"d": {"ops": 3, "failed": 1}}
+    assert out["host_factor"] == 0.5
+    # five ok samples at their ops' medians: unscaled 2, 2, 2, 4, 4 ms,
+    # scaled 1, 1, 1, 2, 2 ms
+    assert out["unscaled_op_p50_s"] == pytest.approx(2e-3)
+    assert out["unscaled_ops_per_s"] == pytest.approx(5 / 18e-3)
+    assert out["op_p50_s"] == pytest.approx(1e-3)
+    assert out["ops_per_s"] == pytest.approx(5 / 9e-3)
+
+
+def test_host_scale_is_the_reference_time_over_the_measured_one():
+    assert 0 < hostspeed.scale() < 1e3 * REFERENCE_MS
+
+
+def test_heat_cycle_fixes_the_median_and_tail_jobs():
+    """Four t1_0 slots hold the median of the thirteen successful jobs; the
+    p4 smooth job and three r_center slots hold the eleven dearest samples
+    of any run of MIN_CYCLES or more cycles."""
+    labels = {s.name: ["e", "r_center", "r_origin", "r2_edge"]
+              for s in sc.heat_scenes(ROOT, 7)}
+    for seed in range(5):
+        ops = sc.heat_ops(seed, labels)
+        ok = [op for op in ops if not op.known_defect]
+        assert len(ops) == 15 and len(ok) == 13
+        t1 = [op for op in ok if op.args[1] == "t1_0"]
+        top = [op for op in ok if op.scene == "p4" and op.args[1] == "r_center"
+               and (op.args[3] == sc.THREE_T or op.args[5] == "smooth")]
+        assert len(t1) == 4 and len({op.key for op in t1}) == 1
+        assert len(top) == 4 and len({op.key for op in top}) == 2
+    assert MIN_CYCLES * 4 >= 11
 
 
 def _bench(args, cwd=ROOT):

@@ -6,7 +6,7 @@ Modes:
   trace    set up, run cycle 0 twice untraced, then the same ops traced
 
 The first stdout line is "ready" once set-up is done; the last line is a
-JSON object with the raw results.
+JSON object with the results.
 """
 
 from __future__ import annotations
@@ -21,12 +21,19 @@ import sys
 import time
 from pathlib import Path
 
+import hostspeed
+
 ROOT = Path(__file__).resolve().parent.parent
 
-# Stop mid-cycle only when a run overruns this badly, so that a program that
-# became very slow still ends within the benchmark's time limit.
+# Stop mid-cycle only when a run overruns this badly (the factor after the
+# first cycle, the seconds always), so that a program that became very slow
+# still ends within the benchmark's time limit.
 HARD_LIMIT_FACTOR = 2.0
 HARD_LIMIT_S = 140.0
+
+# Whole cycles a measured run makes at least, even past --seconds, so that
+# op_tail_ms of heat_verify always lands on the same job.
+MIN_CYCLES = 3
 
 
 def _check_import() -> None:
@@ -36,9 +43,11 @@ def _check_import() -> None:
         raise SystemExit(f"orbindex imported from {orbindex.__file__}, not from {src}")
 
 
-def run_ops(workload, ops, records: list, tracer=None, cycle: int = 0) -> None:
+def run_ops(workload, ops, records: list, tracer=None, cycle: int = 0,
+            scaled: bool = False) -> None:
     """Execute ops in order, appending (cycle, op key, seconds, outcome,
-    known_defect)."""
+    known_defect, scale), where scale is the host factor measured right
+    after the op when `scaled`, else 1."""
     clock = time.perf_counter
     rec = tracer.rec if tracer else None
     op_nid = rec.name_id("bench.op") if rec else 0
@@ -52,7 +61,9 @@ def run_ops(workload, ops, records: list, tracer=None, cycle: int = 0) -> None:
         dt = clock() - t0
         if rec:
             rec.finish(idx)
-        records.append((cycle, op.key, dt, workload.check(op, result), op.known_defect))
+        outcome = workload.check(op, result)
+        records.append((cycle, op.key, dt, outcome, op.known_defect,
+                        hostspeed.scale() if scaled else 1.0))
 
 
 def _tail(sorted_times: list) -> tuple[float, float, int]:
@@ -66,20 +77,16 @@ def _tail(sorted_times: list) -> tuple[float, float, int]:
 def summarize(records: list, elapsed: float) -> dict:
     """End-to-end figures of a run.
 
-    Every cycle runs the same ops, so each op has one sample per cycle.  A
-    machine shared with other tenants only ever adds time to an op, in
-    stretches of several seconds, so each sample is taken at its op's fastest
-    time in the run before the figures are formed.  The raw figures are
-    returned too.
+    Every cycle runs the same ops, so each op has one sample per cycle.  On a
+    shared machine one op's time wanders from sample to sample, with rare
+    fast bursts and slow stretches, so each sample is taken at its op's
+    median over the run's cycles before the figures are formed, once with
+    every time scaled to the reference host (see hostspeed.py) and once
+    unscaled.  ``host_factor`` is the median scale of the run.
     """
-    best: dict = {}
-    for _, key, dt, _, _ in records:
-        best[key] = min(dt, best.get(key, dt))
-    ok = [(key, dt) for _, key, dt, outcome, _ in records if outcome == "ok"]
-    fast = sorted(best[key] for key, _ in ok)
-    raw = sorted(dt for _, dt in ok)
+    ok = [key for _, key, _, outcome, _, _ in records if outcome == "ok"]
     defects: dict = {}
-    for _, _, _, outcome, defect in records:
+    for _, _, _, outcome, defect, _ in records:
         if defect:
             entry = defects.setdefault(defect, {"ops": 0, "failed": 0})
             entry["ops"] += 1
@@ -93,29 +100,37 @@ def summarize(records: list, elapsed: float) -> dict:
         "ok_ops": len(ok),
         "known_defects": defects,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "host_factor": statistics.median(r[5] for r in records),
     }
-    if ok:
-        for prefix, times, busy in (("", fast, sum(best[r[1]] for r in records)),
-                                    ("raw_", raw, sum(r[2] for r in records))):
-            tail, pct, beyond = _tail(times)
-            out.update({f"{prefix}ops_per_s": len(ok) / busy,
-                        f"{prefix}op_p50_s": statistics.median(times),
-                        f"{prefix}op_tail_s": tail})
-        out.update({"op_tail_percentile": pct, "op_tail_beyond": beyond})
+    if not ok:
+        return out
+    for prefix, scaled in (("", True), ("unscaled_", False)):
+        samples: dict = {}
+        for _, key, dt, _, _, scale in records:
+            samples.setdefault(key, []).append(dt * scale if scaled else dt)
+        typical = {key: statistics.median(times) for key, times in samples.items()}
+        times = sorted(typical[key] for key in ok)
+        tail, pct, beyond = _tail(times)
+        out.update({f"{prefix}ops_per_s": len(ok) / sum(typical[r[1]] for r in records),
+                    f"{prefix}op_p50_s": statistics.median(times),
+                    f"{prefix}op_tail_s": tail})
+    out.update({"op_tail_percentile": pct, "op_tail_beyond": beyond})
     return out
 
 
 def measure(workload, seconds: float) -> dict:
-    """Whole cycles until --seconds have passed, so every run has the same
-    op mix and the same failure share."""
+    """Whole cycles until --seconds have passed and at least MIN_CYCLES are
+    done, so every run has the same op mix and the same failure share."""
     records: list = []
-    hard_limit = min(HARD_LIMIT_FACTOR * seconds, HARD_LIMIT_S)
     start = time.perf_counter()
     c = 0
-    while time.perf_counter() - start < seconds:
+    overrun = False
+    while not overrun and (time.perf_counter() - start < seconds or c < MIN_CYCLES):
         for op in workload.cycle(c):
-            run_ops(workload, [op], records, cycle=c)
-            if time.perf_counter() - start > hard_limit:
+            run_ops(workload, [op], records, cycle=c, scaled=True)
+            elapsed = time.perf_counter() - start
+            overrun = elapsed > HARD_LIMIT_S or (c > 0 and elapsed > HARD_LIMIT_FACTOR * seconds)
+            if overrun:
                 break
         c += 1
     return summarize(records, time.perf_counter() - start)
@@ -168,12 +183,15 @@ def main() -> int:
         workload = WORKLOAD_CLASSES[args.workload](ROOT, workdir, args.seed)
         workload.setup()
         print("ready", flush=True)
+        # the host factor right after set-up, as after an op
+        setup_scale = hostspeed.scale()
         if args.mode == "setup":
             result = {}
         elif args.mode == "measure":
             result = measure(workload, args.seconds)
         else:
             result = trace(workload, args.workload, args.seed)
+        result["setup_scale"] = setup_scale
         result["setup_problems"] = workload.setup_problems
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
