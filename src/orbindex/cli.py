@@ -445,7 +445,9 @@ def cmd_heat(model: QuotientModel, label: str, t_list: list[float], tol: float,
     quad = heat.QuadratureSpec.for_model(model, max(t_list), tol)
     cutoff = build_cutoff(model, cutoff_kind)
     trace = heat.t_independence(model, handle, t_list, quad, cutoff)
-    ms_residual = heat.mckean_singer_compare(model, handle, t_list[0], quad, cutoff)
+    # McKean-Singer at t0 reuses the t0 trace of the pass above
+    index = engine.localized_index(model, handle, engine.scalars_for_model(model))
+    ms_residual = abs(trace.per_t[t_list[0]] - Scalars.to_complex(index))
     orbital = heat.orbital_integral_euclidean(model, handle, t_list[0], quad)
     orb_residual = abs(orbital - trace.per_t[t_list[0]])
     report = base_report(model, f"heat --class {label}", cutoff_kind)

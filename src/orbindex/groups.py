@@ -450,32 +450,40 @@ class CrystGroup:
         Ordered by (sup-norm, translation lexicographic, point-part index); this
         fixed order makes every downstream enumeration deterministic.
         """
-        out = []
-        for a in self.point_parts:
-            s = self.coset_vectors[a]
-            lo0 = math.ceil(-radius - s[0])
-            hi0 = math.floor(radius - s[0])
-            lo1 = math.ceil(-radius - s[1])
-            hi1 = math.floor(radius - s[1])
-            for m in range(lo0, hi0 + 1):
-                for n in range(lo1, hi1 + 1):
-                    t = (s[0] + m, s[1] + n)
-                    if vec_supnorm(t) <= radius:
-                        out.append(AffineIsometry(a, t))
-        out.sort(key=lambda g: (vec_supnorm(g.translation), g.translation,
-                                self._pp_index[g.point_part]))
-        return out
+        return self._elements_between(-1, radius)
 
     def iterate_elements(self) -> Iterator[AffineIsometry]:
-        """All elements, in increasing sup-norm order, lazily."""
-        radius = Fraction(0)
-        seen_up_to = Fraction(-1)
+        """All elements, in increasing sup-norm order, lazily.
+
+        Yields one shell radius - 1 < sup-norm <= radius at a time, each in the
+        order of elements_in_ball, so the whole sequence is that order too.
+        """
+        radius = 0
         while True:
-            for g in self.elements_in_ball(radius):
-                if vec_supnorm(g.translation) > seen_up_to:
-                    yield g
-            seen_up_to = radius
+            yield from self._elements_between(radius - 1, radius)
             radius += 1
+
+    def _order_key(self, g: AffineIsometry):
+        """Sort key of the fixed element order: sup-norm, translation, point part."""
+        return (vec_supnorm(g.translation), g.translation, self._pp_index[g.point_part])
+
+    def _elements_between(self, inner, radius) -> list[AffineIsometry]:
+        """Elements with inner < sup-norm of translation <= radius, in order.
+
+        Inside the outer box only the columns and rows beyond the inner radius
+        are visited, so a unit shell costs time linear in its radius.
+        """
+        out = []
+        for a in self.point_parts:
+            s0, s1 = self.coset_vectors[a]
+            rows = range(math.ceil(-radius - s1), math.floor(radius - s1) + 1)
+            edge_rows = [n for n in rows if abs(s1 + n) > inner]
+            for m in range(math.ceil(-radius - s0), math.floor(radius - s0) + 1):
+                x = s0 + m
+                for n in (rows if abs(x) > inner else edge_rows):
+                    out.append(AffineIsometry(a, (x, s1 + n)))
+        out.sort(key=self._order_key)
+        return out
 
 
 GroupLike = Union[FiniteGroupTable, CrystGroup]
@@ -576,8 +584,7 @@ def centralizer(g, group: GroupLike) -> Centralizer:
             w = mat_vec(minv, rhs)
             if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
                 elems.append(AffineIsometry(b, w))
-        elems.sort(key=lambda e: (vec_supnorm(e.translation), e.translation,
-                                  group._pp_index[e.point_part]))
+        elems.sort(key=group._order_key)
         return Centralizer(group, g, finite_elements=elems)
 
     # g is a translation (I - A = 0 for A = I; reflections are rejected upstream)
@@ -634,6 +641,52 @@ class ConjugacyClassHandle:
                for b in self.group.point_parts}
         self._members = tuple(sorted(mem, key=lambda e: (e.translation,)))
         return self._members
+
+    def members_in_ball(self, radius) -> list[AffineIsometry]:
+        """Class members with sup-norm of translation <= radius, in the order of
+        CrystGroup.elements_in_ball: the list
+        [h for h in group.elements_in_ball(radius) if self.contains(h)],
+        built from the conjugation formula instead of membership tests.
+
+        (B, w) (A, a) (B, w)^{-1} = (A', B a + (I - A') w) with A' = B A B^{-1}
+        and w = s_B + lambda, lambda in Z^2.  For a translation class I - A' = 0
+        and the members are the point-group orbit of a.  For a rotation class
+        I - A' is invertible, so the members in the ball come from the lambda
+        with |lambda| <= |(I - A')^{-1}| (radius + |B a + (I - A') s_B|).
+        """
+        group = self.group
+        if not isinstance(group, CrystGroup):
+            raise DomainError("members_in_ball needs a crystallographic group")
+        radius = Fraction(radius)
+        g = self.representative
+        if mat_det(g.point_part) != 1:
+            raise DomainError("orientation-reversing point part has no rotation angle")
+        found = set()
+        for b in group.point_parts:
+            a2 = tuple(tuple(int(x) for x in row)
+                       for row in mat_mul(mat_mul(b, g.point_part), mat_inv(b)))
+            base = mat_vec(b, g.translation)
+            if a2 == IDENTITY_MAT:
+                if vec_supnorm(base) <= radius:
+                    found.add((a2, base))
+                continue
+            m = mat_sub(IDENTITY_MAT, a2)
+            minv = mat_inv(m)
+            c = vec_add(base, mat_vec(m, group.coset_vectors[b]))
+            minv_norm = max(abs(minv[0][0]) + abs(minv[0][1]),
+                            abs(minv[1][0]) + abs(minv[1][1]))
+            box = math.floor(minv_norm * (radius + vec_supnorm(c)))
+            # the search runs in integers scaled by a common denominator
+            den = math.lcm(c[0].denominator, c[1].denominator, radius.denominator)
+            c0, c1, bound = int(c[0] * den), int(c[1] * den), int(radius * den)
+            m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
+            for l0 in range(-box, box + 1):
+                x0, y0 = c0 + m00 * l0, c1 + m10 * l0
+                for l1 in range(-box, box + 1):
+                    x, y = x0 + m01 * l1, y0 + m11 * l1
+                    if abs(x) <= bound and abs(y) <= bound:
+                        found.add((a2, (Fraction(x, den), Fraction(y, den))))
+        return sorted((AffineIsometry(a2, tr) for a2, tr in found), key=group._order_key)
 
     def coset_section(self) -> Iterator:
         """Lazily enumerate K with {k g k^{-1} : k in K} = (g), no repeats.

@@ -182,17 +182,9 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 # Localized heat traces
 # ---------------------------------------------------------------------------
 
-def _class_members_in_ball(model: QuotientModel, cls: ConjugacyClassHandle,
-                           radius: int) -> list[AffineIsometry]:
-    pool = model.group.elements_in_ball(Fraction(radius))
-    return [h for h in pool if cls.contains(h)]
-
-
-def _grid(n_per_unit: int, lo: float = 0.0, hi: float = 1.0):
-    n = int(round((hi - lo) * n_per_unit))
-    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    return gx, gy
+# Grid points per row block, and member x point entries per array, in the heat
+# pass; bounds its memory whatever the class size and resolution.
+HEAT_BLOCK = 1 << 15
 
 
 def _cutoff_grid(cutoff: CutoffFunction, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -200,7 +192,8 @@ def _cutoff_grid(cutoff: CutoffFunction, gx: np.ndarray, gy: np.ndarray) -> np.n
     if cutoff.kind == "indicator":
         inside = (gx >= 0) & (gx < 1) & (gy >= 0) & (gy < 1)
         return inside.astype(float) / group.point_group_order
-    # smooth kind, vectorized over the grid
+    # smooth kind: the bump is supported on (-1, 2), so its lattice
+    # periodization at u is bump(f - 1) + bump(f) + bump(f + 1), f = u - floor(u)
     num = _bump_np(gx) * _bump_np(gy)
     total = np.zeros_like(gx)
     from .groups import mat_inv
@@ -210,13 +203,14 @@ def _cutoff_grid(cutoff: CutoffFunction, gx: np.ndarray, gy: np.ndarray) -> np.n
         vx, vy = gx - float(s[0]), gy - float(s[1])
         bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
         by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
-        for m in range(math.floor(bx.min()) - 2, math.floor(bx.max()) + 3):
-            col = _bump_np(bx - m)
-            if not col.any():
-                continue
-            for k in range(math.floor(by.min()) - 2, math.floor(by.max()) + 3):
-                total += col * _bump_np(by - k)
+        total += _periodized_bump(bx) * _periodized_bump(by)
     return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
+
+
+def _periodized_bump(u: np.ndarray) -> np.ndarray:
+    """sum over integers m of bump(u - m)."""
+    f = u - np.floor(u)
+    return _bump_np(f - 1.0) + _bump_np(f) + _bump_np(f + 1.0)
 
 
 def _bump_np(u: np.ndarray) -> np.ndarray:
@@ -258,21 +252,6 @@ def partition_residuals_batch(cutoff: CutoffFunction, xs: np.ndarray,
     return np.abs(total - 1.0)
 
 
-def _integral_for_member(kernel: GaussianKernelModel, h: AffineIsometry,
-                         t: float, cvals: np.ndarray, gx, gy,
-                         cell_area: float) -> complex:
-    """Midpoint sum of c(x) k_t(hx, x) over the domain, metric volume included."""
-    a, tr = h.point_part, h.translation
-    dx = (float(a[0][0]) - 1) * gx + float(a[0][1]) * gy + float(tr[0])
-    dy = float(a[1][0]) * gx + (float(a[1][1]) - 1) * gy + float(tr[1])
-    g = kernel.gram
-    d2 = (float(g[0][0]) * dx * dx + 2 * float(g[0][1]) * dx * dy
-          + float(g[1][1]) * dy * dy)
-    vals = np.exp(-d2 / (4 * t)) / (4 * math.pi * t)
-    vol = math.sqrt(float(abs(mat_det(g))))
-    return complex(np.sum(cvals * vals) * vol * cell_area)
-
-
 @dataclass
 class HeatTraceReport:
     label: str
@@ -285,49 +264,97 @@ class HeatTraceReport:
 
 def g_heat_trace(model: QuotientModel, cls: ConjugacyClassHandle, t: float,
                  quad: QuadratureSpec, cutoff: Optional[CutoffFunction] = None) -> complex:
-    """Localized heat supertrace by quadrature.
+    """Localized heat supertrace by quadrature at one t; see heat_traces."""
+    return heat_traces(model, cls, [t], quad, cutoff)[t]
+
+
+def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequence[float],
+                quad: QuadratureSpec, cutoff: Optional[CutoffFunction] = None) -> dict:
+    """Localized heat supertraces by quadrature, t -> value for every t in t_list.
 
     Sums, over class members within the truncation radius, the integrals of
     c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the supertrace
     factors into the fiber eigen-character times the scalar Gaussian.
-    Richardson refinement of the midpoint rule; unreachable tolerance raises
-    with a suggested resolution.
+    Members, supertrace factors, grids and cut-off values do not depend on t
+    and are built once; every t is accumulated in the same pass.  Richardson
+    refinement of the midpoint rule; unreachable tolerance raises with a
+    suggested resolution.
     """
-    if t <= 0:
+    if any(t <= 0 for t in t_list):
         raise DomainError("heat time must be positive")
     kernel = GaussianKernelModel(model)
     cutoff = cutoff or build_cutoff(model, "indicator")
-    members = _class_members_in_ball(model, cls, quad.truncation_radius)
+    ts = list(dict.fromkeys(t_list))
+    # the supertrace factor depends on the point part alone
+    factors = {a: _supertrace_factor(model, a) for a in model.group.point_parts}
+    members = [h for h in cls.members_in_ball(quad.truncation_radius)
+               if factors[h.point_part] != 0]
+    taus = [factors[h.point_part] for h in members]
+    if not members:
+        return {t: 0j for t in ts}
+    coarse = _midpoint_sums(kernel, cutoff, members, taus, ts, quad.resolution)
+    fine = _midpoint_sums(kernel, cutoff, members, taus, ts, 2 * quad.resolution)
+    values = {}
+    for t, c, f in zip(ts, coarse, fine):
+        value = (4 * f - c) / 3
+        err = abs(f - c)
+        if err > quad.tolerance and abs(value) > quad.tolerance:
+            raise ResolutionError(
+                f"quadrature error estimate {err:.3e} exceeds tolerance",
+                suggested_resolution=4 * quad.resolution)
+        values[t] = value
+    return values
+
+
+def _midpoint_sums(kernel: GaussianKernelModel, cutoff: CutoffFunction,
+                   members: list, taus: list, ts: list, n_per_unit: int) -> list[complex]:
+    """Midpoint sums of sum_h tau_h c(x) k_t(hx, x) at one resolution, one per t.
+
+    The grid is walked in row blocks of at most HEAT_BLOCK points, with the
+    cut-off evaluated once per block, and the members in chunks so that no
+    member x point array exceeds HEAT_BLOCK entries; d^2 is formed once per
+    chunk and shared by every t.
+    """
     lo, hi = (0.0, 1.0) if cutoff.kind == "indicator" else (-1.0, 2.0)
+    n = int(round((hi - lo) * n_per_unit))
+    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    # h x - x = p.v and q.v with v = (x, y, 1), so d^2 = v^T S v with
+    # S = g00 p p^T + g01 (p q^T + q p^T) + g11 q q^T; one product with the
+    # block's monomials (x^2, y^2, 1, 2xy, 2x, 2y) forms d^2 for a whole chunk
+    p = np.array([[float(h.point_part[0][0]) - 1, float(h.point_part[0][1]),
+                   float(h.translation[0])] for h in members])
+    q = np.array([[float(h.point_part[1][0]), float(h.point_part[1][1]) - 1,
+                   float(h.translation[1])] for h in members])
+    g = kernel.gram
+    g00, g01, g11 = float(g[0][0]), float(g[0][1]), float(g[1][1])
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    quad_coef = (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
+                 + g11 * q[:, i] * q[:, j])
+    tau = np.array(taus, dtype=complex)
+    scales = [-1.0 / (4 * t) for t in ts]
+    sums = np.zeros(len(ts), dtype=complex)
+    rows = max(1, HEAT_BLOCK // n)
+    for r0 in range(0, n, rows):
+        gx, gy = np.meshgrid(xs[r0:r0 + rows], xs, indexing="ij")
+        cvals = _cutoff_grid(cutoff, gx, gy).ravel()
+        gx, gy = gx.ravel(), gy.ravel()
+        monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
+                              2 * gx * gy, 2 * gx, 2 * gy])
+        chunk = max(1, HEAT_BLOCK // gx.size)
+        for k0 in range(0, len(members), chunk):
+            d2 = quad_coef[k0:k0 + chunk] @ monomials
+            for k, scale in enumerate(scales):
+                sums[k] += tau[k0:k0 + chunk] @ (np.exp(d2 * scale) @ cvals)
+    vol = math.sqrt(float(abs(mat_det(g))))
+    cell = ((hi - lo) / n) ** 2
+    return [complex(v) * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
 
-    def evaluate(n: int) -> complex:
-        gx, gy = _grid(n, lo, hi)
-        cvals = _cutoff_grid(cutoff, gx, gy)
-        cell = ((hi - lo) / gx.shape[0]) ** 2
-        total = 0j
-        for h in members:
-            tau = _supertrace_factor(model, h)
-            if tau == 0:
-                continue
-            total += tau * _integral_for_member(kernel, h, t, cvals, gx, gy, cell)
-        return total
 
-    coarse = evaluate(quad.resolution)
-    fine = evaluate(2 * quad.resolution)
-    value = (4 * fine - coarse) / 3
-    err = abs(fine - coarse)
-    if err > quad.tolerance and abs(value) > quad.tolerance:
-        raise ResolutionError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance",
-            suggested_resolution=4 * quad.resolution)
-    return value
-
-
-def _supertrace_factor(model: QuotientModel, h: AffineIsometry) -> complex:
-    if h.point_part == IDENTITY_MAT:
+def _supertrace_factor(model: QuotientModel, point_part) -> complex:
+    if point_part == IDENTITY_MAT:
         turns = Fraction(0)
     else:
-        turns = model.group.rotation_turns(h.point_part)
+        turns = model.group.rotation_turns(point_part)
     data = fiber_eigendata(turns, model.bundle)
     return Scalars.to_complex(supertrace_turns(data, FLOAT))
 
@@ -336,9 +363,7 @@ def t_independence(model: QuotientModel, cls: ConjugacyClassHandle,
                    t_list: Sequence[float], quad: QuadratureSpec,
                    cutoff: Optional[CutoffFunction] = None) -> HeatTraceReport:
     """Max pairwise deviation of the localized heat trace across t values."""
-    if any(t <= 0 for t in t_list):
-        raise DomainError("heat times must be positive")
-    values = {t: g_heat_trace(model, cls, t, quad, cutoff) for t in t_list}
+    values = heat_traces(model, cls, t_list, quad, cutoff)
     vs = list(values.values())
     deviation = max((abs(a - b) for a in vs for b in vs), default=0.0)
     return HeatTraceReport(cls.label, values, quad.tail_bound, deviation)
@@ -374,30 +399,23 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("orbital integrals need a crystallographic plane model")
     group = model.group
-    kernel = GaussianKernelModel(model)
+    GaussianKernelModel(model)  # rejects curved ambients
     g = cls.representative
     covol = math.sqrt(float(abs(mat_det(group.gram))))
 
     if g.is_identity:
         vol = covol / group.point_group_order
-        return vol * _supertrace_factor(model, g) / (4 * math.pi * t)
+        return vol * _supertrace_factor(model, g.point_part) / (4 * math.pi * t)
 
     if g.is_translation:
-        # Z_G = translations, Z_Gamma = lattice; integrate over the rotation factor
-        q = 64
-        total = 0j
-        for idx in range(q):
-            phi = 2 * math.pi * idx / q
-            ca, sa = math.cos(phi), math.sin(phi)
-            tau_rot = (float(g.translation[0]) * ca - float(g.translation[1]) * sa,
-                       float(g.translation[0]) * sa + float(g.translation[1]) * ca)
-            # graded fiber character of a translation vanishes
-            total += 0.0 * kernel_eval(kernel, tau_rot, (0.0, 0.0), t)
-        return covol * total / q
+        # Z_G = translations, Z_Gamma = lattice: the integral runs over the
+        # rotation factor, where the graded fiber character of a translation
+        # vanishes
+        return 0j
 
     # rotation class: integrate over centers u, weight 1/|Z_Gamma(g)|
     zq = centralizer(g, group).order()
-    tau = _supertrace_factor(model, g)
+    tau = _supertrace_factor(model, g.point_part)
     radius = float(quad.truncation_radius)
     n = 2 * quad.resolution
     xs = -radius + 2 * radius * (np.arange(n) + 0.5) / n

@@ -281,3 +281,66 @@ def test_smith_solve_brute_force():
             for kx, ky in kernel:
                 assert m[0][0] * kx + m[0][1] * ky == 0
                 assert m[1][0] * kx + m[1][1] * ky == 0
+
+
+# ---------------------------------------------------------------------------
+# Direct enumeration: shells of the ball and class members by conjugation
+# ---------------------------------------------------------------------------
+
+def _enumeration_groups() -> dict:
+    from orbindex.cli import FIXTURE_DIR, load_model
+
+    groups = {name: load_model(FIXTURE_DIR / f"{name}.json").group
+              for name in ("p4", "p2", "p4_spinc")}
+    # non-unit lattices: Gram 5 I keeps the quarter turn, an oblique one for p2
+    groups["p4_lattice"] = CrystGroup([[2, -1], [1, 2]], groups["p4"].generators)
+    groups["p2_lattice"] = CrystGroup([[2, 1], [0, 3]], groups["p2"].generators)
+    return groups
+
+
+ENUMERATION_GROUPS = _enumeration_groups()
+
+
+def _ball_by_ball_order(group: CrystGroup):
+    """Reference order: the whole ball at every radius, new norms only."""
+    radius, seen_up_to = Fraction(0), Fraction(-1)
+    while True:
+        for g in group.elements_in_ball(radius):
+            if max(abs(g.translation[0]), abs(g.translation[1])) > seen_up_to:
+                yield g
+        seen_up_to = radius
+        radius += 1
+
+
+class TestDirectEnumeration:
+    @pytest.mark.parametrize("name", ["p4", "p2", "p4_lattice"])
+    def test_iterate_elements_keeps_ball_order(self, name):
+        group = ENUMERATION_GROUPS[name]
+        assert (list(islice(group.iterate_elements(), 600))
+                == list(islice(_ball_by_ball_order(group), 600)))
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_GROUPS))
+    def test_members_in_ball_equals_ball_filter(self, name):
+        from orbindex.sectors import cryst_fixed_classes, translation_class
+
+        group = ENUMERATION_GROUPS[name]
+        classes = cryst_fixed_classes(group) + [
+            translation_class(group, (Fraction(a), Fraction(b)))
+            for a, b in ((1, 0), (1, 1), (2, 0))]
+        for cls in classes:
+            for radius in range(1, 7):
+                want = [h for h in group.elements_in_ball(Fraction(radius))
+                        if cls.contains(h)]
+                assert cls.members_in_ball(radius) == want, (cls.label, radius)
+
+    def test_members_in_ball_rejects_orientation_reversing(self):
+        from orbindex.errors import DomainError
+
+        refl = AffineIsometry.of(((1, 0), (0, -1)), (0, 0))
+        t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
+        t2 = AffineIsometry.of(((1, 0), (0, 1)), (0, 1))
+        pm = CrystGroup([[1, 0], [0, 1]], [refl, t1, t2])
+        cls = ConjugacyClassHandle(group=pm, representative=refl,
+                                   kind_tag="infinite-class", label="m")
+        with pytest.raises(DomainError):
+            cls.members_in_ball(3)

@@ -14,7 +14,10 @@ from orbindex.heat import (
     GaussianKernelModel,
     QuadratureSpec,
     class_sum_tail_bound,
+    _bump_np,
+    _cutoff_grid,
     g_heat_trace,
+    heat_traces,
     kernel_eval,
     kernel_invariance_residual,
     mckean_singer_compare,
@@ -162,6 +165,59 @@ class TestHeatTrace:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(DomainError):
             g_heat_trace(P4, CLASSES["r_origin"], -0.1, QUAD)
+        with pytest.raises(DomainError):
+            heat_traces(P4, CLASSES["r_origin"], [0.1, 0.0], QUAD)
+
+    def test_one_pass_equals_one_t_at_a_time(self):
+        smooth = build_cutoff(P4, "smooth")
+        for label, cutoff in (("r_center", None), ("r2_edge", smooth)):
+            ts = [0.05, 0.1, 0.2]
+            values = heat_traces(P4, CLASSES[label], ts, QUAD, cutoff)
+            assert list(values) == ts
+            for t in ts:
+                assert values[t] == g_heat_trace(P4, CLASSES[label], t, QUAD, cutoff)
+
+    def test_resolution_error_in_t_order(self):
+        # the first t in the list that misses the tolerance decides the message
+        rough = QuadratureSpec(4, QUAD.truncation_radius, 1e-9, QUAD.tail_bound)
+        with pytest.raises(ResolutionError) as one:
+            g_heat_trace(P4, CLASSES["r_origin"], 0.002, rough)
+        with pytest.raises(ResolutionError) as many:
+            heat_traces(P4, CLASSES["r_origin"], [0.002, 0.001], rough)
+        assert str(many.value) == str(one.value)
+        assert many.value.suggested_resolution == 16
+
+
+def _cutoff_grid_windowed(cutoff, gx, gy):
+    """Reference smooth cut-off: the periodized denominator summed over every
+    lattice shift in a window around the points."""
+    from orbindex.groups import mat_inv
+
+    group = cutoff.group
+    num = _bump_np(gx) * _bump_np(gy)
+    total = np.zeros_like(gx)
+    for a in group.point_parts:
+        ainv = mat_inv(a)
+        s = group.coset_vectors[a]
+        vx, vy = gx - float(s[0]), gy - float(s[1])
+        bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
+        by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
+        for m in range(math.floor(bx.min()) - 2, math.floor(bx.max()) + 3):
+            for k in range(math.floor(by.min()) - 2, math.floor(by.max()) + 3):
+                total += _bump_np(bx - m) * _bump_np(by - k)
+    return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
+
+
+def test_periodized_smooth_cutoff_matches_window_sum():
+    rng = np.random.default_rng(3)
+    gx, gy = rng.uniform(-1.5, 2.5, size=(2, 40, 40))
+    for model in (P4, wallpaper_model(
+            CrystGroup([[2, 1], [0, 3]], [AffineIsometry.of(((-1, 0), (0, -1)), (0, 0)),
+                                          AffineIsometry.of(((1, 0), (0, 1)), (1, 0))]),
+            "p2_lattice")):
+        cutoff = build_cutoff(model, "smooth")
+        want = _cutoff_grid_windowed(cutoff, gx, gy)
+        assert np.max(np.abs(_cutoff_grid(cutoff, gx, gy) - want)) < 1e-14
 
 
 class TestMcKeanSinger:
