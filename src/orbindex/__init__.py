@@ -34,7 +34,6 @@ from .sectors import (
     square_torus_rotation_model,
     wallpaper_model,
 )
-from .cli import load_model, run_command
 
 __version__ = "0.1.0"
 
@@ -45,8 +44,8 @@ __all__ = [
     "conjugate_test", "convolve", "delta", "enumerate_classes_finite",
     "enumerate_sectors", "equivariant_lefschetz", "finite_assembly",
     "fixed_set", "fixed_set_cutoff", "g_heat_trace", "kawasaki_index",
-    "l1_norm", "load_model", "localized_index", "localized_trace",
+    "l1_norm", "localized_index", "localized_trace",
     "mckean_singer_compare", "orbital_integral_euclidean", "psc_flag", "rho",
-    "run_command", "sphere_model", "square_torus_rotation_model",
+    "sphere_model", "square_torus_rotation_model",
     "sum_identity", "t_independence", "wallpaper_model",
 ]

@@ -9,14 +9,13 @@ through the context, so exact mode stays exact end to end.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import SingularDivisorError, StructuralError
+from .errors import StructuralError
 from .exactnum import Scalars
 from .sectors import FiberEigenData, PointOrbit, SectorComponent
 
@@ -28,15 +27,13 @@ class ComponentCurvature:
     """Curvature generators of one sector component.
 
     `tangent_roots` are the Chern-root generators of the tangent bundle (empty
-    for flat components), `normal` is (generator, angle turns) for codimension
-    2, `integrals` maps each degree-2 generator to its integral over the
-    component.  Flat components carry all-zero integrals; the sphere carries
-    the Gauss-Bonnet value 2 for its tangent root.
+    for flat components), `integrals` maps each degree-2 generator to its
+    integral over the component.  Flat components carry all-zero integrals;
+    the sphere carries the Gauss-Bonnet value 2 for its tangent root.
     """
 
     dimension: int
     tangent_roots: tuple[str, ...] = ()
-    normal: Optional[tuple[str, Fraction]] = None
     twist_line: Optional[str] = None
     integrals: dict = None  # type: ignore[assignment]
 
@@ -202,88 +199,6 @@ def exp_line(gen: str, trunc: int, scalars: Scalars, half: bool = False) -> Trun
     return _univariate(series, gen, trunc, scalars)
 
 
-def deloc_factor(component_curv: ComponentCurvature, normal_turns: Optional[Fraction],
-                 scalars: Scalars, convention: str = "todd") -> TruncForm:
-    """Reciprocal of the delocalized divisor attached to the normal data.
-
-    Todd convention: 1 / det(1 - Phi e^{x}) on the normal eigen-line, where
-    Phi acts by the component's normal angle; an isolated point with angle
-    theta gives the scalar 1/(1 - e^{-i theta}) in the stored-angle convention.
-    A-hat convention: 1 / det(1 - Phi e^{x})^{1/2} over both normal eigen-lines
-    with principal-branch square roots per eigen-factor (floating only; the
-    exact pipeline uses the square-root-free spinor route instead).
-    Identity-class components (no normal data) give 1.
-    """
-    trunc = component_curv.dimension
-    if normal_turns is None:
-        return TruncForm.constant(scalars.one(), trunc)
-    t = normal_turns % 1
-    if t == 0:
-        raise SingularDivisorError("normal automorphism is the identity; divisor vanishes")
-    gen = component_curv.normal[0] if component_curv.normal else None
-    order = trunc // 2
-
-    if convention == "todd":
-        lam = scalars.unit(-t)  # divisor 1 - e^{-i theta} e^{x}
-        return _inverse_divisor(lam, gen, trunc, order, scalars)
-    if convention == "a_hat":
-        # floating square roots of the two conjugate eigen-factors
-        lam = cmath.exp(-2j * math.pi * float(t))
-        lam_bar = lam.conjugate()
-        f1 = _inverse_divisor_sqrt(lam, gen, trunc, order)
-        f2 = _inverse_divisor_sqrt(lam_bar, gen, trunc, order, negate_gen=True)
-        return f1 * f2
-    raise StructuralError(f"unknown divisor convention {convention!r}")
-
-
-def _inverse_divisor(lam, gen: Optional[str], trunc: int, order: int,
-                     scalars: Scalars) -> TruncForm:
-    """1 / (1 - lam e^{x}) as a truncated form in gen (or a scalar if gen is None)."""
-    one = scalars.one()
-    base = one - lam
-    if scalars.is_zero(base, 1e-15):
-        raise SingularDivisorError("delocalized divisor determinant vanishes")
-    if gen is None or order == 0:
-        return TruncForm.constant(one / base, trunc)
-    # 1/(1 - lam e^x) = inv0 / (1 - T) with T = inv0 * lam * (e^x - 1)
-    inv0 = one / base
-    tail = {}
-    for k in range(1, order + 1):
-        tail[(gen,) * k] = lam * scalars.from_rational(Fraction(1, math.factorial(k)))
-    t_form = TruncForm(trunc, tail).scale(inv0)
-    acc = TruncForm.constant(one, trunc)
-    power = TruncForm.constant(one, trunc)
-    for _ in range(order):
-        power = power * t_form
-        acc = acc + power
-    return acc.scale(inv0)
-
-
-def _inverse_divisor_sqrt(lam: complex, gen: Optional[str], trunc: int, order: int,
-                          negate_gen: bool = False) -> TruncForm:
-    """(1 - lam e^{+-x})^{-1/2} with the principal branch, floating coefficients."""
-    if abs(1 - lam) < 1e-15:
-        raise SingularDivisorError("delocalized divisor determinant vanishes")
-    if gen is None or order == 0:
-        return TruncForm.constant((1 - lam) ** -0.5, trunc)
-    sign = -1.0 if negate_gen else 1.0
-    # (1 - lam e^{sx}) = (1-lam)(1 - (lam/(1-lam)) (e^{sx}-1))
-    w = lam / (1 - lam)
-    tail = {}
-    for k in range(1, order + 1):
-        tail[(gen,) * k] = w * (sign ** k) / math.factorial(k)
-    t_form = TruncForm(trunc, tail)
-    # binomial series (1 - u)^{-1/2} = sum binom(-1/2, k) (-u)^k
-    out = TruncForm.constant(1.0 + 0j, trunc)
-    power = TruncForm.constant(1.0 + 0j, trunc)
-    coeff = 1.0
-    for k in range(1, order + 1):
-        power = power * t_form
-        coeff *= (0.5 + (k - 1)) / k   # binom(-1/2,k)(-1)^k = (2k-1)!!/(2k)!!
-        out = out + power.scale(coeff)
-    return out.scale((1 - lam) ** -0.5)
-
-
 def deloc_chern(data: FiberEigenData, trunc: int, scalars: Scalars,
                 plus_lines: Optional[Sequence[Optional[str]]] = None,
                 minus_lines: Optional[Sequence[Optional[str]]] = None) -> TruncForm:
@@ -329,7 +244,7 @@ def orbifold_integrate(form: TruncForm, component: SectorComponent,
 def component_curvature(component: SectorComponent, twist_chern: int) -> ComponentCurvature:
     """Curvature data for a catalogue component."""
     if isinstance(component.geometry, PointOrbit):
-        return ComponentCurvature(dimension=0, normal=("n", component.normal_angle_turns))
+        return ComponentCurvature(dimension=0)
     geo = component.geometry
     if geo.curvature_kind == "sphere":
         return ComponentCurvature(

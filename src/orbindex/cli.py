@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
-from .groups import AffineIsometry, CrystGroup, FiniteGroupTable, fixed_set, vec_frac
+from .groups import AffineIsometry, CrystGroup, FiniteGroupTable, vec_frac
 from .sectors import (
     BundleSpec,
     EuclideanPlane,
@@ -29,7 +29,7 @@ from .sectors import (
     SphereRotationAction,
     TorusAction,
     build_cutoff,
-    enumerate_sectors,
+    class_components,
     induced_torus_model,
     translation_class,
 )
@@ -60,6 +60,21 @@ def _rational(value, path: str, errors: list[str]) -> Fraction:
         pass
     errors.append(f"{path}: expected an exact rational 'p/q' string, got {value!r}")
     return Fraction(0)
+
+
+def _rational_list(value, path: str, errors: list[str]) -> list[Fraction]:
+    if not isinstance(value, list):
+        errors.append(f"{path}: expected a list of exact rationals, got {value!r}")
+        return []
+    return [_rational(x, path, errors) for x in value]
+
+
+def _lattice(value, path: str, errors: list[str]) -> list[list[Fraction]]:
+    if (not isinstance(value, list) or len(value) != 2
+            or any(not isinstance(r, list) or len(r) != 2 for r in value)):
+        errors.append(f"{path}: expected a 2x2 matrix of exact rationals, got {value!r}")
+        return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    return [[_rational(x, path, errors) for x in row] for row in value]
 
 
 def _check_fields(block: dict, allowed: set, path: str, errors: list[str]) -> None:
@@ -107,7 +122,11 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     if mode not in ("exact", "float"):
         errors.append(f"$.options.mode: expected 'exact' or 'float', got {mode!r}")
         mode = "exact"
-    tolerance = float(options.get("tolerance", 1e-8))
+    try:
+        tolerance = float(options.get("tolerance", 1e-8))
+    except (TypeError, ValueError):
+        errors.append(f"$.options.tolerance: expected a number, got {options['tolerance']!r}")
+        tolerance = 1e-8
 
     _check_fields(bundle_block, {"operatorKind", "twistDegree", "fiberWeights"},
                   "$.bundle", errors)
@@ -122,15 +141,18 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     fiber_weights = None
     if "fiberWeights" in bundle_block:
         fiber_weights = {}
-        for i, entry in enumerate(bundle_block["fiberWeights"]):
-            _check_fields(entry, {"angle", "plus", "minus"},
-                          f"$.bundle.fiberWeights[{i}]", errors)
-            angle = _rational(entry.get("angle", "0"),
-                              f"$.bundle.fiberWeights[{i}].angle", errors) % 1
-            plus = tuple(_rational(a, f"$.bundle.fiberWeights[{i}].plus", errors) % 1
-                         for a in entry.get("plus", []))
-            minus = tuple(_rational(a, f"$.bundle.fiberWeights[{i}].minus", errors) % 1
-                          for a in entry.get("minus", []))
+        entries = bundle_block["fiberWeights"]
+        if not isinstance(entries, list) or any(not isinstance(e, dict) for e in entries):
+            errors.append(f"$.bundle.fiberWeights: expected a list of objects, got {entries!r}")
+            entries = []
+        for i, entry in enumerate(entries):
+            path = f"$.bundle.fiberWeights[{i}]"
+            _check_fields(entry, {"angle", "plus", "minus"}, path, errors)
+            angle = _rational(entry.get("angle", "0"), f"{path}.angle", errors) % 1
+            plus = tuple(a % 1 for a in _rational_list(entry.get("plus", []),
+                                                       f"{path}.plus", errors))
+            minus = tuple(a % 1 for a in _rational_list(entry.get("minus", []),
+                                                        f"{path}.minus", errors))
             fiber_weights[angle] = (plus, minus)
 
     akind = ambient_block.get("kind")
@@ -143,8 +165,8 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if gkind != "wallpaper":
                 errors.append("$.group.kind: plane models need a 'wallpaper' group")
                 raise ModelValidationError(errors)
-            lattice = [[_rational(x, "$.group.lattice", errors) for x in row]
-                       for row in group_block.get("lattice", [[1, 0], [0, 1]])]
+            lattice = _lattice(group_block.get("lattice", [[1, 0], [0, 1]]),
+                               "$.group.lattice", errors)
             gens = [_parse_generator(g, f"$.group.generators[{i}]", errors)
                     for i, g in enumerate(group_block.get("generators", []))]
             if errors:
@@ -158,8 +180,8 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if gkind != "finite_torus":
                 errors.append("$.group.kind: torus models need a 'finite_torus' group")
                 raise ModelValidationError(errors)
-            lattice = [[_rational(x, "$.ambient.lattice", errors) for x in row]
-                       for row in ambient_block.get("lattice", [[1, 0], [0, 1]])]
+            lattice = _lattice(ambient_block.get("lattice", [[1, 0], [0, 1]]),
+                               "$.ambient.lattice", errors)
             gens = [_parse_generator(g, f"$.group.generators[{i}]", errors)
                     for i, g in enumerate(group_block.get("generators", []))]
             if errors:
@@ -290,7 +312,7 @@ def _gram_basis_doc(gram) -> list:
 
 def model_classes(model: QuotientModel) -> dict:
     """label -> class handle for the sector-bearing classes."""
-    return {c.class_handle.label: c.class_handle for c in enumerate_sectors(model)}
+    return {c.label: c.class_handle for c in model.sectors}
 
 
 def lookup_class(model: QuotientModel, label: str):
@@ -325,17 +347,11 @@ def _complex_pair(value) -> list[str]:
 
 
 def _fixed_summary(model: QuotientModel, handle) -> str:
-    if isinstance(model.group, CrystGroup):
-        fs = fixed_set(handle.representative, "plane")
-    elif isinstance(model.group, TorusAction):
-        fs = fixed_set(model.group.isometry(handle.representative),
-                       ("torus", model.group.gram))
-    else:
-        j = handle.representative % model.group.order
-        return "full" if j == 0 else "2 points"
-    if fs.kind == "points":
-        return f"{len(fs.points)} point" + ("s" if len(fs.points) > 1 else "")
-    return fs.kind
+    comps = class_components(model, handle)
+    if comps[0].is_full:
+        return "full"
+    n = sum(c.geometry.orbit_size for c in comps)
+    return f"{n} point" + ("s" if n > 1 else "")
 
 
 def base_report(model: QuotientModel, command: str, cutoff_kind: str = "indicator") -> dict:
@@ -382,7 +398,7 @@ def cmd_classes(model: QuotientModel) -> tuple[dict, int]:
 def cmd_sectors(model: QuotientModel) -> tuple[dict, int]:
     report = base_report(model, "sectors")
     rows = []
-    for comp in enumerate_sectors(model):
+    for comp in model.sectors:
         geo = comp.geometry
         row = {
             "label": comp.label,
@@ -482,9 +498,10 @@ def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
     oracle_value = _oracle_value(model)
     rep = engine.sum_identity(model, oracle_value, scalars)
     report = base_report(model, "verify")
+    classes = model_classes(model)
     rows = []
     for label in sorted(rep.per_class):
-        handle = model_classes(model)[label]
+        handle = classes[label]
         rows.append({
             "label": label,
             "kind": handle.kind_tag,
@@ -595,7 +612,12 @@ def run_command(argv: list[str], sink=None) -> int:
             report, code = cmd_heat(model, args.label, t_list, args.tol, args.cutoff)
         else:  # verify
             report, code = cmd_verify(model)
-    except (DomainError, ResolutionError, StructuralError) as exc:
+    except ResolutionError as exc:
+        # valid input whose heat check cannot reach the tolerance: a
+        # verification failure, not an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

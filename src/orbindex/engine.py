@@ -47,7 +47,7 @@ from .sectors import (
     SectorComponent,
     SphereRotationAction,
     TorusAction,
-    enumerate_sectors,
+    class_components,
     fiber_eigendata,
 )
 
@@ -62,7 +62,8 @@ def scalars_for_model(model: QuotientModel, mode: Optional[str] = None) -> Scala
 
 def point_term(normal_turns: Fraction, twist_turns: Fraction, data: FiberEigenData,
                scalars: Scalars, route: str):
-    """Contribution of one isolated fixed point, before orbit weights.
+    """Contribution of one isolated fixed point, before orbit weights; the
+    package's one implementation of the fixed-point divisor.
 
     `route` = "todd": twist character over the complex divisor 1 - e^{-i theta_N}.
     `route` = "a_hat": fiber supertrace over the real determinant of 1 - R.
@@ -180,7 +181,7 @@ def kawasaki_index(model: QuotientModel, scalars: Optional[Scalars] = None,
     """Index of the quotient operator: sum of sector integrals."""
     scalars = scalars or scalars_for_model(model)
     total = scalars.zero()
-    for comp in enumerate_sectors(model):
+    for comp in model.sectors:
         total = total + component_value(comp, model, scalars, route)
     return total
 
@@ -240,23 +241,10 @@ def localized_index(model: QuotientModel, cls: ConjugacyClassHandle,
     integral over the quotient.
     """
     scalars = scalars or scalars_for_model(model)
-    comps = _class_components(model, cls)
     total = scalars.zero()
-    for comp in comps:
+    for comp in class_components(model, cls):
         total = total + component_value(comp, model, scalars, route)
     return total
-
-
-def _class_components(model: QuotientModel, cls: ConjugacyClassHandle) -> list[SectorComponent]:
-    comps = [c for c in enumerate_sectors(model) if c.class_handle.label == cls.label]
-    if comps:
-        return comps
-    # not sector-bearing: verify the fixed set is genuinely empty
-    rep = cls.representative
-    if isinstance(model.group, CrystGroup):
-        if fixed_set(rep, "plane").kind != "empty":
-            raise StructuralError(f"class {cls.label} missing from the sector list")
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +264,6 @@ class IndexReport:
     psc_note: str = ""
     integrality_verdict: bool = False
     pair_reality: dict = field(default_factory=dict)
-    convention: dict = field(default_factory=dict)
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -287,24 +274,23 @@ def sum_identity(model: QuotientModel, oracle_value=None,
     """Per-class localized indices, their sum against the quotient index, and
     the conjugate-pair reality checks."""
     scalars = scalars or scalars_for_model(model)
-    comps = enumerate_sectors(model)
-    labels = sorted({c.class_handle.label for c in comps})
+    comps = model.sectors
+    values = [component_value(c, model, scalars) for c in comps]
     handles = {}
-    for c in comps:
-        handles.setdefault(c.class_handle.label, c.class_handle)
-
     per_class = {}
-    for label in labels:
-        value = scalars.zero()
-        for c in comps:
-            if c.class_handle.label == label:
-                value = value + component_value(c, model, scalars)
-        per_class[label] = value
+    for c in comps:
+        handles.setdefault(c.label, c.class_handle)
+        per_class[c.label] = scalars.zero()
+    # the same additions, in the same order, as the per-class and the
+    # kawasaki_index sums, so float reports stay bit-identical
+    kawasaki_total = scalars.zero()
+    for c, v in zip(comps, values):
+        per_class[c.label] = per_class[c.label] + v
+        kawasaki_total = kawasaki_total + v
 
     assembly_total = scalars.zero()
     for v in per_class.values():
         assembly_total = assembly_total + v
-    kawasaki_total = kawasaki_index(model, scalars)
 
     residuals = {
         "sum_vs_kawasaki": abs(Scalars.to_complex(assembly_total)
@@ -335,11 +321,6 @@ def sum_identity(model: QuotientModel, oracle_value=None,
         residuals=residuals,
         integrality_verdict=integrality,
         pair_reality=pair_reality,
-        convention={
-            "lefschetz_normalization": "forward-rotation holomorphic "
-                                       "(twist / (1 - e^{i theta}))",
-            "heat_supertrace": "inverse acting on fibers (1 - e^{-i theta})",
-        },
     )
     report.psc_obstruction, report.psc_note = psc_flag(report, model)
     return report
@@ -348,22 +329,14 @@ def sum_identity(model: QuotientModel, oracle_value=None,
 def _inverse_class_labels(model: QuotientModel, handles: dict) -> dict:
     """label -> label of the class of the inverse representative."""
     out = {}
-    items = list(handles.items())
-    for label, handle in items:
+    for label, handle in handles.items():
         rep = handle.representative
-        if isinstance(model.group, CrystGroup):
-            inv = rep.inverse()
-            for lab2, h2 in items:
-                if h2.contains(inv):
-                    out[label] = lab2
-                    break
-        else:
-            table = model.group.table
-            inv = table.inv(rep)
-            for lab2, h2 in items:
-                if h2.contains(inv):
-                    out[label] = lab2
-                    break
+        inv = rep.inverse() if isinstance(model.group, CrystGroup) \
+            else model.group.table.inv(rep)
+        for lab2, h2 in handles.items():
+            if h2.contains(inv):
+                out[label] = lab2
+                break
     return out
 
 

@@ -13,10 +13,6 @@ class DomainError(OrbindexError):
     """Input outside an operation's domain (t <= 0, empty fixed set, ...)."""
 
 
-class SingularDivisorError(OrbindexError):
-    """Delocalized divisor determinant vanishes (identity normal action in codim > 0)."""
-
-
 class ResolutionError(OrbindexError):
     """Quadrature cannot reach the requested tolerance at the given resolution."""
 

@@ -24,12 +24,6 @@ def _mul(group: GroupLike, x, y):
     return x.compose(y)
 
 
-def _inv(group: GroupLike, x):
-    if isinstance(group, FiniteGroupTable):
-        return group.inv(x)
-    return x.inverse()
-
-
 def _same_group(a: "GroupAlgebraElement", b: "GroupAlgebraElement") -> None:
     ga, gb = a.group, b.group
     if ga is gb:

@@ -107,15 +107,32 @@ def matrix_order(a: IMat, cap: int = 12) -> int:
     raise StructuralError("matrix order exceeds crystallographic cap")
 
 
+def check_point_part(a: IMat, gram: Mat) -> None:
+    """Reject a point part that is not a crystallographic rotation.
+
+    It must preserve the lattice Gram matrix, have det +1 and order 1, 2, 3,
+    4 or 6.  Reflections and glides (det -1) would give 1-dimensional fixed
+    sets, which this catalogue does not support; every group checks its point
+    parts here when it is built.
+    """
+    if mat_mul(mat_mul(mat_transpose(a), gram), a) != gram:
+        raise StructuralError("point part does not preserve the lattice Gram matrix")
+    if mat_det(a) != 1:
+        raise StructuralError(
+            "orientation-reversing point part: reflections and glides give "
+            "1-dimensional fixed sets, which this catalogue does not support")
+    if matrix_order(a) not in (1, 2, 3, 4, 6):
+        raise StructuralError(
+            "crystallographic restriction violated: point-part order not in {1,2,3,4,6}")
+
+
 def rotation_turns_for_gram(a: IMat, gram: Mat) -> Fraction:
-    """Rotation angle of an integral Gram-orthogonal matrix, in turns.
+    """Rotation angle of an integral Gram-orthogonal rotation, in turns.
 
     The angle is measured in an oriented orthonormal frame for the metric given
     by the Gram matrix; it is snapped to an exact multiple of 1/order and the
     snap is validated.
     """
-    if mat_det(a) != 1:
-        raise DomainError("orientation-reversing point part has no rotation angle")
     n = matrix_order(a)
     g00, g01, g11 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
     # B with B^T B = G and det B > 0 (transpose of the Cholesky factor)
@@ -132,91 +149,6 @@ def rotation_turns_for_gram(a: IMat, gram: Mat) -> Fraction:
            abs(float(t) - theta % 1 - 1)) > 1e-9:
         raise StructuralError("point-part angle is not a multiple of 1/order")
     return t
-
-
-def smith_solve(m: IMat, rhs: Vec) -> tuple[bool, Optional[Vec], list[Vec]]:
-    """Solve m @ x = rhs for integer x.
-
-    Returns (solvable, particular integer solution, basis of the integer kernel).
-    Entries of m are integers; rhs is rational (non-integer rhs components make
-    the reduced system unsolvable unless they cancel).
-    """
-    # Row/column reduce to Smith form tracking the column operations only:
-    # u @ m @ v = d  =>  solutions x = v @ y with d @ y = u @ rhs.
-    a = [[int(m[0][0]), int(m[0][1])], [int(m[1][0]), int(m[1][1])]]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_op(i, j, k):  # row_i -= k * row_j  (applied to a and u)
-        for c in range(2):
-            a[i][c] -= k * a[j][c]
-            u[i][c] -= k * u[j][c]
-
-    def col_op(i, j, k):  # col_i -= k * col_j  (applied to a and v)
-        for r in range(2):
-            a[r][i] -= k * a[r][j]
-            v[r][i] -= k * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(2):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    # clear position (0,0) to gcd of everything in row/col 0
-    for _ in range(64):
-        if a[0][0] == 0:
-            if a[1][0] != 0:
-                swap_rows(0, 1)
-            elif a[0][1] != 0:
-                swap_cols(0, 1)
-            elif a[1][1] != 0:
-                swap_rows(0, 1)
-                swap_cols(0, 1)
-            else:
-                break
-        changed = False
-        if a[1][0] != 0:
-            k = a[1][0] // a[0][0]
-            row_op(1, 0, k)
-            if a[1][0] != 0:
-                swap_rows(0, 1)
-            changed = True
-        elif a[0][1] != 0:
-            k = a[0][1] // a[0][0]
-            col_op(1, 0, k)
-            if a[0][1] != 0:
-                swap_cols(0, 1)
-            changed = True
-        if not changed and a[1][0] == 0 and a[0][1] == 0:
-            break
-
-    d = ((a[0][0], 0), (0, a[1][1]))
-    b = (
-        Fraction(u[0][0]) * rhs[0] + Fraction(u[0][1]) * rhs[1],
-        Fraction(u[1][0]) * rhs[0] + Fraction(u[1][1]) * rhs[1],
-    )
-    y_part: list[Fraction] = []
-    kernel_y: list[Vec] = []
-    for idx in range(2):
-        di = d[idx][idx]
-        if di == 0:
-            if b[idx] != 0:
-                return False, None, []
-            y_part.append(Fraction(0))
-            kernel_y.append((Fraction(1 if idx == 0 else 0), Fraction(0 if idx == 0 else 1)))
-        else:
-            yi = b[idx] / di
-            if yi.denominator != 1:
-                return False, None, []
-            y_part.append(yi)
-    vmat = ((Fraction(v[0][0]), Fraction(v[0][1])), (Fraction(v[1][0]), Fraction(v[1][1])))
-    x_part = mat_vec(vmat, (y_part[0], y_part[1]))
-    kernel = [mat_vec(vmat, ky) for ky in kernel_y]
-    return True, x_part, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +287,11 @@ class AffineIsometry:
 
 @dataclass(frozen=True)
 class FixedSetDescriptor:
-    """Fixed locus of an affine isometry: empty, points, a line, or everything."""
+    """Fixed locus of an orientation-preserving affine isometry: empty,
+    isolated points, or everything."""
 
-    kind: str  # "empty" | "points" | "line" | "full"
+    kind: str  # "empty" | "points" | "full"
     points: tuple[Vec, ...] = ()
-    line_point: Optional[Vec] = None
-    line_direction: Optional[Vec] = None
 
 
 class CrystGroup:
@@ -380,14 +311,7 @@ class CrystGroup:
 
     def _close(self) -> None:
         for g in self.generators:
-            a = g.point_part
-            if mat_mul(mat_mul(mat_transpose(a), self.gram), a) != self.gram:
-                raise StructuralError("point part does not preserve the lattice Gram matrix")
-            if mat_det(a) not in (1, -1):
-                raise StructuralError("point part is not unimodular")
-            if matrix_order(a) not in (1, 2, 3, 4, 6):
-                raise StructuralError(
-                    "crystallographic restriction violated: point-part order not in {1,2,3,4,6}")
+            check_point_part(g.point_part, self.gram)
         # BFS closure of (point part, coset vector mod lattice)
         coset: dict[IMat, Vec] = {IDENTITY_MAT: (Fraction(0), Fraction(0))}
         order_list: list[IMat] = [IDENTITY_MAT]
@@ -424,9 +348,6 @@ class CrystGroup:
         table = [[idx[tuple(tuple(int(x) for x in row) for row in mat_mul(a, b))]
                   for b in self.point_parts] for a in self.point_parts]
         return FiniteGroupTable(table), self.point_parts
-
-    def covolume(self) -> Fraction:
-        return abs(mat_det(self.lattice_basis))
 
     def contains(self, g: AffineIsometry) -> bool:
         s = self.coset_vectors.get(g.point_part)
@@ -508,20 +429,17 @@ def _cryst_conjugate_witness(g: AffineIsometry, h: AffineIsometry,
         if mat_mul(mat_mul(b, g.point_part), binv) != tuple(map(tuple, h.point_part)):
             continue
         # translation equation: (I - A_h) w = a_h - B a_g, w in s_B + lattice
-        m = mat_sub(IDENTITY_MAT, h.point_part)
         rhs = vec_sub(h.translation, mat_vec(b, g.translation))
         s = group.coset_vectors[b]
-        d = mat_det(m)
-        if d != 0:
-            w = mat_vec(mat_inv(m), rhs)
-            if vec_frac(vec_sub(w, s)) == (0, 0):
-                return AffineIsometry(b, w)
-        else:
-            ok, lam, _ = smith_solve(
-                tuple(tuple(int(x) for x in row) for row in m),  # type: ignore[arg-type]
-                vec_sub(rhs, mat_vec(m, s)))
-            if ok:
-                return AffineIsometry(b, vec_add(s, lam))
+        if h.point_part == IDENTITY_MAT:
+            # I - A_h = 0: every w solves it once B a_g = a_h
+            if rhs == (0, 0):
+                return AffineIsometry(b, s)
+            continue
+        # I - A_h is invertible for every rotation A_h != I
+        w = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, h.point_part)), rhs)
+        if vec_frac(vec_sub(w, s)) == (0, 0):
+            return AffineIsometry(b, w)
     return None
 
 
@@ -587,9 +505,7 @@ def centralizer(g, group: GroupLike) -> Centralizer:
         elems.sort(key=group._order_key)
         return Centralizer(group, g, finite_elements=elems)
 
-    # g is a translation (I - A = 0 for A = I; reflections are rejected upstream)
-    if a != IDENTITY_MAT:
-        raise StructuralError("centralizer for orientation-reversing parts is unsupported")
+    # g is a translation: I - A is invertible for every other rotation
     parts = []
     for b in commuting:
         if mat_vec(b, t) == t:
@@ -659,8 +575,6 @@ class ConjugacyClassHandle:
             raise DomainError("members_in_ball needs a crystallographic group")
         radius = Fraction(radius)
         g = self.representative
-        if mat_det(g.point_part) != 1:
-            raise DomainError("orientation-reversing point part has no rotation angle")
         found = set()
         for b in group.point_parts:
             a2 = tuple(tuple(int(x) for x in row)
@@ -735,10 +649,10 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
 # ---------------------------------------------------------------------------
 
 def fixed_set(g: AffineIsometry, ambient) -> FixedSetDescriptor:
-    """Fixed locus of g on the plane or on a torus.
+    """Fixed locus of an orientation-preserving g on the plane or on a torus.
 
     `ambient` is "plane" or ("torus", lattice) -- lattice coordinates mod Z^2.
-    On the torus the point count equals |det(I - A)| whenever I - A is invertible.
+    On the torus the point count equals |det(I - A)| for A != I.
     """
     a, t = g.point_part, g.translation
     m = mat_sub(IDENTITY_MAT, a)
@@ -748,36 +662,21 @@ def fixed_set(g: AffineIsometry, ambient) -> FixedSetDescriptor:
     if a == IDENTITY_MAT:
         offset_ok = (t == (0, 0)) if not on_torus else (vec_frac(t) == (0, 0))
         return FixedSetDescriptor("full") if offset_ok else FixedSetDescriptor("empty")
+    # det(I - A) = 2 - trace(A) > 0 for every rotation A != I
+    if d == 0:
+        raise StructuralError("orientation-reversing isometries have no isolated fixed points")
 
-    if d != 0:
-        center = mat_vec(mat_inv(m), t)
-        if not on_torus:
-            return FixedSetDescriptor("points", (center,))
-        pts = set()
-        n = abs(int(d))
-        minv = mat_inv(m)
-        for p in range(n):
-            for q in range(n):
-                x = mat_vec(minv, vec_add(t, (Fraction(p), Fraction(q))))
-                pts.add(vec_frac(x))
-        pts_list = tuple(sorted(pts))
-        if len(pts_list) != n:
-            raise StructuralError("torus fixed-point count disagrees with |det(I-A)|")
-        return FixedSetDescriptor("points", pts_list)
+    minv = mat_inv(m)
+    if not on_torus:
+        return FixedSetDescriptor("points", (mat_vec(minv, t),))
+    pts = set()
+    n = abs(int(d))
+    for p in range(n):
+        for q in range(n):
+            x = mat_vec(minv, vec_add(t, (Fraction(p), Fraction(q))))
+            pts.add(vec_frac(x))
+    pts_list = tuple(sorted(pts))
+    if len(pts_list) != n:
+        raise StructuralError("torus fixed-point count disagrees with |det(I-A)|")
+    return FixedSetDescriptor("points", pts_list)
 
-    # singular I - A with A != I: rank one, so the fixed locus is a rational
-    # affine line when the two row equations are consistent (reflection axis),
-    # empty otherwise (glide)
-    rows = [(m[0][0], m[0][1], t[0]), (m[1][0], m[1][1], t[1])]
-    if any(r[0] == 0 and r[1] == 0 and r[2] != 0 for r in rows):
-        return FixedSetDescriptor("empty")
-    rows = [r for r in rows if r[0] != 0 or r[1] != 0]
-    if not rows:
-        return FixedSetDescriptor("empty")
-    r0, r1, rhs = rows[0]
-    for s0, s1, srhs in rows[1:]:
-        # proportionality of (s0, s1, srhs) to (r0, r1, rhs)
-        if s0 * r1 != s1 * r0 or s0 * rhs != srhs * r0 or s1 * rhs != srhs * r1:
-            return FixedSetDescriptor("empty")
-    point = (rhs / r0, Fraction(0)) if r0 != 0 else (Fraction(0), rhs / r1)
-    return FixedSetDescriptor("line", line_point=point, line_direction=(Fraction(-r1), Fraction(r0)))

@@ -10,7 +10,7 @@ adaptively, so reports are reproducible bit for bit for a fixed spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -258,8 +258,6 @@ class HeatTraceReport:
     per_t: dict                      # t -> complex value
     truncation_bound: float
     max_t_variation: float
-    comparison_residual: Optional[float] = None
-    convention: dict = field(default_factory=dict)
 
 
 def g_heat_trace(model: QuotientModel, cls: ConjugacyClassHandle, t: float,

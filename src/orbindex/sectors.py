@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -28,18 +29,17 @@ from .groups import (
     ConjugacyClassHandle,
     CrystGroup,
     FiniteGroupTable,
-    FixedSetDescriptor,
     IDENTITY_MAT,
     Mat,
     Vec,
     centralizer,
+    check_point_part,
     fixed_set,
     mat,
     mat_det,
     mat_inv,
     mat_mul,
     mat_sub,
-    mat_transpose,
     mat_vec,
     matrix_order,
     rotation_turns_for_gram,
@@ -95,9 +95,7 @@ class TorusAction:
         self.isometries = tuple(isometries)
         self.gram = gram
         for g in self.isometries:
-            a = g.point_part
-            if mat_mul(mat_mul(mat_transpose(a), gram), a) != gram:
-                raise StructuralError("torus action is not isometric")
+            check_point_part(g.point_part, gram)
         for a in table.elements():
             for b in table.elements():
                 lhs = self.isometries[a].compose(self.isometries[b])
@@ -156,9 +154,12 @@ class BundleSpec:
             raise StructuralError(f"unknown operator kind {self.operator_kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientModel:
-    """Ambient + group action + bundle: the scene every computation consumes."""
+    """Ambient + group action + bundle: the scene every computation consumes.
+
+    Frozen, so the sector list cached on first use cannot go stale.
+    """
 
     ambient: Ambient
     group: GroupAction
@@ -171,11 +172,6 @@ class QuotientModel:
         if isinstance(self.ambient, EuclideanPlane):
             if not isinstance(self.group, CrystGroup):
                 raise StructuralError("plane models require a crystallographic group")
-            for a in self.group.point_parts:
-                if mat_det(a) != 1:
-                    raise StructuralError(
-                        "orientation-reversing point parts give 1-dimensional "
-                        "fixed sets, which this catalogue does not support")
         elif isinstance(self.ambient, FlatTorus):
             if not isinstance(self.group, TorusAction):
                 raise StructuralError("torus models require a finite torus action")
@@ -187,6 +183,12 @@ class QuotientModel:
                 if self.bundle.fiber_weights is None:
                     raise StructuralError(
                         "twisted flat models with rotations need explicit fiber weights")
+
+    @cached_property
+    def sectors(self) -> tuple[SectorComponent, ...]:
+        """Every sector component, sorted by label: the one table that every
+        command reads."""
+        return tuple(enumerate_sectors(self))
 
     @property
     def twist_nontrivial(self) -> bool:
@@ -408,36 +410,16 @@ def fixed_set_cutoff(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
     total weight of an orbit to be the reciprocal of the representative's
     stabilizer order in Z_G(g); this is independent of the section K and of
     the cut-off kind, which is what the independence tests exercise.  For the
-    identity class, K = {e} and c^{(e)} = c.
+    identity class, K = {e} and c^{(e)} = c.  Both are read off the class's
+    sector components.
     """
-    g = cls.representative
-    if isinstance(model.group, CrystGroup):
-        fs = fixed_set(g, "plane")
-        apply_fn = lambda z, p: z.apply(p)
-        zc = lambda: centralizer(g, model.group)
-    elif isinstance(model.group, TorusAction):
-        iso = model.group.isometry(g)
-        fs = fixed_set(iso, ("torus", model.group.gram))
-        apply_fn = lambda z, p: model.group.apply_mod(z, p)
-        zc = lambda: centralizer(g, model.group.table)
-    else:
-        n = model.group.order
-        if g % n == 0:
-            fs = FixedSetDescriptor("full")
-        else:
-            fs = FixedSetDescriptor("points", ((Fraction(0), Fraction(0)),
-                                               (Fraction(1), Fraction(0))))
-        apply_fn = lambda z, p: p   # every rotation fixes both poles
-        zc = lambda: centralizer(g, model.group.table)
-
-    if fs.kind == "empty":
+    comps = class_components(model, cls)
+    if not comps:
         raise DomainError(f"class {cls.label} has an empty fixed set")
-    if fs.kind == "full":
+    if comps[0].is_full:
         return FixedSetCutoff("full", [], cutoff)
-    if fs.kind == "line":
-        raise StructuralError("1-dimensional fixed sets are unsupported")
-    orbits = _orbit_decompose(fs.points, zc(), apply_fn)
-    return FixedSetCutoff("discrete", [(p, w) for p, w, _ in orbits])
+    return FixedSetCutoff("discrete", sorted((c.geometry.representative, c.geometry.weight)
+                                             for c in comps))
 
 
 def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
@@ -482,6 +464,17 @@ def enumerate_sectors(model: QuotientModel) -> list[SectorComponent]:
     return comps
 
 
+def class_components(model: QuotientModel,
+                     cls: ConjugacyClassHandle) -> list[SectorComponent]:
+    """The sector components of class `cls`, or [] after checking that its
+    fixed set really is empty."""
+    comps = [c for c in model.sectors if c.label == cls.label]
+    if not comps and isinstance(model.group, CrystGroup) \
+            and fixed_set(cls.representative, "plane").kind != "empty":
+        raise StructuralError(f"class {cls.label} missing from the sector list")
+    return comps
+
+
 def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
                     order: int) -> SectorComponent:
     amb = model.ambient
@@ -499,8 +492,6 @@ def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
 def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
                      twist_turns=Fraction(0)) -> SectorComponent:
     normal = (-rot_turns) % 1
-    if normal == 0:
-        raise StructuralError("isolated fixed point with trivial normal rotation")
     data = fiber_eigendata(rot_turns, model.bundle, twist_turns)
     stab = int(1 / weight)
     return SectorComponent(handle, tag,
@@ -534,20 +525,14 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
         fs = fixed_set(iso, ("torus", action.gram))
         if fs.kind == "empty":
             continue
-        if fs.kind == "line":
-            raise StructuralError("1-dimensional fixed sets are unsupported")
         if fs.kind == "full":
             if g != table.identity:
                 raise StructuralError("non-identity element acting trivially")
             comps.append(_full_component(model, handle, table.order))
             continue
         zc = centralizer(g, table)
-
-        def apply_mod(z, p, action=action):
-            return action.apply_mod(z, p)
-
         rot = action.rotation_turns(g)
-        for i, (p, w, size) in enumerate(_orbit_decompose(fs.points, zc, apply_mod)):
+        for i, (p, w, size) in enumerate(_orbit_decompose(fs.points, zc, action.apply_mod)):
             comps.append(_point_component(model, handle, _center_tag(p, i), p, w,
                                           size, rot))
     return comps
@@ -584,8 +569,6 @@ def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
             continue
         g = handle.representative
         fs = fixed_set(g, "plane")
-        if fs.kind != "points":
-            raise StructuralError("unsupported fixed-set dimension for a sector")
         zc = centralizer(g, group)
         weight = Fraction(1, zc.order())
         rot = group.rotation_turns(g.point_part)
@@ -625,11 +608,9 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
                 t = vec_frac(iso.translation)
                 label = f"t{t[0]}_{t[1]}".replace("/", "d")
             else:
-                turns = action.rotation_turns(g)
-                # power of the smallest positive rotation present in the group
-                base = _min_rotation_unit(action)
-                j = int(turns / base) if base and (turns / base).denominator == 1 else None
-                label = f"r{j}" if j else f"a{turns.numerator}_{turns.denominator}"
+                # power of the smallest positive rotation present in the group;
+                # the rotation parts form a cyclic group, so it is an integer
+                label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
         out.append(ConjugacyClassHandle(group=table, representative=g,
                                         kind_tag="finite-class", label=label,
                                         invariant_data=h.invariant_data,
@@ -645,12 +626,9 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
     return out
 
 
-def _min_rotation_unit(action: TorusAction) -> Optional[Fraction]:
-    turns = [action.rotation_turns(g) for g in action.table.elements()
-             if action.isometry(g).point_part != IDENTITY_MAT
-             and mat_det(action.isometry(g).point_part) == 1]
-    positive = [t for t in turns if t > 0]
-    return min(positive) if positive else None
+def _min_rotation_unit(action: TorusAction) -> Fraction:
+    return min(action.rotation_turns(g) for g in action.table.elements()
+               if action.isometry(g).point_part != IDENTITY_MAT)
 
 
 def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHandle]:
@@ -677,8 +655,6 @@ def cryst_fixed_classes(group: CrystGroup) -> list[ConjugacyClassHandle]:
     seen_parts: set = set()
     for a in group.point_parts:
         if a == IDENTITY_MAT or a in seen_parts:
-            continue
-        if mat_det(a) != 1:
             continue
         # fold the whole point-group conjugacy class of a into one pass
         pclass = {a}
@@ -709,11 +685,10 @@ def _rotation_classes_for_part(group: CrystGroup, a) -> list[ConjugacyClassHandl
     out = []
     used_tags: dict[str, int] = {}
     turns = group.rotation_turns(a)
-    unit = min(group.rotation_turns(p) for p in group.point_parts
-               if p != IDENTITY_MAT and mat_det(p) == 1
-               and group.rotation_turns(p) > 0)
-    power = int(turns / unit) if (turns / unit).denominator == 1 else None
-    part_name = f"r{power}" if power and power > 1 else "r"
+    # the rotation parts form a cyclic group, so turns is a multiple of unit
+    unit = min(group.rotation_turns(p) for p in group.point_parts if p != IDENTITY_MAT)
+    power = int(turns / unit)
+    part_name = f"r{power}" if power > 1 else "r"
     ordinal = 0
     while remaining:
         c0 = remaining[0]

@@ -284,11 +284,10 @@ def test_acceptance_6_cutoff_suite():
 
 
 def test_acceptance_7_series_engine():
-    """A-hat degree 4 = -p1/24, Td degree 4 = (c1^2+c2)/12 vs sympy; deloc at e."""
+    """A-hat degree 4 = -p1/24, Td degree 4 = (c1^2+c2)/12 vs sympy; flat A-hat at e is 1."""
     import sympy
 
-    from orbindex.char import (ComponentCurvature, a_hat_form, ahat_series,
-                               deloc_factor, todd_form)
+    from orbindex.char import ComponentCurvature, a_hat_form, ahat_series, todd_form
 
     u = sympy.Symbol("u")
     sym_ahat = sympy.series((u / 2) / sympy.sinh(u / 2), u, 0, 5).removeO()
@@ -307,9 +306,7 @@ def test_acceptance_7_series_engine():
              and td.coefficient(("x", "y")) == sx.from_rational(want_xy)
              and want_xx == Fraction(1, 12) and want_xy == Fraction(1, 4))
 
-    # identity-class delocalized factor reduces to 1
-    curv_e = ComponentCurvature(dimension=2, tangent_roots=("t",))
-    f = deloc_factor(curv_e, None, sx, "todd")
+    # A-hat of a flat identity-class component reduces to 1
     ahat_e = a_hat_form(ComponentCurvature(dimension=2), sx)
-    deloc_ok = f.coeffs == {(): sx.one()} and ahat_e.coeffs == {(): sx.one()}
-    _report(7, "series engine vs symbolic expansion", ahat_ok and td_ok and deloc_ok)
+    flat_ok = ahat_e.coeffs == {(): sx.one()}
+    _report(7, "series engine vs symbolic expansion", ahat_ok and td_ok and flat_ok)

@@ -16,12 +16,12 @@ from orbindex.char import (
     ahat_series,
     chern_char,
     deloc_chern,
-    deloc_factor,
     exp_line,
     todd_form,
     todd_series,
 )
-from orbindex.errors import SingularDivisorError, StructuralError
+from orbindex.engine import point_term
+from orbindex.errors import StructuralError
 from orbindex.exactnum import Cyclo, Scalars
 from orbindex.sectors import FiberEigenData
 
@@ -118,49 +118,15 @@ class TestGenusForms:
         assert ch.coefficient(("w",)) == 1  # times integral k gives k
 
 
-class TestDelocFactor:
-    def test_point_half_turn(self):
-        curv = ComponentCurvature(dimension=0, normal=("n", Fraction(1, 2)))
-        f = deloc_factor(curv, Fraction(1, 2), SX, "todd")
-        assert f.coefficient(()) == Fraction(1, 2)
-
-    def test_point_quarter_turn(self):
-        curv = ComponentCurvature(dimension=0, normal=("n", Fraction(1, 4)))
-        f = deloc_factor(curv, Fraction(1, 4), SX, "todd")
-        i = Cyclo.zeta(4)
-        assert f.coefficient(()) == (1 - i) / 2
-
-    def test_identity_sector_is_one(self):
-        curv = ComponentCurvature(dimension=2, tangent_roots=("t",))
-        f = deloc_factor(curv, None, SX, "todd")
-        assert f.coeffs == {(): SX.one()}
-
-    def test_singular_divisor_raises(self):
-        curv = ComponentCurvature(dimension=0, normal=("n", Fraction(0)))
-        with pytest.raises(SingularDivisorError):
-            deloc_factor(curv, Fraction(0), SX, "todd")
-
-    def test_exact_series_coefficient(self):
-        # 1/(1 - lam e^x): degree-2 coefficient is lam/(1-lam)^2
-        curv = ComponentCurvature(dimension=2, normal=("n", Fraction(1, 4)))
-        f = deloc_factor(curv, Fraction(1, 4), SX, "todd")
-        lam = SX.unit(Fraction(-1, 4))
-        assert f.coefficient(("n",)) == lam / ((SX.one() - lam) * (SX.one() - lam))
-
-    def test_sqrt_branch_multiplicativity(self):
-        # the a_hat factor squared equals the rank-2 real determinant inverse
-        import cmath
-        import math
-
-        fl = Scalars("float")
-        for turns in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)):
-            curv = ComponentCurvature(dimension=0, normal=("n", turns))
-            f = fl.to_complex(deloc_factor(curv, turns, fl, "a_hat").coefficient(()))
-            lam = cmath.exp(-2j * math.pi * float(turns))
-            det = (1 - lam) * (1 - lam.conjugate())
-            assert abs(f ** 2 - 1 / det) < 1e-12 or abs(f ** 2 + 1 / det) < 1e-12
-            # principal-branch product of the two eigen-roots is positive
-            assert abs(f ** 2 - 1 / det) < 1e-12
+class TestPointDivisor:
+    @pytest.mark.parametrize("turns, want", [
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 4), (1 - Cyclo.zeta(4)) / 2),
+    ], ids=["half_turn", "quarter_turn"])
+    def test_todd_point_divisor(self, turns, want):
+        # 1/(1 - e^{-i theta}) at the stored normal angle, untwisted
+        data = FiberEigenData((Fraction(0),), (turns,))
+        assert point_term(turns, Fraction(0), data, SX, "todd") == want
 
 
 def test_exp_line_half():
@@ -211,7 +177,7 @@ class TestOrbifoldIntegrate:
             handle, "p0",
             PointOrbit((Fraction(0), Fraction(0)), Fraction(1, n), 1),
             Fraction(1, 5), n, FED((Fraction(0),), (Fraction(4, 5),)))
-        curv = ComponentCurvature(dimension=0, normal=("n", Fraction(1, 5)))
+        curv = ComponentCurvature(dimension=0)
         form = TruncForm.constant(SX.one(), 0)
         assert orbifold_integrate(form, comp, curv, SX) == Fraction(1, n)
 

@@ -3,6 +3,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,18 @@ def run(args):
     code = run_command(args, buf)
     text = buf.getvalue()
     return code, json.loads(text) if text else None, text
+
+
+def test_module_entry_point_runs_cleanly():
+    # importing the package must not import orbindex.cli before runpy runs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbindex.cli", "classes", str(FIXTURE_DIR / "p2.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 class TestLoading:

@@ -1,10 +1,13 @@
 """Index engine: Lefschetz numbers, Kawasaki index, localized indices."""
 
+import io
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+from orbindex.cli import FIXTURE_DIR, run_command
 from orbindex.errors import StructuralError
 from orbindex.exactnum import Cyclo
 from orbindex.engine import (
@@ -257,3 +260,47 @@ class TestCutoffKindIndependence:
             v_i = float(cutoff_on_fixed_set_direct(indicator, comp.class_handle, y))
             assert abs(v_s - v_i) < 1e-12
             assert abs(v_i - float(comp.geometry.weight)) < 1e-12
+
+
+class TestOneSectorTable:
+    """Every command reads the model's one sector table."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from orbindex import sectors
+
+        count = Counter()
+        for name in ("_sectors_cryst", "_sectors_torus", "_sectors_sphere"):
+            def counted(model, _orig=getattr(sectors, name)):
+                count["builds"] += 1
+                return _orig(model)
+            monkeypatch.setattr(sectors, name, counted)
+        return count
+
+    @pytest.mark.parametrize("fixture, argv", [
+        ("p4", ["verify"]),
+        ("p4", ["localized", "--class", "r_center"]),
+        ("p4", ["heat", "--class", "r_center"]),
+        ("e_z4", ["verify"]),
+        ("t2_z2", ["verify"]),
+        ("s2_z3_o7", ["verify"]),
+    ])
+    def test_one_sector_build_per_command(self, builds, fixture, argv):
+        path = str(FIXTURE_DIR / f"{fixture}.json")
+        assert run_command([argv[0], path] + argv[1:], io.StringIO()) == 0
+        assert builds["builds"] == 1
+
+    def test_verify_values_each_component_once(self, monkeypatch):
+        from orbindex import engine
+
+        seen = []
+        value = engine.component_value
+
+        def counted(comp, *args, **kwargs):
+            seen.append(comp)
+            return value(comp, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "component_value", counted)
+        assert run_command(["verify", str(FIXTURE_DIR / "p4.json")], io.StringIO()) == 0
+        assert len(seen) == 8
+        assert len({id(c) for c in seen}) == 8

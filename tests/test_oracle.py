@@ -1,5 +1,6 @@
 """Spectral oracles: monomial characters and pullback traces."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -84,8 +85,8 @@ class TestTorusInvariantIndex:
     def test_twist_rejected(self):
         from orbindex.sectors import BundleSpec
 
-        model = square_torus_rotation_model(1, "m")
-        model.bundle = BundleSpec("dolbeault", 3, curvature_scalar=3)
+        model = dataclasses.replace(square_torus_rotation_model(1, "m"),
+                                    bundle=BundleSpec("dolbeault", 3, curvature_scalar=3))
         with pytest.raises(DomainError):
             torus_invariant_index(model)
 

@@ -156,13 +156,38 @@ class TestCliErrorBranches:
         code = run_command(["classes", str(FIXTURE_DIR / "p4.json")], BrokenSink())
         assert code == 1
 
-    def test_heat_failing_tolerance_exits_two(self):
+    def test_heat_failing_tolerance_exits_two(self, capsys):
         # an absurd tolerance cannot be met by the fixed-resolution quadrature,
         # but the run itself is valid input: verification failure, not error
         code = run_command(["heat", str(FIXTURE_DIR / "p4.json"),
                             "--class", "r_origin", "--t", "0.05,0.2",
                             "--tol", "1e-18"], io.StringIO())
-        assert code in (1, 2)  # resolution error or verification failure
+        assert code == 2
+        assert "error: quadrature error estimate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, path", [
+        ("options", "tolerance", "abc", "$.options.tolerance"),
+        ("group", "lattice", [[1]], "$.group.lattice"),
+        ("bundle", "fiberWeights", 5, "$.bundle.fiberWeights"),
+    ])
+    def test_malformed_field_exits_one_with_path(self, tmp_path, capsys,
+                                                  block, key, value, path):
+        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
+        doc[block][key] = value
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        assert run_command(["classes", str(model)], io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: {path}: ")
+        assert "Traceback" not in err
+
+    def test_reflection_generator_exits_one(self, tmp_path, capsys):
+        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
+        doc["group"]["generators"][0]["matrix"] = [[1, 0], [0, -1]]
+        model = tmp_path / "pm.json"
+        model.write_text(json.dumps(doc))
+        assert run_command(["verify", str(model)], io.StringIO()) == 1
+        assert "orientation-reversing" in capsys.readouterr().err
 
     def test_verify_output_parses_for_every_fixture(self):
         for name in ("e_z4", "t2_z2", "s2_z3_o7", "p4", "p2", "torus_free",

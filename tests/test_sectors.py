@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from orbindex.errors import DomainError, StructuralError
-from orbindex.groups import AffineIsometry, CrystGroup
+from orbindex.groups import AffineIsometry, CrystGroup, FiniteGroupTable
 from orbindex.sectors import (
     BundleSpec,
-    EuclideanPlane,
-    QuotientModel,
+    TorusAction,
     build_cutoff,
     cryst_fixed_classes,
     cutoff_on_fixed_set_direct,
@@ -102,9 +101,14 @@ class TestEnumeration:
         refl = AffineIsometry.of(((1, 0), (0, -1)), (0, 0))
         t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
         t2 = AffineIsometry.of(((1, 0), (0, 1)), (0, 1))
-        group = CrystGroup([[1, 0], [0, 1]], [refl, t1, t2])
         with pytest.raises(StructuralError):
-            QuotientModel(EuclideanPlane(), group, BundleSpec("dolbeault", 0))
+            CrystGroup([[1, 0], [0, 1]], [refl, t1, t2])
+
+    def test_reflection_torus_action_rejected(self):
+        refl = AffineIsometry.of(((1, 0), (0, -1)), (0, 0))
+        gram = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        with pytest.raises(StructuralError):
+            TorusAction(FiniteGroupTable.cyclic(2), [AffineIsometry.identity(), refl], gram)
 
 
 class TestFiberEigendata:
