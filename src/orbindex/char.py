@@ -176,17 +176,12 @@ def todd_form(curv: ComponentCurvature, scalars: Scalars) -> TruncForm:
     return out
 
 
-def chern_char(lines: Sequence[str], trunc: int, scalars: Scalars,
-               weights: Optional[Sequence] = None) -> TruncForm:
-    """Chern character of a sum of line bundles: sum of e^{x_i}, optionally
-    weighted by scalars (used for the delocalized variant)."""
+def chern_char(lines: Sequence[str], trunc: int, scalars: Scalars) -> TruncForm:
+    """Chern character of a sum of line bundles: sum of e^{x_i}."""
     order = trunc // 2
     total = TruncForm(trunc, {})
-    for idx, gen in enumerate(lines):
-        term = _univariate(exp_series(order), gen, trunc, scalars)
-        if weights is not None:
-            term = term.scale(weights[idx])
-        total = total + term
+    for gen in lines:
+        total = total + _univariate(exp_series(order), gen, trunc, scalars)
     return total
 
 
@@ -199,22 +194,16 @@ def exp_line(gen: str, trunc: int, scalars: Scalars, half: bool = False) -> Trun
     return _univariate(series, gen, trunc, scalars)
 
 
-def deloc_chern(data: FiberEigenData, trunc: int, scalars: Scalars,
-                plus_lines: Optional[Sequence[Optional[str]]] = None,
-                minus_lines: Optional[Sequence[Optional[str]]] = None) -> TruncForm:
-    """Graded delocalized Chern character: sum of e^{2 pi i theta} ch(E_theta)
-    with E- entering negatively (the index pairing demands the supertrace)."""
-    plus_lines = plus_lines or [None] * len(data.plus_turns)
-    minus_lines = minus_lines or [None] * len(data.minus_turns)
+def deloc_chern(data: FiberEigenData, trunc: int, scalars: Scalars) -> TruncForm:
+    """Graded delocalized Chern character of flat eigenlines: sum of
+    e^{2 pi i theta} over E+ angles minus the same sum over E- angles (the
+    index pairing demands the supertrace)."""
     total = TruncForm(trunc, {})
-    for turns, gen in zip(data.plus_turns, plus_lines):
-        line = exp_line(gen, trunc, scalars) if gen else \
-            TruncForm.constant(scalars.one(), trunc)
-        total = total + line.scale(scalars.unit(turns))
-    for turns, gen in zip(data.minus_turns, minus_lines):
-        line = exp_line(gen, trunc, scalars) if gen else \
-            TruncForm.constant(scalars.one(), trunc)
-        total = total - line.scale(scalars.unit(turns))
+    one = TruncForm.constant(scalars.one(), trunc)
+    for turns in data.plus_turns:
+        total = total + one.scale(scalars.unit(turns))
+    for turns in data.minus_turns:
+        total = total - one.scale(scalars.unit(turns))
     return total
 
 

@@ -83,7 +83,27 @@ def _check_fields(block: dict, allowed: set, path: str, errors: list[str]) -> No
             errors.append(f"{path}.{key}: unknown field")
 
 
-def _parse_generator(block: dict, path: str, errors: list[str]) -> AffineIsometry:
+def _block(doc: dict, key: str, errors: list[str]) -> dict:
+    block = doc.get(key, {})
+    if not isinstance(block, dict):
+        errors.append(f"$.{key}: expected an object, got {block!r}")
+        return {}
+    return block
+
+
+def _generators(group_block: dict, errors: list[str]) -> list[AffineIsometry]:
+    gens = group_block.get("generators", [])
+    if not isinstance(gens, list):
+        errors.append(f"$.group.generators: expected a list of objects, got {gens!r}")
+        return []
+    return [_parse_generator(g, f"$.group.generators[{i}]", errors)
+            for i, g in enumerate(gens)]
+
+
+def _parse_generator(block, path: str, errors: list[str]) -> AffineIsometry:
+    if not isinstance(block, dict):
+        errors.append(f"{path}: expected an object, got {block!r}")
+        return AffineIsometry.identity()
     _check_fields(block, {"matrix", "translation"}, path, errors)
     m = block.get("matrix")
     t = block.get("translation", ["0", "0"])
@@ -96,6 +116,9 @@ def _parse_generator(block: dict, path: str, errors: list[str]) -> AffineIsometr
             if not isinstance(x, int):
                 errors.append(f"{path}.matrix: entries must be integers")
                 return AffineIsometry.identity()
+    if not isinstance(t, list) or len(t) != 2:
+        errors.append(f"{path}.translation: expected two exact rationals, got {t!r}")
+        return AffineIsometry.identity()
     tv = (_rational(t[0], f"{path}.translation[0]", errors),
           _rational(t[1], f"{path}.translation[1]", errors))
     return AffineIsometry.of(m, tv)
@@ -112,10 +135,10 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         errors.append(f"$.schemaVersion: expected {SCHEMA_VERSION}")
 
-    ambient_block = doc.get("ambient", {})
-    group_block = doc.get("group", {})
-    bundle_block = doc.get("bundle", {})
-    options = doc.get("options", {})
+    ambient_block = _block(doc, "ambient", errors)
+    group_block = _block(doc, "group", errors)
+    bundle_block = _block(doc, "bundle", errors)
+    options = _block(doc, "options", errors)
     _check_fields(options, {"mode", "tolerance"}, "$.options", errors)
     mode = options.get("mode", "exact")
     mode = os.environ.get("ORBINDEX_MODE", mode)
@@ -167,8 +190,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                 raise ModelValidationError(errors)
             lattice = _lattice(group_block.get("lattice", [[1, 0], [0, 1]]),
                                "$.group.lattice", errors)
-            gens = [_parse_generator(g, f"$.group.generators[{i}]", errors)
-                    for i, g in enumerate(group_block.get("generators", []))]
+            gens = _generators(group_block, errors)
             if errors:
                 raise ModelValidationError(errors)
             group = CrystGroup(lattice, gens)
@@ -182,8 +204,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                 raise ModelValidationError(errors)
             lattice = _lattice(ambient_block.get("lattice", [[1, 0], [0, 1]]),
                                "$.ambient.lattice", errors)
-            gens = [_parse_generator(g, f"$.group.generators[{i}]", errors)
-                    for i, g in enumerate(group_block.get("generators", []))]
+            gens = _generators(group_block, errors)
             if errors:
                 raise ModelValidationError(errors)
             basis = mat(lattice)
@@ -418,16 +439,22 @@ def cmd_sectors(model: QuotientModel) -> tuple[dict, int]:
     return report, 0
 
 
+def _assembly_agrees(model: QuotientModel, asm, kawasaki_total) -> bool:
+    """The averaged Lefschetz numbers equal the sum over sector components."""
+    return engine.scalars_for_model(model).is_zero(asm.average_total - kawasaki_total, 1e-10)
+
+
 def cmd_index(model: QuotientModel, method: str) -> tuple[dict, int]:
-    scalars = engine.scalars_for_model(model)
     report = base_report(model, f"index --method {method}")
     if method == "kawasaki":
-        value = engine.kawasaki_index(model, scalars)
+        value = engine.kawasaki_index(model)
         report["totals"] = {"kawasaki": _complex_pair(value)}
     elif method == "assembly":
         if isinstance(model.group, CrystGroup):
             raise DomainError("assembly method requires a finite acting group")
-        asm = engine.finite_assembly(model, scalars)
+        asm = engine.finite_assembly(model)
+        if not _assembly_agrees(model, asm, engine.kawasaki_index(model)):
+            raise StructuralError("assembly disagrees with the sector sum")
         report["totals"] = {
             "average": _complex_pair(asm.average_total),
             "byClass": _complex_pair(asm.class_total),
@@ -439,7 +466,7 @@ def cmd_index(model: QuotientModel, method: str) -> tuple[dict, int]:
         for g in model.group.table.elements():
             rows.append({"element": int(g),
                          "value": _complex_pair(
-                             engine.equivariant_lefschetz(model, g, scalars))})
+                             engine.equivariant_lefschetz(model, g))})
         report["rows"] = rows
     else:
         raise DomainError(f"unknown index method {method!r}")
@@ -448,8 +475,7 @@ def cmd_index(model: QuotientModel, method: str) -> tuple[dict, int]:
 
 def cmd_localized(model: QuotientModel, label: str) -> tuple[dict, int]:
     handle = lookup_class(model, label)
-    scalars = engine.scalars_for_model(model)
-    value = engine.localized_index(model, handle, scalars)
+    value = engine.localized_index(model, handle)
     report = base_report(model, f"localized --class {label}")
     report["rows"] = [{"label": label, "value": _complex_pair(value)}]
     return report, 0
@@ -462,7 +488,7 @@ def cmd_heat(model: QuotientModel, label: str, t_list: list[float], tol: float,
     cutoff = build_cutoff(model, cutoff_kind)
     trace = heat.t_independence(model, handle, t_list, quad, cutoff)
     # McKean-Singer at t0 reuses the t0 trace of the pass above
-    index = engine.localized_index(model, handle, engine.scalars_for_model(model))
+    index = engine.localized_index(model, handle)
     ms_residual = abs(trace.per_t[t_list[0]] - Scalars.to_complex(index))
     orbital = heat.orbital_integral_euclidean(model, handle, t_list[0], quad)
     orb_residual = abs(orbital - trace.per_t[t_list[0]])
@@ -494,9 +520,8 @@ def _oracle_value(model: QuotientModel):
 
 
 def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
-    scalars = engine.scalars_for_model(model)
     oracle_value = _oracle_value(model)
-    rep = engine.sum_identity(model, oracle_value, scalars)
+    rep = engine.sum_identity(model, oracle_value)
     report = base_report(model, "verify")
     classes = model_classes(model)
     rows = []
@@ -522,12 +547,12 @@ def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
     if oracle_value is not None:
         report["totals"]["oracle"] = _complex_pair(oracle_value)
         verdicts["oracleAgreement"] = rep.residuals["total_vs_oracle"] <= model.tolerance
-    if isinstance(model.ambient, RoundSphere):
-        verdicts["perClassCharacters"] = _verify_sphere_characters(model, scalars)
     if not isinstance(model.ambient, EuclideanPlane):
-        asm = engine.finite_assembly(model, scalars)
+        asm = engine.finite_assembly(model)
+        if isinstance(model.ambient, RoundSphere):
+            verdicts["perClassCharacters"] = _verify_sphere_characters(model, asm.per_element)
         report["totals"]["assemblyAverage"] = _complex_pair(asm.average_total)
-        verdicts["assemblyGroupings"] = True  # finite_assembly raises on mismatch
+        verdicts["assemblyGroupings"] = _assembly_agrees(model, asm, rep.kawasaki_total)
     report["residuals"] = residuals
     if rep.psc_obstruction is not None:
         report["pscObstruction"] = rep.psc_obstruction
@@ -537,11 +562,11 @@ def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
     return report, 0 if all(verdicts.values()) else 2
 
 
-def _verify_sphere_characters(model: QuotientModel, scalars) -> bool:
+def _verify_sphere_characters(model: QuotientModel, per_element: dict) -> bool:
+    """Each Lefschetz number L(j) against the monomial-basis character."""
     n = model.group.order
     k = model.bundle.twist_degree
-    for j in range(n):
-        lef = engine.equivariant_lefschetz(model, j, scalars)
+    for j, lef in per_element.items():
         want = oracle.sphere_equivariant_character(k, n, j, model.mode).value
         if abs(Scalars.to_complex(lef) - Scalars.to_complex(want)) > model.tolerance:
             return False

@@ -52,8 +52,8 @@ from .sectors import (
 )
 
 
-def scalars_for_model(model: QuotientModel, mode: Optional[str] = None) -> Scalars:
-    return scalars_for_order(model.root_order(), mode or model.mode)
+def scalars_for_model(model: QuotientModel) -> Scalars:
+    return scalars_for_order(model.root_order, model.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,9 @@ def _route_for(model: QuotientModel) -> str:
     return "a_hat" if model.bundle.operator_kind == "spinc_dirac" else "todd"
 
 
-def component_value(component: SectorComponent, model: QuotientModel,
-                    scalars: Scalars, route: Optional[str] = None):
+def component_value(component: SectorComponent, model: QuotientModel):
     """Orbifold integral of the delocalized index density over one component."""
-    route = route or _route_for(model)
+    scalars, route = scalars_for_model(model), _route_for(model)
     curv = component_curvature(component, model.bundle.curvature_scalar)
     if isinstance(component.geometry, PointOrbit):
         term = point_term(component.normal_angle_turns,
@@ -116,9 +115,7 @@ def _full_component_form(curv: ComponentCurvature, scalars: Scalars,
 # Equivariant Lefschetz numbers on compact models
 # ---------------------------------------------------------------------------
 
-def equivariant_lefschetz(model: QuotientModel, g: int,
-                          scalars: Optional[Scalars] = None,
-                          route: Optional[str] = None):
+def equivariant_lefschetz(model: QuotientModel, g: int):
     """L(g) = supertrace of g on the kernel pair, from local fixed-point data.
 
     Fixed-point-free elements return 0; the identity returns the ordinary
@@ -126,8 +123,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int,
     """
     if isinstance(model.ambient, EuclideanPlane):
         raise StructuralError("Lefschetz evaluator requires a compact model")
-    scalars = scalars or scalars_for_model(model)
-    route = route or _route_for(model)
+    scalars, route = scalars_for_model(model), _route_for(model)
 
     if isinstance(model.group, SphereRotationAction):
         n = model.group.order
@@ -176,13 +172,11 @@ def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
 # Kawasaki index and finite assembly
 # ---------------------------------------------------------------------------
 
-def kawasaki_index(model: QuotientModel, scalars: Optional[Scalars] = None,
-                   route: Optional[str] = None):
+def kawasaki_index(model: QuotientModel):
     """Index of the quotient operator: sum of sector integrals."""
-    scalars = scalars or scalars_for_model(model)
-    total = scalars.zero()
+    total = scalars_for_model(model).zero()
     for comp in model.sectors:
-        total = total + component_value(comp, model, scalars, route)
+        total = total + component_value(comp, model)
     return total
 
 
@@ -194,13 +188,13 @@ class AssemblyResult:
     per_class: dict
 
 
-def finite_assembly(model: QuotientModel, scalars: Optional[Scalars] = None) -> AssemblyResult:
+def finite_assembly(model: QuotientModel) -> AssemblyResult:
     """Both groupings of the finite averaging identity, asserted equal."""
     if isinstance(model.group, CrystGroup):
         raise StructuralError("finite assembly requires a finite acting group")
-    scalars = scalars or scalars_for_model(model)
+    scalars = scalars_for_model(model)
     table = model.group.table
-    per_element = {g: equivariant_lefschetz(model, g, scalars) for g in table.elements()}
+    per_element = {g: equivariant_lefschetz(model, g) for g in table.elements()}
     avg = scalars.zero()
     for v in per_element.values():
         avg = avg + v
@@ -210,40 +204,30 @@ def finite_assembly(model: QuotientModel, scalars: Optional[Scalars] = None) -> 
     per_class = {}
     ctotal = scalars.zero()
     for cls in enumerate_classes_finite(table):
-        z = len(centralizer(cls.representative, table).elements())
+        z = len(centralizer(cls.representative, table))
         term = per_element[cls.representative] * scalars.from_rational(Fraction(1, z))
         per_class[cls.representative] = term
         ctotal = ctotal + term
 
-    if not _equal(avg, ctotal, scalars, 1e-10):
+    if not scalars.is_zero(avg - ctotal, 1e-10):
         raise StructuralError("assembly groupings disagree")
-    kaw = kawasaki_index(model, scalars)
-    if not _equal(avg, kaw, scalars, 1e-10):
-        raise StructuralError("assembly disagrees with the sector sum")
     return AssemblyResult(avg, ctotal, per_element, per_class)
-
-
-def _equal(a, b, scalars: Scalars, tol: float) -> bool:
-    return scalars.is_zero(a - b, tol)
 
 
 # ---------------------------------------------------------------------------
 # Localized indices
 # ---------------------------------------------------------------------------
 
-def localized_index(model: QuotientModel, cls: ConjugacyClassHandle,
-                    scalars: Optional[Scalars] = None,
-                    route: Optional[str] = None):
+def localized_index(model: QuotientModel, cls: ConjugacyClassHandle):
     """The class's share of the index: cut-off-weighted fixed-point data.
 
     Empty fixed sets give 0; discrete fixed sets give the weighted pointwise
     terms; the identity class gives the cut-off-weighted characteristic
     integral over the quotient.
     """
-    scalars = scalars or scalars_for_model(model)
-    total = scalars.zero()
+    total = scalars_for_model(model).zero()
     for comp in class_components(model, cls):
-        total = total + component_value(comp, model, scalars, route)
+        total = total + component_value(comp, model)
     return total
 
 
@@ -269,13 +253,12 @@ class IndexReport:
         return max(self.residuals.values(), default=0.0)
 
 
-def sum_identity(model: QuotientModel, oracle_value=None,
-                 scalars: Optional[Scalars] = None) -> IndexReport:
+def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     """Per-class localized indices, their sum against the quotient index, and
     the conjugate-pair reality checks."""
-    scalars = scalars or scalars_for_model(model)
+    scalars = scalars_for_model(model)
     comps = model.sectors
-    values = [component_value(c, model, scalars) for c in comps]
+    values = [component_value(c, model) for c in comps]
     handles = {}
     per_class = {}
     for c in comps:

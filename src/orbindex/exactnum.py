@@ -288,8 +288,8 @@ class Cyclo:
     def to_complex(self) -> complex:
         re, im = self.real_imag_parts()
         return complex(
-            float(re.rational_value()) if re.is_rational() else _horner(re),
-            float(im.rational_value()) if im.is_rational() else _horner(im))
+            float(re.rational_value()) if re.is_rational() else re._horner_eval().real,
+            float(im.rational_value()) if im.is_rational() else im._horner_eval().real)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -310,10 +310,25 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # equal numbers of different orders share their mean traces; a
+        # rational hashes like its Fraction
         if self.is_rational():
             return hash(self.coeffs[0])
-        m = self.promote(self.order)
-        return hash((m.order, m.coeffs))
+        return hash((self._mean_trace(), (self * self.conjugate())._mean_trace()))
+
+    def _mean_trace(self) -> Fraction:
+        """Tr(x) / [Q(zeta_N) : Q], which does not depend on the order N.
+
+        The trace of zeta_N^k is the sum of the primitive n-th roots of unity,
+        n = N / gcd(N, k), and their mean is minus the next-to-leading
+        coefficient of Phi_n over its degree.
+        """
+        total = _ZERO
+        for k, a in enumerate(self.coeffs):
+            if a:
+                phi = cyclotomic_polynomial(self.order // math.gcd(self.order, k))
+                total += a * -phi[-2] / (len(phi) - 1)
+        return total
 
     def __repr__(self) -> str:
         terms = []
@@ -322,10 +337,6 @@ class Cyclo:
                 continue
             terms.append(f"{a}" if i == 0 else f"{a}*z{self.order}^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def _horner(z: "Cyclo") -> float:
-    return z._horner_eval().real
 
 
 CycloLike = Union[Cyclo, int, Fraction]
@@ -361,9 +372,6 @@ class Scalars:
             return Cyclo.unit(turns, self.order)
         return cmath.exp(2j * math.pi * float(Fraction(turns)))
 
-    def conjugate(self, x):
-        return x.conjugate() if isinstance(x, Cyclo) else complex(x).conjugate()
-
     @staticmethod
     def to_complex(x) -> complex:
         if isinstance(x, Cyclo):
@@ -380,11 +388,6 @@ class Scalars:
             return x.is_integer()
         z = complex(x)
         return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
-
-    def is_real(self, x, tol: float = 0.0) -> bool:
-        if isinstance(x, Cyclo):
-            return x.is_real()
-        return abs(complex(x).imag) <= tol
 
 
 def scalars_for_order(order: int, mode: str = "exact") -> Scalars:

@@ -158,11 +158,10 @@ def rotation_turns_for_gram(a: IMat, gram: Mat) -> Fraction:
 class FiniteGroupTable:
     """A finite group presented by its multiplication table on 0..order-1."""
 
-    def __init__(self, product: Sequence[Sequence[int]], check: bool = True):
+    def __init__(self, product: Sequence[Sequence[int]]):
         self.order = len(product)
         self.product = tuple(tuple(int(x) for x in row) for row in product)
-        if check:
-            self._validate()
+        self._validate()
         self.identity = self._find_identity()
         self.inverse = tuple(self._find_inverse(g) for g in range(self.order))
 
@@ -415,114 +414,58 @@ GroupLike = Union[FiniteGroupTable, CrystGroup]
 # ---------------------------------------------------------------------------
 
 def conjugate_test(g, h, group: GroupLike) -> bool:
-    """Is h = k g k^{-1} for some k in the group?"""
+    """Is h = k g k^{-1} for some k in the group?
+
+    A wallpaper point group is cyclic, so conjugation by (B, w) keeps the
+    point part A of g and sends its translation a to B a + (I - A) w.
+    """
     if isinstance(group, FiniteGroupTable):
         return any(group.conjugate(k, g) == h for k in group.elements())
-    return _cryst_conjugate_witness(g, h, group) is not None
-
-
-def _cryst_conjugate_witness(g: AffineIsometry, h: AffineIsometry,
-                             group: CrystGroup) -> Optional[AffineIsometry]:
-    """A witness (B, w) with (B,w) g (B,w)^{-1} = h, or None."""
-    for b in group.point_parts:
-        binv = mat_inv(b)
-        if mat_mul(mat_mul(b, g.point_part), binv) != tuple(map(tuple, h.point_part)):
-            continue
-        # translation equation: (I - A_h) w = a_h - B a_g, w in s_B + lattice
-        rhs = vec_sub(h.translation, mat_vec(b, g.translation))
-        s = group.coset_vectors[b]
-        if h.point_part == IDENTITY_MAT:
-            # I - A_h = 0: every w solves it once B a_g = a_h
-            if rhs == (0, 0):
-                return AffineIsometry(b, s)
-            continue
-        # I - A_h is invertible for every rotation A_h != I
-        w = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, h.point_part)), rhs)
-        if vec_frac(vec_sub(w, s)) == (0, 0):
-            return AffineIsometry(b, w)
-    return None
-
-
-class Centralizer:
-    """Centralizer descriptor: finite element list, or point parts plus a
-    translation sublattice solving (I - A) t = 0."""
-
-    def __init__(self, group: GroupLike, g, finite_elements=None,
-                 point_parts=None, kernel_basis=None):
-        self.group = group
-        self.g = g
-        self.finite_elements = finite_elements
-        self.point_parts = point_parts or []
-        self.kernel_basis = kernel_basis or []
-
-    @property
-    def is_finite(self) -> bool:
-        return self.finite_elements is not None
-
-    def order(self):
-        return len(self.finite_elements) if self.is_finite else math.inf
-
-    def elements(self):
-        if not self.is_finite:
-            raise DomainError("infinite centralizer has no element list")
-        return list(self.finite_elements)
-
-    def contains(self, h) -> bool:
-        if isinstance(self.group, FiniteGroupTable):
-            return h in self.finite_elements
-        if self.is_finite:
-            return h in self.finite_elements
-        for b, w0 in self.point_parts:
-            if b != h.point_part:
-                continue
-            diff = vec_sub(h.translation, w0)
-            if all(c.denominator == 1 for c in diff):
-                return True
+    a = g.point_part
+    if h.point_part != a:
         return False
+    if a == IDENTITY_MAT:
+        return any(mat_vec(b, g.translation) == h.translation for b in group.point_parts)
+    # I - A is invertible for every rotation A != I: w solves
+    # (I - A) w = a_h - B a_g and must lie in s_B + lattice
+    minv = mat_inv(mat_sub(IDENTITY_MAT, a))
+    for b in group.point_parts:
+        w = mat_vec(minv, vec_sub(h.translation, mat_vec(b, g.translation)))
+        if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
+            return True
+    return False
 
 
-def centralizer(g, group: GroupLike) -> Centralizer:
-    """Exact centralizer {h : hg = gh}."""
+def centralizer(g, group: GroupLike) -> tuple:
+    """The centralizer {h : hg = gh}, as its tuple of elements.
+
+    A crystallographic rotation has a finite centralizer, sorted in the fixed
+    element order; a translation's is infinite and raises DomainError.
+    """
     if isinstance(group, FiniteGroupTable):
-        elems = [h for h in group.elements()
-                 if group.mul(h, g) == group.mul(g, h)]
-        return Centralizer(group, g, finite_elements=elems)
-
+        return tuple(h for h in group.elements() if group.mul(h, g) == group.mul(g, h))
     a, t = g.point_part, g.translation
-    m = mat_sub(IDENTITY_MAT, a)
-    d = mat_det(m)
-    commuting = [b for b in group.point_parts
-                 if mat_mul(b, a) == tuple(map(tuple, mat_mul(a, b)))]
-    if d != 0:
-        # (I - A) w = (I - B) a_g has a unique rational solution per B
-        elems = []
-        minv = mat_inv(m)
-        for b in commuting:
-            rhs = vec_sub(t, mat_vec(b, t))
-            w = mat_vec(minv, rhs)
-            if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
-                elems.append(AffineIsometry(b, w))
-        elems.sort(key=group._order_key)
-        return Centralizer(group, g, finite_elements=elems)
-
-    # g is a translation: I - A is invertible for every other rotation
-    parts = []
-    for b in commuting:
-        if mat_vec(b, t) == t:
-            parts.append((b, group.coset_vectors[b]))
-    kernel = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    return Centralizer(group, g, point_parts=parts, kernel_basis=kernel)
+    if a == IDENTITY_MAT:
+        raise DomainError("a translation has an infinite centralizer")
+    # every B commutes with A, and (I - A) w = (I - B) a_g has one rational
+    # solution per B
+    minv = mat_inv(mat_sub(IDENTITY_MAT, a))
+    elems = []
+    for b in group.point_parts:
+        w = mat_vec(minv, vec_sub(t, mat_vec(b, t)))
+        if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
+            elems.append(AffineIsometry(b, w))
+    return tuple(sorted(elems, key=group._order_key))
 
 
 @dataclass
 class ConjugacyClassHandle:
-    """A conjugacy class with representative, centralizer access and coset section."""
+    """A conjugacy class with representative, membership test and coset section."""
 
     group: GroupLike
     representative: object
     kind_tag: str  # "finite-class" | "infinite-class"
     label: str
-    invariant_data: tuple = ()
     _members: Optional[tuple] = field(default=None, repr=False)
     _contains_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -533,9 +476,6 @@ class ConjugacyClassHandle:
             hit = conjugate_test(self.representative, h, self.group)
             self._contains_cache[key] = hit
         return hit
-
-    def centralizer(self) -> Centralizer:
-        return centralizer(self.representative, self.group)
 
     def members(self):
         """All class members (finite classes only)."""
@@ -564,31 +504,29 @@ class ConjugacyClassHandle:
         [h for h in group.elements_in_ball(radius) if self.contains(h)],
         built from the conjugation formula instead of membership tests.
 
-        (B, w) (A, a) (B, w)^{-1} = (A', B a + (I - A') w) with A' = B A B^{-1}
-        and w = s_B + lambda, lambda in Z^2.  For a translation class I - A' = 0
-        and the members are the point-group orbit of a.  For a rotation class
-        I - A' is invertible, so the members in the ball come from the lambda
-        with |lambda| <= |(I - A')^{-1}| (radius + |B a + (I - A') s_B|).
+        The point group is cyclic, so (B, w) (A, a) (B, w)^{-1} = (A, B a +
+        (I - A) w) with w = s_B + lambda, lambda in Z^2.  For a translation
+        class I - A = 0 and the members are the point-group orbit of a.  For a
+        rotation class I - A is invertible, so the members in the ball come
+        from the lambda with |lambda| <= |(I - A)^{-1}| (radius + |c_B|),
+        c_B = B a + (I - A) s_B.
         """
         group = self.group
         if not isinstance(group, CrystGroup):
             raise DomainError("members_in_ball needs a crystallographic group")
         radius = Fraction(radius)
-        g = self.representative
+        a, t = self.representative.point_part, self.representative.translation
+        if a == IDENTITY_MAT:
+            found = {mat_vec(b, t) for b in group.point_parts}
+            return sorted((AffineIsometry(a, tr) for tr in found if vec_supnorm(tr) <= radius),
+                          key=group._order_key)
+        m = mat_sub(IDENTITY_MAT, a)
+        minv = mat_inv(m)
+        minv_norm = max(abs(minv[0][0]) + abs(minv[0][1]),
+                        abs(minv[1][0]) + abs(minv[1][1]))
         found = set()
         for b in group.point_parts:
-            a2 = tuple(tuple(int(x) for x in row)
-                       for row in mat_mul(mat_mul(b, g.point_part), mat_inv(b)))
-            base = mat_vec(b, g.translation)
-            if a2 == IDENTITY_MAT:
-                if vec_supnorm(base) <= radius:
-                    found.add((a2, base))
-                continue
-            m = mat_sub(IDENTITY_MAT, a2)
-            minv = mat_inv(m)
-            c = vec_add(base, mat_vec(m, group.coset_vectors[b]))
-            minv_norm = max(abs(minv[0][0]) + abs(minv[0][1]),
-                            abs(minv[1][0]) + abs(minv[1][1]))
+            c = vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
             box = math.floor(minv_norm * (radius + vec_supnorm(c)))
             # the search runs in integers scaled by a common denominator
             den = math.lcm(c[0].denominator, c[1].denominator, radius.denominator)
@@ -599,8 +537,8 @@ class ConjugacyClassHandle:
                 for l1 in range(-box, box + 1):
                     x, y = x0 + m01 * l1, y0 + m11 * l1
                     if abs(x) <= bound and abs(y) <= bound:
-                        found.add((a2, (Fraction(x, den), Fraction(y, den))))
-        return sorted((AffineIsometry(a2, tr) for a2, tr in found), key=group._order_key)
+                        found.add((Fraction(x, den), Fraction(y, den)))
+        return sorted((AffineIsometry(a, tr) for tr in found), key=group._order_key)
 
     def coset_section(self) -> Iterator:
         """Lazily enumerate K with {k g k^{-1} : k in K} = (g), no repeats.
@@ -617,12 +555,14 @@ class ConjugacyClassHandle:
                     seen.add(c)
                     yield k
             return
+        # the point group is cyclic, so k g k^{-1} = (A, B a + (I - A) w) for
+        # k = (B, w): conjugates differ in their translations alone
+        m = mat_sub(IDENTITY_MAT, g.point_part)
         seen_aff = set()
         for k in self.group.iterate_elements():
-            c = k.compose(g).compose(k.inverse())
-            key = (c.point_part, c.translation)
-            if key not in seen_aff:
-                seen_aff.add(key)
+            c = vec_add(mat_vec(k.point_part, g.translation), mat_vec(m, k.translation))
+            if c not in seen_aff:
+                seen_aff.add(c)
                 yield k
 
 
@@ -639,7 +579,7 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
         label = "e" if g == table.identity else f"c{g}"
         handles.append(ConjugacyClassHandle(
             group=table, representative=g, kind_tag="finite-class", label=label,
-            invariant_data=(g,), _members=tuple(sorted(orbit))))
+            _members=tuple(sorted(orbit))))
     handles.sort(key=lambda h: h.representative)
     return handles
 

@@ -19,93 +19,25 @@ import numpy as np
 from .errors import DomainError, ResolutionError, StructuralError
 from .exactnum import Scalars
 from .groups import (
-    AffineIsometry,
     ConjugacyClassHandle,
     CrystGroup,
     IDENTITY_MAT,
     centralizer,
     mat_det,
+    mat_inv,
     mat_sub,
 )
 from .sectors import (
     CutoffFunction,
     EuclideanPlane,
     QuotientModel,
+    _bump_np,
     build_cutoff,
     fiber_eigendata,
     supertrace_turns,
 )
 
 FLOAT = Scalars("float")
-
-
-# ---------------------------------------------------------------------------
-# Kernel model
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianKernelModel:
-    """Flat heat kernel data: dimension, metric, identity fiber transport."""
-
-    model: QuotientModel
-    dimension: int = 2
-
-    def __post_init__(self):
-        if not isinstance(self.model.ambient, EuclideanPlane):
-            raise StructuralError("heat verification supports flat plane models only")
-
-    @property
-    def gram(self):
-        return self.model.group.gram
-
-    def dist2(self, x, y) -> float:
-        g = self.gram
-        dx, dy = float(x[0]) - float(y[0]), float(x[1]) - float(y[1])
-        return (float(g[0][0]) * dx * dx + 2 * float(g[0][1]) * dx * dy
-                + float(g[1][1]) * dy * dy)
-
-
-def kernel_eval(kernel: GaussianKernelModel, x, y, t: float) -> float:
-    """Scalar heat kernel value (4 pi t)^{-n/2} e^{-d(x,y)^2/4t}."""
-    if t <= 0:
-        raise DomainError("heat time must be positive")
-    n = kernel.dimension
-    return (4 * math.pi * t) ** (-n / 2) * math.exp(-kernel.dist2(x, y) / (4 * t))
-
-
-def fiber_matrix(model: QuotientModel, h: AffineIsometry) -> np.ndarray:
-    """Action of h on the fiber frame (degree-0 part, dzbar part)."""
-    if h.point_part == IDENTITY_MAT:
-        return np.eye(2, dtype=complex)
-    turns = model.group.rotation_turns(h.point_part)
-    return np.diag([1.0, np.exp(2j * math.pi * float(turns))])
-
-
-def kernel_invariance_residual(model: QuotientModel, samples: int = 1000,
-                               t: float = 0.1, seed: int = 0) -> float:
-    """max over sampled (x, y, g) of ||g K_t(g^{-1}x, y) - K_t(x, g y) g||."""
-    rng = np.random.default_rng(seed)
-    kernel = GaussianKernelModel(model)
-    pool = model.group.elements_in_ball(Fraction(2))
-    worst = 0.0
-    for _ in range(samples):
-        x = tuple(rng.uniform(-2, 2, size=2))
-        y = tuple(rng.uniform(-2, 2, size=2))
-        g = pool[int(rng.integers(len(pool)))]
-        rho = fiber_matrix(model, g)
-        ginv = g.inverse()
-        gx = (float(ginv.point_part[0][0]) * x[0] + float(ginv.point_part[0][1]) * x[1]
-              + float(ginv.translation[0]),
-              float(ginv.point_part[1][0]) * x[0] + float(ginv.point_part[1][1]) * x[1]
-              + float(ginv.translation[1]))
-        gy = (float(g.point_part[0][0]) * y[0] + float(g.point_part[0][1]) * y[1]
-              + float(g.translation[0]),
-              float(g.point_part[1][0]) * y[0] + float(g.point_part[1][1]) * y[1]
-              + float(g.translation[1]))
-        lhs = rho * kernel_eval(kernel, gx, y, t)
-        rhs = kernel_eval(kernel, x, gy, t) * rho
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -187,40 +119,6 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 HEAT_BLOCK = 1 << 15
 
 
-def _cutoff_grid(cutoff: CutoffFunction, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    group: CrystGroup = cutoff.group
-    if cutoff.kind == "indicator":
-        inside = (gx >= 0) & (gx < 1) & (gy >= 0) & (gy < 1)
-        return inside.astype(float) / group.point_group_order
-    # smooth kind: the bump is supported on (-1, 2), so its lattice
-    # periodization at u is bump(f - 1) + bump(f) + bump(f + 1), f = u - floor(u)
-    num = _bump_np(gx) * _bump_np(gy)
-    total = np.zeros_like(gx)
-    from .groups import mat_inv
-    for a in group.point_parts:
-        ainv = mat_inv(a)
-        s = group.coset_vectors[a]
-        vx, vy = gx - float(s[0]), gy - float(s[1])
-        bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
-        by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
-        total += _periodized_bump(bx) * _periodized_bump(by)
-    return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
-
-
-def _periodized_bump(u: np.ndarray) -> np.ndarray:
-    """sum over integers m of bump(u - m)."""
-    f = u - np.floor(u)
-    return _bump_np(f - 1.0) + _bump_np(f) + _bump_np(f + 1.0)
-
-
-def _bump_np(u: np.ndarray) -> np.ndarray:
-    s = (2.0 * u - 1.0) / 3.0
-    out = np.zeros_like(u)
-    mask = np.abs(s) < 1.0
-    out[mask] = np.exp(-1.0 / (1.0 - s[mask] ** 2))
-    return out
-
-
 def partition_residuals_batch(cutoff: CutoffFunction, xs: np.ndarray,
                               ys: np.ndarray) -> np.ndarray:
     """|sum_gamma c(gamma^{-1} x) - 1| at many points, vectorized.
@@ -229,8 +127,6 @@ def partition_residuals_batch(cutoff: CutoffFunction, xs: np.ndarray,
     can move a point into the support window; elements outside the window
     contribute exactly zero by compact support.
     """
-    from .groups import mat_inv
-
     group: CrystGroup = cutoff.group
     total = np.zeros_like(xs, dtype=float)
     pad = 2 if cutoff.kind == "indicator" else 3
@@ -244,11 +140,11 @@ def partition_residuals_batch(cutoff: CutoffFunction, xs: np.ndarray,
             for k in range(math.floor(by.min()) - pad, math.floor(by.max()) + pad + 1):
                 zx, zy = bx - m, by - k
                 if cutoff.kind == "indicator":
-                    total += _cutoff_grid(cutoff, zx, zy)
+                    total += cutoff.grid(zx, zy)
                     continue
                 mask = (_bump_np(zx) * _bump_np(zy)) > 0
                 if mask.any():
-                    total[mask] += _cutoff_grid(cutoff, zx[mask], zy[mask])
+                    total[mask] += cutoff.grid(zx[mask], zy[mask])
     return np.abs(total - 1.0)
 
 
@@ -278,9 +174,10 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     refinement of the midpoint rule; unreachable tolerance raises with a
     suggested resolution.
     """
+    if not isinstance(model.ambient, EuclideanPlane):
+        raise StructuralError("heat verification supports flat plane models only")
     if any(t <= 0 for t in t_list):
         raise DomainError("heat time must be positive")
-    kernel = GaussianKernelModel(model)
     cutoff = cutoff or build_cutoff(model, "indicator")
     ts = list(dict.fromkeys(t_list))
     # the supertrace factor depends on the point part alone
@@ -290,8 +187,8 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     taus = [factors[h.point_part] for h in members]
     if not members:
         return {t: 0j for t in ts}
-    coarse = _midpoint_sums(kernel, cutoff, members, taus, ts, quad.resolution)
-    fine = _midpoint_sums(kernel, cutoff, members, taus, ts, 2 * quad.resolution)
+    coarse = _midpoint_sums(cutoff, members, taus, ts, quad.resolution)
+    fine = _midpoint_sums(cutoff, members, taus, ts, 2 * quad.resolution)
     values = {}
     for t, c, f in zip(ts, coarse, fine):
         value = (4 * f - c) / 3
@@ -304,8 +201,8 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     return values
 
 
-def _midpoint_sums(kernel: GaussianKernelModel, cutoff: CutoffFunction,
-                   members: list, taus: list, ts: list, n_per_unit: int) -> list[complex]:
+def _midpoint_sums(cutoff: CutoffFunction, members: list, taus: list, ts: list,
+                   n_per_unit: int) -> list[complex]:
     """Midpoint sums of sum_h tau_h c(x) k_t(hx, x) at one resolution, one per t.
 
     The grid is walked in row blocks of at most HEAT_BLOCK points, with the
@@ -323,7 +220,7 @@ def _midpoint_sums(kernel: GaussianKernelModel, cutoff: CutoffFunction,
                    float(h.translation[0])] for h in members])
     q = np.array([[float(h.point_part[1][0]), float(h.point_part[1][1]) - 1,
                    float(h.translation[1])] for h in members])
-    g = kernel.gram
+    g = cutoff.group.gram
     g00, g01, g11 = float(g[0][0]), float(g[0][1]), float(g[1][1])
     i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
     quad_coef = (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
@@ -334,7 +231,7 @@ def _midpoint_sums(kernel: GaussianKernelModel, cutoff: CutoffFunction,
     rows = max(1, HEAT_BLOCK // n)
     for r0 in range(0, n, rows):
         gx, gy = np.meshgrid(xs[r0:r0 + rows], xs, indexing="ij")
-        cvals = _cutoff_grid(cutoff, gx, gy).ravel()
+        cvals = cutoff.grid(gx, gy).ravel()
         gx, gy = gx.ravel(), gy.ravel()
         monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
                               2 * gx * gy, 2 * gx, 2 * gy])
@@ -371,10 +268,10 @@ def mckean_singer_compare(model: QuotientModel, cls: ConjugacyClassHandle,
                           t: float, quad: QuadratureSpec,
                           cutoff: Optional[CutoffFunction] = None) -> float:
     """|heat trace - localized index| at one t."""
-    from .engine import localized_index, scalars_for_model
+    from .engine import localized_index
 
     heat = g_heat_trace(model, cls, t, quad, cutoff)
-    ind = Scalars.to_complex(localized_index(model, cls, scalars_for_model(model)))
+    ind = Scalars.to_complex(localized_index(model, cls))
     return abs(heat - ind)
 
 
@@ -397,7 +294,6 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("orbital integrals need a crystallographic plane model")
     group = model.group
-    GaussianKernelModel(model)  # rejects curved ambients
     g = cls.representative
     covol = math.sqrt(float(abs(mat_det(group.gram))))
 
@@ -412,7 +308,7 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
         return 0j
 
     # rotation class: integrate over centers u, weight 1/|Z_Gamma(g)|
-    zq = centralizer(g, group).order()
+    zq = len(centralizer(g, group))
     tau = _supertrace_factor(model, g.point_part)
     radius = float(quad.truncation_radius)
     n = 2 * quad.resolution

@@ -17,15 +17,16 @@ the heat-kernel supertrace all agree without per-call sign fixups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, StructuralError
 from .groups import (
     AffineIsometry,
-    Centralizer,
     ConjugacyClassHandle,
     CrystGroup,
     FiniteGroupTable,
@@ -38,7 +39,6 @@ from .groups import (
     mat,
     mat_det,
     mat_inv,
-    mat_mul,
     mat_sub,
     mat_vec,
     matrix_order,
@@ -194,6 +194,7 @@ class QuotientModel:
     def twist_nontrivial(self) -> bool:
         return self.bundle.twist_degree != 0
 
+    @cached_property
     def root_order(self) -> int:
         """Smallest N with every model angle in (1/N) turns, including 1/4."""
         orders = [4]
@@ -298,12 +299,19 @@ def supertrace_turns(data: FiberEigenData, scalars):
 # Cut-off functions
 # ---------------------------------------------------------------------------
 
-def _bump(u: float) -> float:
-    # C^infty bump supported on (-1, 2), positive on the closed unit interval
+def _bump_np(u: np.ndarray) -> np.ndarray:
+    """C^infty bump supported on (-1, 2), positive on the closed unit interval."""
     s = (2.0 * u - 1.0) / 3.0
-    if abs(s) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - s * s))
+    out = np.zeros_like(u)
+    mask = np.abs(s) < 1.0
+    out[mask] = np.exp(-1.0 / (1.0 - s[mask] ** 2))
+    return out
+
+
+def _periodized_bump(u: np.ndarray) -> np.ndarray:
+    """sum over integers m of bump(u - m)."""
+    f = u - np.floor(u)
+    return _bump_np(f - 1.0) + _bump_np(f) + _bump_np(f + 1.0)
 
 
 @dataclass
@@ -311,13 +319,12 @@ class CutoffFunction:
     """Nonnegative compactly supported c with sum_g c(g^{-1} x) = 1 over orbits.
 
     Kinds: "constant" (finite group, c = 1/|G|), "indicator" (scaled unit-cell
-    indicator, exact on rational points), "smooth" (normalized bump).
+    indicator, exact on rational points), "smooth" (normalized bump).  Both
+    crystallographic kinds vanish outside the box [-1, 2]^2.
     """
 
     kind: str
     group: GroupAction
-    support_radius: Fraction = Fraction(2)
-    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def exact(self) -> bool:
@@ -328,37 +335,35 @@ class CutoffFunction:
             n = self.group.order if isinstance(self.group, SphereRotationAction) \
                 else self.group.table.order
             return Fraction(1, n)
-        if self.kind == "indicator":
-            p = self.group.point_group_order
-            exact_pt = isinstance(x[0], (int, Fraction)) and isinstance(x[1], (int, Fraction))
-            if exact_pt:
-                inside = 0 <= x[0] < 1 and 0 <= x[1] < 1
-                return Fraction(1, p) if inside else Fraction(0)
+        exact_pt = isinstance(x[0], (int, Fraction)) and isinstance(x[1], (int, Fraction))
+        if self.kind == "indicator" and exact_pt:
             inside = 0 <= x[0] < 1 and 0 <= x[1] < 1
-            return 1.0 / p if inside else 0.0
-        return self._smooth(x)
-
-    def _smooth(self, x: Vec) -> float:
-        num = _bump(float(x[0])) * _bump(float(x[1]))
-        if num == 0.0:
+            return Fraction(1, self.group.point_group_order) if inside else Fraction(0)
+        if self.kind == "smooth" and not (-1 < x[0] < 2 and -1 < x[1] < 2):
             return 0.0
-        return num / self._smooth_norm((float(x[0]), float(x[1])))
+        return float(self.grid(np.array([float(x[0])]), np.array([float(x[1])]))[0])
 
-    def _smooth_norm(self, xf: tuple[float, float]) -> float:
-        # sum_{g in Gamma} h(g^{-1} x); g^{-1} x = A^{-1}(x - s) - mu with mu
-        # running over the (unimodular-invariant) integer lattice
-        total = 0.0
+    def grid(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """c at arrays of float points: the one float evaluator of both
+        crystallographic kinds."""
         group: CrystGroup = self.group
+        if self.kind == "indicator":
+            inside = (gx >= 0) & (gx < 1) & (gy >= 0) & (gy < 1)
+            return inside.astype(float) / group.point_group_order
+        # smooth kind: bump(x) bump(y) over its sum along the orbit, where
+        # g^{-1} x = A^{-1}(x - s) - mu with mu running over the lattice; the
+        # bump is supported on (-1, 2), so its lattice periodization at u is
+        # bump(f - 1) + bump(f) + bump(f + 1), f = u - floor(u)
+        num = _bump_np(gx) * _bump_np(gy)
+        total = np.zeros_like(gx)
         for a in group.point_parts:
             ainv = mat_inv(a)
             s = group.coset_vectors[a]
-            v = (xf[0] - float(s[0]), xf[1] - float(s[1]))
-            base = (float(ainv[0][0]) * v[0] + float(ainv[0][1]) * v[1],
-                    float(ainv[1][0]) * v[0] + float(ainv[1][1]) * v[1])
-            for m in range(math.floor(base[0]) - 2, math.floor(base[0]) + 3):
-                for n in range(math.floor(base[1]) - 2, math.floor(base[1]) + 3):
-                    total += _bump(base[0] - m) * _bump(base[1] - n)
-        return total
+            vx, vy = gx - float(s[0]), gy - float(s[1])
+            bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
+            by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
+            total += _periodized_bump(bx) * _periodized_bump(by)
+        return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
 
     def partition_residual(self, x) -> float:
         """|sum_{g} c(g^{-1} x) - 1| at a single point."""
@@ -369,15 +374,8 @@ class CutoffFunction:
         total = Fraction(0) if (self.exact and exact_pt) else 0.0
         radius = Fraction(math.ceil(max(abs(float(x[0])), abs(float(x[1])))) + 4)
         for g in group.elements_in_ball(radius):
-            y = g.inverse().apply(x) if exact_pt else _apply_float(g.inverse(), x)
-            total = total + self(y)
+            total = total + self(g.inverse().apply(x))
         return float(abs(total - 1))
-
-
-def _apply_float(g: AffineIsometry, x) -> tuple[float, float]:
-    a, t = g.point_part, g.translation
-    return (a[0][0] * x[0] + a[0][1] * x[1] + float(t[0]),
-            a[1][0] * x[0] + a[1][1] * x[1] + float(t[1]))
 
 
 def build_cutoff(model: QuotientModel, kind: str = "indicator") -> CutoffFunction:
@@ -440,10 +438,10 @@ def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle
             break
         val = cutoff(k.apply(y))
         total = val if total is None else total + val
-        # conjugates far from the support cannot contribute; stop once the
-        # translation norm passes the support window
+        # c vanishes outside sup-norm 2, so conjugates far from the support
+        # cannot contribute; stop once the translation norm passes the window
         if isinstance(k, AffineIsometry) and vec_supnorm(k.translation) > \
-                cutoff.support_radius + vec_supnorm(y) + 4:
+                vec_supnorm(y) + 6:
             break
     return total
 
@@ -499,10 +497,9 @@ def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
                            normal, stab, data)
 
 
-def _orbit_decompose(points: Sequence[Vec], zc: Centralizer, apply_mod) \
+def _orbit_decompose(points: Sequence[Vec], elems: tuple, apply_mod) \
         -> list[tuple[Vec, Fraction, int]]:
-    """Split a finite fixed set into centralizer orbits with weights."""
-    elems = zc.elements()
+    """Split a finite fixed set into orbits of the centralizer `elems`, with weights."""
     remaining = list(points)
     out = []
     while remaining:
@@ -569,8 +566,7 @@ def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
             continue
         g = handle.representative
         fs = fixed_set(g, "plane")
-        zc = centralizer(g, group)
-        weight = Fraction(1, zc.order())
+        weight = Fraction(1, len(centralizer(g, group)))
         rot = group.rotation_turns(g.point_part)
         comps.append(_point_component(model, handle, "p0", fs.points[0], weight, 1,
                                       rot))
@@ -613,7 +609,6 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
                 label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
         out.append(ConjugacyClassHandle(group=table, representative=g,
                                         kind_tag="finite-class", label=label,
-                                        invariant_data=h.invariant_data,
                                         _members=h._members))
     # disambiguate duplicate labels deterministically
     seen: dict[str, int] = {}
@@ -636,33 +631,24 @@ def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHa
     for j in range(action.order):
         label = "e" if j == 0 else f"r{j}"
         out.append(ConjugacyClassHandle(group=action.table, representative=j,
-                                        kind_tag="finite-class", label=label,
-                                        invariant_data=(j,)))
+                                        kind_tag="finite-class", label=label))
     return out
 
 
 def cryst_fixed_classes(group: CrystGroup) -> list[ConjugacyClassHandle]:
     """Conjugacy classes of a wallpaper group with nonempty fixed sets.
 
-    These are the identity class and one class per point-group class of
-    rotations and per orbit of rotation centers; the center orbits are computed
-    exactly on the finite set of centers modulo the lattice.
+    These are the identity class and, since the point group is cyclic and
+    conjugation fixes point parts, one class per rotation part and orbit of
+    its rotation centers; the center orbits are computed exactly on the
+    finite set of centers modulo the lattice.
     """
     handles = [ConjugacyClassHandle(group=group,
                                     representative=AffineIsometry.identity(),
-                                    kind_tag="infinite-class", label="e",
-                                    invariant_data=("e", "full"))]
-    seen_parts: set = set()
+                                    kind_tag="infinite-class", label="e")]
     for a in group.point_parts:
-        if a == IDENTITY_MAT or a in seen_parts:
-            continue
-        # fold the whole point-group conjugacy class of a into one pass
-        pclass = {a}
-        for b in group.point_parts:
-            pclass.add(tuple(map(tuple, mat_mul(mat_mul(b, a), mat_inv(b)))))
-        pclass = {tuple((int(r[0]), int(r[1])) for r in m) for m in pclass}
-        seen_parts |= pclass
-        handles.extend(_rotation_classes_for_part(group, a))
+        if a != IDENTITY_MAT:
+            handles.extend(_rotation_classes_for_part(group, a))
     handles.sort(key=lambda h: h.label)
     return handles
 
@@ -677,10 +663,8 @@ def _rotation_classes_for_part(group: CrystGroup, a) -> list[ConjugacyClassHandl
                       for p in range(d) for q in range(d)})
     if len(centers) != d:
         raise StructuralError("rotation-center count disagrees with det(I - A)")
-    # conjugation by (B, s_B + lambda) with B A B^{-1} = A moves centers by
-    # x -> B x + s_B + lambda; orbits are computed mod the lattice
-    movers = [(b, group.coset_vectors[b]) for b in group.point_parts
-              if mat_mul(b, a) == tuple(map(tuple, mat_mul(a, b)))]
+    # conjugation by (B, s_B + lambda) moves centers by x -> B x + s_B + lambda;
+    # orbits are computed mod the lattice
     remaining = list(centers)
     out = []
     used_tags: dict[str, int] = {}
@@ -699,7 +683,7 @@ def _rotation_classes_for_part(group: CrystGroup, a) -> list[ConjugacyClassHandl
             if x in orbit:
                 continue
             orbit.add(x)
-            for b, s_b in movers:
+            for b, s_b in group.coset_vectors.items():
                 frontier.append(vec_frac(vec_add(mat_vec(b, x), s_b)))
         remaining = [x for x in remaining if x not in orbit]
         rep_center = min(orbit)
@@ -715,8 +699,7 @@ def _rotation_classes_for_part(group: CrystGroup, a) -> list[ConjugacyClassHandl
             used_tags[tag] = 1
         label = f"{part_name}_{tag}"
         out.append(ConjugacyClassHandle(
-            group=group, representative=rep, kind_tag="infinite-class", label=label,
-            invariant_data=(part_name, str(rep_center))))
+            group=group, representative=rep, kind_tag="infinite-class", label=label))
         ordinal += 1
     return out
 
@@ -726,8 +709,7 @@ def translation_class(group: CrystGroup, t: Vec) -> ConjugacyClassHandle:
     rep = group.element(IDENTITY_MAT, t)
     label = f"t{t[0]}_{t[1]}".replace("/", "d")
     return ConjugacyClassHandle(group=group, representative=rep,
-                                kind_tag="finite-class", label=label,
-                                invariant_data=("t", str(vec_frac(t))))
+                                kind_tag="finite-class", label=label)
 
 
 # ---------------------------------------------------------------------------

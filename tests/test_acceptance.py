@@ -70,12 +70,11 @@ def test_acceptance_1_elliptic_z4():
     """[E/Z4]: Lefschetz set {0, 2, 1+i, 1-i}; assembly = Kawasaki = 1; exact."""
     start = time.perf_counter()
     model = square_torus_rotation_model(4, "e_z4")
-    sc = scalars_for_model(model)
-    values = [equivariant_lefschetz(model, g, sc) for g in range(4)]
+    values = [equivariant_lefschetz(model, g) for g in range(4)]
     want = [Cyclo.from_rational(0, 4), 2 + 0 * I, 1 + I, 1 - I]
     set_ok = all(any(v == w for v in values) for w in want) and len(values) == 4
-    asm = finite_assembly(model, sc)
-    kaw = kawasaki_index(model, sc)
+    asm = finite_assembly(model)
+    kaw = kawasaki_index(model)
     exact_ok = (asm.average_total == 1 and asm.class_total == 1 and kaw == 1)
     elapsed = time.perf_counter() - start
     _report(1, f"E/Z4 exact, {elapsed:.3f}s",
@@ -86,15 +85,15 @@ def test_acceptance_2_sphere_z3_o7():
     """[S2/Z3, O(7)]: Kawasaki = 3 = monomial count; per-j characters; exact."""
     start = time.perf_counter()
     model = sphere_model(3, 7, "s2_z3_o7")
-    sc = scalars_for_model(model)
-    kaw = kawasaki_index(model, sc)
+    order = scalars_for_model(model).order
+    kaw = kawasaki_index(model)
     count = oracle.sphere_invariant_monomial_count(7, 3).value
     kaw_ok = (kaw == 3) and (count == 3)
     chars_ok = True
     for j in range(3):
-        lef = equivariant_lefschetz(model, j, sc)
+        lef = equivariant_lefschetz(model, j)
         want = oracle.sphere_equivariant_character(7, 3, j).value
-        chars_ok = chars_ok and (lef == want.promote(sc.order))
+        chars_ok = chars_ok and (lef == want.promote(order))
     elapsed = time.perf_counter() - start
     _report(2, f"S2/Z3 O(7) exact, {elapsed:.3f}s",
             kaw_ok and chars_ok and elapsed < 1.0)
@@ -127,7 +126,7 @@ def test_acceptance_3_p4_sum_identity():
         y = comp.geometry.representative
         weight = comp.geometry.weight
         direct = cutoff_on_fixed_set_direct(indicator, cls, y)
-        zs = centralizer(cls.representative, model.group).elements()
+        zs = centralizer(cls.representative, model.group)
         twisted = Fraction(0)
         for n, k in enumerate(islice(cls.coset_section(), 400)):
             twisted += indicator(k.compose(zs[n % len(zs)]).apply(y))
@@ -136,7 +135,6 @@ def test_acceptance_3_p4_sum_identity():
         cutoff_ok = cutoff_ok and abs(float(smooth_val) - float(weight)) < 1e-12
 
     # alternate representatives give identical exact localized indices
-    sc = scalars_for_model(model)
     rep_ok = True
     for cls in classes:
         if cls.representative.is_identity:
@@ -145,8 +143,8 @@ def test_acceptance_3_p4_sum_identity():
         alt_rep = k.compose(cls.representative).compose(k.inverse())
         alt = ConjugacyClassHandle(group=model.group, representative=alt_rep,
                                    kind_tag=cls.kind_tag, label=cls.label)
-        rep_ok = rep_ok and (localized_index(model, cls, sc)
-                             == localized_index(model, alt, sc))
+        rep_ok = rep_ok and (localized_index(model, cls)
+                             == localized_index(model, alt))
 
     _report(3, "p4 sum identity exact",
             count_ok and sum_ok and reality_ok and section_ok and cutoff_ok and rep_ok)
@@ -158,13 +156,12 @@ def test_acceptance_4_heat_verification():
     model = make_p4()
     classes = {c.label: c for c in cryst_fixed_classes(model.group)}
     quad = QuadratureSpec.for_model(model, t_max=0.2, tolerance=1e-6)
-    sc = scalars_for_model(model)
     targets = [classes["r2_edge"], classes["r_origin"],
                translation_class(model.group, (Fraction(1), Fraction(0)))]
     ok = True
     for cls in targets:
         trace = t_independence(model, cls, [0.05, 0.1, 0.2], quad)
-        ind = Scalars.to_complex(localized_index(model, cls, sc))
+        ind = Scalars.to_complex(localized_index(model, cls))
         match_ok = all(abs(v - ind) < 1e-6 for v in trace.per_t.values())
         orbital = orbital_integral_euclidean(model, cls, 0.05, quad)
         orb_ok = abs(orbital - trace.per_t[0.05]) < 1e-6
@@ -266,7 +263,7 @@ def test_acceptance_6_cutoff_suite():
         cls = comp.class_handle
         y0 = comp.geometry.representative
         total = Fraction(0)
-        for l in centralizer(cls.representative, model.group).elements():
+        for l in centralizer(cls.representative, model.group):
             total += cutoff_on_fixed_set_direct(indicator, cls, l.apply(y0))
         zg_ok = zg_ok and total == 1
 

@@ -1,6 +1,8 @@
 """Index engine: Lefschetz numbers, Kawasaki index, localized indices."""
 
+import dataclasses
 import io
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -60,28 +62,25 @@ class TestLefschetz:
 
     def test_sphere_characters_match_oracle(self):
         model = sphere_model(3, 7, "s2_z3_o7")
-        sc = scalars_for_model(model)
+        order = scalars_for_model(model).order
         for j in range(3):
-            lef = equivariant_lefschetz(model, j, sc)
+            lef = equivariant_lefschetz(model, j)
             want = oracle.sphere_equivariant_character(7, 3, j).value
-            assert lef == want.promote(sc.order)
+            assert lef == want.promote(order)
 
     def test_plane_model_rejected(self):
         with pytest.raises(StructuralError):
             equivariant_lefschetz(make_p4(), 0)
 
     def test_spinc_route_equals_todd_route(self):
-        model = square_torus_rotation_model(4, "e_z4")
-        sc = scalars_for_model(model)
-        for g in range(4):
-            todd = equivariant_lefschetz(model, g, sc, route="todd")
-            ahat = equivariant_lefschetz(model, g, sc, route="a_hat")
-            assert todd == ahat
-        sphere = sphere_model(3, 7, "s2")
-        scs = scalars_for_model(sphere)
-        for j in range(3):
-            assert equivariant_lefschetz(sphere, j, scs, route="todd") == \
-                equivariant_lefschetz(sphere, j, scs, route="a_hat")
+        # the operator kind picks the route: the spin^c twin of a dolbeault
+        # model goes through A-hat and the half determinant line
+        for model, n in ((square_torus_rotation_model(4, "e_z4"), 4),
+                         (sphere_model(3, 7, "s2"), 3)):
+            twin = dataclasses.replace(
+                model, bundle=dataclasses.replace(model.bundle, operator_kind="spinc_dirac"))
+            for g in range(n):
+                assert equivariant_lefschetz(model, g) == equivariant_lefschetz(twin, g)
 
 
 class TestKawasaki:
@@ -126,9 +125,7 @@ class TestLocalizedIndex:
     def test_p4_values(self):
         model = make_p4()
         classes = {c.label: c for c in cryst_fixed_classes(model.group)}
-        sc = scalars_for_model(model)
-        values = {lab: localized_index(model, cls, sc)
-                  for lab, cls in classes.items()}
+        values = {lab: localized_index(model, cls) for lab, cls in classes.items()}
         assert values["e"] == 0
         assert values["r_origin"] == (1 + I) / 8
         assert values["r_center"] == (1 + I) / 8
@@ -145,13 +142,12 @@ class TestLocalizedIndex:
     def test_conjugation_invariance(self):
         # replacing the representative changes nothing
         model = make_p4()
-        sc = scalars_for_model(model)
         r_far = model.group.element(ROT, (3, -1))
         base = [c for c in cryst_fixed_classes(model.group) if c.label == "r_origin"][0]
         alt = ConjugacyClassHandle(group=model.group, representative=r_far,
                                    kind_tag="infinite-class", label="r_origin")
         assert base.contains(r_far)
-        assert localized_index(model, base, sc) == localized_index(model, alt, sc)
+        assert localized_index(model, base) == localized_index(model, alt)
 
     def test_finite_model_regrouping(self):
         # localized index of a finite-model class equals L(g)/|Z(g)|
@@ -159,13 +155,12 @@ class TestLocalizedIndex:
         from orbindex.sectors import enumerate_sectors
 
         model = square_torus_rotation_model(4, "e_z4")
-        sc = scalars_for_model(model)
         for comp_label, g in (("r1", 1), ("r2", 2), ("r3", 3)):
             handle = [c.class_handle for c in enumerate_sectors(model)
                       if c.label == comp_label][0]
-            lef = equivariant_lefschetz(model, g, sc)
-            z = len(centralizer(g, model.group.table).elements())
-            assert localized_index(model, handle, sc) == lef / z
+            lef = equivariant_lefschetz(model, g)
+            z = len(centralizer(g, model.group.table))
+            assert localized_index(model, handle) == lef / z
 
 
 class TestSumIdentity:
@@ -215,7 +210,7 @@ class TestSumIdentity:
         # a shuffled section: conjugate each k by a centralizer element
         from orbindex.groups import centralizer
 
-        zs = centralizer(cls.representative, model.group).elements()
+        zs = centralizer(cls.representative, model.group)
         total = Fraction(0)
         for n, k in enumerate(islice(cls.coset_section(), 400)):
             k2 = k.compose(zs[n % len(zs)])
@@ -304,3 +299,56 @@ class TestOneSectorTable:
         assert run_command(["verify", str(FIXTURE_DIR / "p4.json")], io.StringIO()) == 0
         assert len(seen) == 8
         assert len({id(c) for c in seen}) == 8
+
+
+class TestCompactVerify:
+    """Compact verify values every component and every Lefschetz number once,
+    and its assembly verdict compares the average with the sector sum."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        from orbindex import engine
+
+        seen = []
+        orig = getattr(engine, name)
+
+        def counted(*args):
+            seen.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+        return seen
+
+    def test_each_quantity_valued_once(self, monkeypatch):
+        values = self.counting(monkeypatch, "component_value")
+        lefschetz = self.counting(monkeypatch, "equivariant_lefschetz")
+        assert run_command(["verify", str(FIXTURE_DIR / "e_z4.json")], io.StringIO()) == 0
+        assert len(values) == 8
+        values.clear()
+        lefschetz.clear()
+        assert run_command(["verify", str(FIXTURE_DIR / "s2_z3_o7.json")], io.StringIO()) == 0
+        assert len(lefschetz) == 3
+        assert len(values) == 5
+
+    @pytest.fixture
+    def shifted_assembly(self, monkeypatch):
+        from orbindex import engine
+
+        orig = engine.finite_assembly
+
+        def shifted(model):
+            asm = orig(model)
+            asm.average_total = asm.average_total + 1
+            return asm
+
+        monkeypatch.setattr(engine, "finite_assembly", shifted)
+
+    def test_assembly_mismatch_fails_verify(self, shifted_assembly):
+        out = io.StringIO()
+        assert run_command(["verify", str(FIXTURE_DIR / "e_z4.json")], out) == 2
+        assert json.loads(out.getvalue())["verdicts"]["assemblyGroupings"] is False
+
+    def test_assembly_mismatch_rejected_by_index(self, shifted_assembly, capsys):
+        argv = ["index", str(FIXTURE_DIR / "e_z4.json"), "--method", "assembly"]
+        assert run_command(argv, io.StringIO()) == 1
+        assert "assembly disagrees with the sector sum" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbindex.exactnum import Cyclo, Scalars, cyclotomic_polynomial, scalars_for_order
 
@@ -88,3 +89,30 @@ def test_scalars_contexts():
 def test_unit_rejects_incompatible_order():
     with pytest.raises(ValueError):
         Cyclo.unit(Fraction(1, 3), order=4)
+
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(ORDERS), data=st.data(),
+       widen=st.lists(st.sampled_from((1, 2, 3, 5)), min_size=2, max_size=2))
+def test_equal_values_hash_equal_across_orders(base, data, widen):
+    # one combination of base-th roots of unity, built in two fields
+    terms = data.draw(st.lists(
+        st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(0, base - 1)),
+        max_size=4))
+    x, y = (sum((Cyclo.unit(Fraction(k, base), base * m) * c for c, k in terms),
+                Cyclo.from_rational(0, base * m)) for m in widen)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    if x.is_rational():
+        assert hash(x) == hash(x.rational_value())
+
+
+def test_promoted_root_is_one_set_element():
+    i = Cyclo.zeta(4, 1)
+    assert hash(i) == hash(i.promote(12)) == hash(Cyclo.zeta(12, 3))
+    assert len({i, i.promote(12), Cyclo.zeta(12, 3)}) == 1
+    assert hash(Cyclo.from_rational(Fraction(2, 3), 12)) == hash(Fraction(2, 3))

@@ -8,23 +8,19 @@ import pytest
 
 from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
-from orbindex.engine import localized_index, scalars_for_model
+from orbindex.engine import localized_index
 from orbindex.groups import AffineIsometry, CrystGroup
 from orbindex.heat import (
-    GaussianKernelModel,
     QuadratureSpec,
     class_sum_tail_bound,
-    _bump_np,
-    _cutoff_grid,
     g_heat_trace,
     heat_traces,
-    kernel_eval,
-    kernel_invariance_residual,
     mckean_singer_compare,
     orbital_integral_euclidean,
     t_independence,
 )
 from orbindex.sectors import (
+    _bump_np,
     build_cutoff,
     cryst_fixed_classes,
     translation_class,
@@ -46,37 +42,28 @@ QUAD = QuadratureSpec.for_model(P4, t_max=0.2, tolerance=1e-6)
 
 
 class TestKernel:
-    def test_diagonal_value(self):
-        k = GaussianKernelModel(P4)
-        assert kernel_eval(k, (0, 0), (0, 0), 0.1) == pytest.approx(1 / (0.4 * math.pi))
-
-    def test_off_diagonal_value(self):
-        # d^2 = 4t gives e^{-1} (4 pi t)^{-1}
-        t = 0.09
-        k = GaussianKernelModel(P4)
-        d = math.sqrt(4 * t)
-        want = math.exp(-1) / (4 * math.pi * t)
-        assert kernel_eval(k, (d, 0.0), (0.0, 0.0), t) == pytest.approx(want)
-
     def test_nonpositive_time_rejected(self):
-        k = GaussianKernelModel(P4)
         with pytest.raises(DomainError):
-            kernel_eval(k, (0, 0), (0, 0), 0.0)
+            orbital_integral_euclidean(P4, CLASSES["r_origin"], 0.0, QUAD)
 
     def test_torus_model_rejected(self):
         from orbindex.sectors import square_torus_rotation_model
 
+        model = square_torus_rotation_model(4, "e_z4")
+        cls = {c.label: c.class_handle for c in model.sectors}["r1"]
         with pytest.raises(StructuralError):
-            GaussianKernelModel(square_torus_rotation_model(4, "e_z4"))
-
-    def test_g_invariance(self):
-        assert kernel_invariance_residual(P4, samples=1000) < 1e-12
+            heat_traces(model, cls, [0.1], QUAD)
 
     def test_uniform_class_sum_bound(self):
         # sum over bounded-norm elements of |K_t(x, gx)| stays below the
         # explicit lattice Gaussian bound, uniformly over the cell
         t = 0.1
-        kernel = GaussianKernelModel(P4)
+
+        def kernel(x, y):
+            # the flat heat kernel of the unit square lattice
+            d2 = (float(x[0]) - y[0]) ** 2 + (float(x[1]) - y[1]) ** 2
+            return math.exp(-d2 / (4 * t)) / (4 * math.pi * t)
+
         pool = P4.group.elements_in_ball(Fraction(4))
         # explicit bound: (4 pi t)^{-1} * |P| * sum over the lattice window of
         # the worst-case Gaussian (distance shrunk by the cell diameter)
@@ -93,7 +80,7 @@ class TestKernel:
             for g in pool:
                 gx = g.apply((Fraction(x[0]).limit_denominator(10 ** 6),
                               Fraction(x[1]).limit_denominator(10 ** 6)))
-                total += kernel_eval(kernel, gx, x, t)
+                total += kernel(gx, x)
             assert total <= bound
 
 
@@ -119,10 +106,9 @@ class TestQuadratureSpec:
 
 class TestHeatTrace:
     def test_rotation_classes_match_localized(self):
-        sc = scalars_for_model(P4)
         for label in ("r2_edge", "r_origin", "r2_origin", "r_center"):
             cls = CLASSES[label]
-            want = Scalars.to_complex(localized_index(P4, cls, sc))
+            want = Scalars.to_complex(localized_index(P4, cls))
             got = g_heat_trace(P4, cls, 0.1, QUAD)
             assert abs(got - want) < 1e-6, label
 
@@ -217,7 +203,7 @@ def test_periodized_smooth_cutoff_matches_window_sum():
             "p2_lattice")):
         cutoff = build_cutoff(model, "smooth")
         want = _cutoff_grid_windowed(cutoff, gx, gy)
-        assert np.max(np.abs(_cutoff_grid(cutoff, gx, gy) - want)) < 1e-14
+        assert np.max(np.abs(cutoff.grid(gx, gy) - want)) < 1e-14
 
 
 class TestMcKeanSinger:

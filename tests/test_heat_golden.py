@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from orbindex import heat
 from orbindex.cli import FIXTURE_DIR, run_command
 from orbindex.groups import ConjugacyClassHandle, CrystGroup
+from orbindex.sectors import CutoffFunction
 
 GOLDEN = Path(__file__).parent / "golden_heat"
 THREE_T = "0.05,0.1,0.2"
@@ -99,7 +99,7 @@ def test_heat_command_work_counts(monkeypatch, t_values):
                         counted("contains", ConjugacyClassHandle.contains))
     monkeypatch.setattr(CrystGroup, "elements_in_ball",
                         counted("elements_in_ball", CrystGroup.elements_in_ball))
-    monkeypatch.setattr(heat, "_cutoff_grid", counted("cutoff_grid", heat._cutoff_grid))
+    monkeypatch.setattr(CutoffFunction, "grid", counted("cutoff_grid", CutoffFunction.grid))
     code, _ = _heat(FIXTURE_DIR / "p4.json", ["--class", "r_center", "--t", t_values])
     assert code == 0
     # one cut-off grid per Richardson resolution, none per t; no ball scans

@@ -94,11 +94,11 @@ class TestLargerCyclotomicFields:
         from orbindex import oracle
 
         model = sphere_model(8, 11, "s2_z8")
-        sc = scalars_for_model(model)
+        order = scalars_for_model(model).order
         for j in range(8):
-            lef = equivariant_lefschetz(model, j, sc)
+            lef = equivariant_lefschetz(model, j)
             want = oracle.sphere_equivariant_character(11, 8, j).value
-            assert lef == want.promote(sc.order)
+            assert lef == want.promote(order)
 
 
 class TestAffineTorusActions:
@@ -169,11 +169,21 @@ class TestCliErrorBranches:
         ("options", "tolerance", "abc", "$.options.tolerance"),
         ("group", "lattice", [[1]], "$.group.lattice"),
         ("bundle", "fiberWeights", 5, "$.bundle.fiberWeights"),
+        (None, "ambient", 5, "$.ambient"),
+        (None, "options", [], "$.options"),
+        (None, "group", "p4", "$.group"),
+        (None, "bundle", 5, "$.bundle"),
+        ("group", "generators", 5, "$.group.generators"),
+        ("group", "generators", [7], "$.group.generators[0]"),
+        ("group", "generators", [{"matrix": [[1, 0], [0, 1]], "translation": 5}],
+         "$.group.generators[0].translation"),
+        ("group", "generators", [{"matrix": [[1, 0], [0, 1]], "translation": ["1"]}],
+         "$.group.generators[0].translation"),
     ])
     def test_malformed_field_exits_one_with_path(self, tmp_path, capsys,
                                                   block, key, value, path):
         doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
-        doc[block][key] = value
+        (doc if block is None else doc[block])[key] = value
         model = tmp_path / "bad.json"
         model.write_text(json.dumps(doc))
         assert run_command(["classes", str(model)], io.StringIO()) == 1

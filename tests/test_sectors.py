@@ -220,7 +220,7 @@ class TestCutoffs:
             cls = classes[label]
             z = centralizer(cls.representative, model.group)
             total = Fraction(0)
-            for l in z.elements():
+            for l in z:
                 y = l.apply(point)
                 total += cutoff_on_fixed_set_direct(cutoff, cls, y)
             assert total == 1
