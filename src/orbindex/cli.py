@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Optional
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
-from .groups import AffineIsometry, CrystGroup, FiniteGroupTable, vec_frac
+from .groups import AffineIsometry, CrystGroup, mat, mat_mul, mat_transpose
 from .sectors import (
     BundleSpec,
     EuclideanPlane,
@@ -34,7 +33,6 @@ from .sectors import (
     translation_class,
 )
 from . import engine, heat, oracle
-from .groups import mat
 
 SCHEMA_VERSION = 1
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -50,11 +48,16 @@ class ModelValidationError(OrbindexError):
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value, path: str, errors: list[str]) -> Fraction:
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -113,7 +116,7 @@ def _parse_generator(block, path: str, errors: list[str]) -> AffineIsometry:
         return AffineIsometry.identity()
     for row in m:
         for x in row:
-            if not isinstance(x, int):
+            if not _is_int(x):
                 errors.append(f"{path}.matrix: entries must be integers")
                 return AffineIsometry.identity()
     if not isinstance(t, list) or len(t) != 2:
@@ -158,7 +161,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
         errors.append(f"$.bundle.operatorKind: unknown kind {kind!r}")
         kind = "dolbeault"
     twist = bundle_block.get("twistDegree", 0)
-    if not isinstance(twist, int):
+    if not _is_int(twist):
         errors.append("$.bundle.twistDegree: expected an integer")
         twist = 0
     fiber_weights = None
@@ -208,9 +211,8 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if errors:
                 raise ModelValidationError(errors)
             basis = mat(lattice)
-            from .groups import mat_mul, mat_transpose
             gram = mat_mul(mat_transpose(basis), basis)
-            action = _close_torus_group(gens, gram)
+            action = TorusAction(gens, gram)
             bundle = BundleSpec(kind, twist, fiber_weights, twist)
             model = QuotientModel(FlatTorus(gram), action, bundle, name, mode, tolerance)
         elif akind == "sphere":
@@ -220,7 +222,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                 errors.append("$.group.kind: sphere models need a 'polar_rotation' group")
                 raise ModelValidationError(errors)
             order = group_block.get("order", 1)
-            if not isinstance(order, int) or order < 1 or order > 24:
+            if not _is_int(order) or order < 1 or order > 24:
                 errors.append("$.group.order: expected an integer in [1, 24]")
                 raise ModelValidationError(errors)
             radius = _rational(ambient_block.get("radius", "1"), "$.ambient.radius", errors)
@@ -240,91 +242,12 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     return model
 
 
-def _close_torus_group(gens: list[AffineIsometry], gram) -> TorusAction:
-    def norm(g: AffineIsometry) -> AffineIsometry:
-        return AffineIsometry(g.point_part, vec_frac(g.translation))
-
-    elems = [AffineIsometry.identity()]
-    index = {(elems[0].point_part, elems[0].translation): 0}
-    frontier = [elems[0]]
-    while frontier:
-        cur = frontier.pop(0)
-        for g in gens:
-            nxt = norm(g.compose(cur))
-            key = (nxt.point_part, nxt.translation)
-            if key not in index:
-                if len(elems) >= 256:
-                    raise StructuralError("torus group closure exceeds the finite cap")
-                index[key] = len(elems)
-                elems.append(nxt)
-                frontier.append(nxt)
-    table = [[index[(norm(a.compose(b)).point_part, norm(a.compose(b)).translation)]
-              for b in elems] for a in elems]
-    return TorusAction(FiniteGroupTable(table), elems, gram)
-
-
 def load_model(path: str | Path) -> QuotientModel:
     """Read, validate and build a model document from disk."""
     p = Path(path)
     with open(p, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return parse_model(doc, name=p.stem)
-
-
-def model_to_document(model: QuotientModel) -> dict:
-    """Serialize a model back to its (normalized) document form.
-
-    Loading the emitted document reproduces the model; emitting again is a
-    fixpoint, which is what the round-trip test checks.
-    """
-    def gen_doc(g: AffineIsometry) -> dict:
-        return {"matrix": [list(r) for r in g.point_part],
-                "translation": [str(g.translation[0]), str(g.translation[1])]}
-
-    doc: dict = {"schemaVersion": SCHEMA_VERSION}
-    if isinstance(model.ambient, EuclideanPlane):
-        doc["ambient"] = {"kind": "plane"}
-        doc["group"] = {
-            "kind": "wallpaper",
-            "lattice": [[str(x) for x in row] for row in model.group.lattice_basis],
-            "generators": [gen_doc(g) for g in model.group.generators],
-        }
-    elif isinstance(model.ambient, FlatTorus):
-        basis = _gram_basis_doc(model.ambient.lattice_gram)
-        doc["ambient"] = {"kind": "torus", "lattice": basis}
-        doc["group"] = {
-            "kind": "finite_torus",
-            "generators": [gen_doc(g) for g in model.group.isometries
-                           if not g.is_identity],
-        }
-    else:
-        doc["ambient"] = {"kind": "sphere", "radius": str(model.ambient.radius)}
-        doc["group"] = {"kind": "polar_rotation", "order": model.group.order}
-    doc["bundle"] = {"operatorKind": model.bundle.operator_kind,
-                     "twistDegree": model.bundle.twist_degree}
-    if model.bundle.fiber_weights is not None:
-        doc["bundle"]["fiberWeights"] = [
-            {"angle": str(angle), "plus": [str(a) for a in plus],
-             "minus": [str(a) for a in minus]}
-            for angle, (plus, minus) in sorted(model.bundle.fiber_weights.items())]
-    doc["options"] = {"mode": model.mode, "tolerance": model.tolerance}
-    return doc
-
-
-def _gram_basis_doc(gram) -> list:
-    # recover an upper-triangular rational basis when the Gram matrix is a
-    # rational perfect square (true for the catalogue); else echo the Gram
-    g00 = gram[0][0]
-    root = Fraction(math.isqrt(g00.numerator), math.isqrt(g00.denominator))
-    if root * root == g00:
-        b00 = root
-        b01 = gram[0][1] / b00
-        rem = gram[1][1] - b01 * b01
-        r2 = Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator))
-        if r2 * r2 == rem:
-            return [[str(b00), str(b01)], ["0", str(r2)]]
-    return [[str(gram[0][0]), str(gram[0][1])],
-            [str(gram[1][0]), str(gram[1][1])]]
 
 
 # ---------------------------------------------------------------------------

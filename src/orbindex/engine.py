@@ -140,8 +140,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
         return north + south
 
     action: TorusAction = model.group
-    iso = action.isometry(g)
-    fs = fixed_set(iso, ("torus", action.gram))
+    fs = fixed_set(action.isometries[g], ("torus", action.gram))
     if fs.kind == "empty":
         return scalars.zero()
     if fs.kind == "full":
@@ -185,7 +184,6 @@ class AssemblyResult:
     average_total: object       # (1/|H|) sum over elements of L
     class_total: object         # sum over classes of L / |Z|
     per_element: dict
-    per_class: dict
 
 
 def finite_assembly(model: QuotientModel) -> AssemblyResult:
@@ -201,17 +199,14 @@ def finite_assembly(model: QuotientModel) -> AssemblyResult:
     avg = avg * scalars.from_rational(Fraction(1, table.order))
 
     from .groups import enumerate_classes_finite
-    per_class = {}
     ctotal = scalars.zero()
     for cls in enumerate_classes_finite(table):
         z = len(centralizer(cls.representative, table))
-        term = per_element[cls.representative] * scalars.from_rational(Fraction(1, z))
-        per_class[cls.representative] = term
-        ctotal = ctotal + term
+        ctotal = ctotal + per_element[cls.representative] * scalars.from_rational(Fraction(1, z))
 
     if not scalars.is_zero(avg - ctotal, 1e-10):
         raise StructuralError("assembly groupings disagree")
-    return AssemblyResult(avg, ctotal, per_element, per_class)
+    return AssemblyResult(avg, ctotal, per_element)
 
 
 # ---------------------------------------------------------------------------

@@ -129,26 +129,13 @@ def check_point_part(a: IMat, gram: Mat) -> None:
 def rotation_turns_for_gram(a: IMat, gram: Mat) -> Fraction:
     """Rotation angle of an integral Gram-orthogonal rotation, in turns.
 
-    The angle is measured in an oriented orthonormal frame for the metric given
-    by the Gram matrix; it is snapped to an exact multiple of 1/order and the
-    snap is validated.
+    A lattice rotation of order n turns by +-1/n.  With B^T B = G and
+    R = B A B^{-1}, GA - (GA)^T = 2 sin(theta) det(B) J, so the sign of
+    sin(theta) is the sign of (GA)_10 - (GA)_01; orders 1 and 2 give 0 and 1/2.
     """
     n = matrix_order(a)
-    g00, g01, g11 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
-    # B with B^T B = G and det B > 0 (transpose of the Cholesky factor)
-    l00 = math.sqrt(g00)
-    l10 = g01 / l00
-    l11 = math.sqrt(g11 - l10 * l10)
-    b = ((l00, l10), (0.0, l11))
-    binv = ((1 / l00, -l10 / (l00 * l11)), (0.0, 1 / l11))
-    af = tuple(tuple(float(x) for x in row) for row in a)
-    r = mat_mul(mat_mul(b, af), binv)
-    theta = math.atan2(r[1][0], r[0][0]) / (2 * math.pi)
-    t = Fraction(round(theta * n) % n, n)
-    if min(abs(float(t) - theta % 1), abs(float(t) - theta % 1 + 1),
-           abs(float(t) - theta % 1 - 1)) > 1e-9:
-        raise StructuralError("point-part angle is not a multiple of 1/order")
-    return t
+    ga = mat_mul(gram, a)
+    return Fraction(1 if ga[1][0] > ga[0][1] else n - 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +249,9 @@ class AffineIsometry:
     def apply(self, x: Vec) -> Vec:
         return vec_add(mat_vec(self.point_part, x), self.translation)
 
+    def mod_lattice(self) -> "AffineIsometry":
+        return AffineIsometry(self.point_part, vec_frac(self.translation))
+
     @property
     def frac_part(self) -> Vec:
         return vec_frac(self.translation)
@@ -282,6 +272,28 @@ class AffineIsometry:
         a = self.point_part
         t = self.translation
         return f"Aff[{a[0][0]},{a[0][1]};{a[1][0]},{a[1][1]}|{t[0]},{t[1]}]"
+
+
+def close_mod_lattice(generators: Sequence[AffineIsometry]) -> tuple[AffineIsometry, ...]:
+    """The finite group that `generators` generate modulo the lattice Z^2.
+
+    Translations are reduced to [0, 1)^2.  The identity comes first and the
+    other elements follow in breadth-first order of left multiplication by
+    the generators, so the order depends only on the generator order.  More
+    than 256 elements is refused.
+    """
+    elems = [AffineIsometry.identity()]
+    seen = set(elems)
+    for cur in elems:
+        for g in generators:
+            nxt = g.compose(cur).mod_lattice()
+            if nxt not in seen:
+                if len(elems) >= 256:
+                    raise StructuralError(
+                        "group closure modulo the lattice exceeds the finite cap")
+                seen.add(nxt)
+                elems.append(nxt)
+    return tuple(elems)
 
 
 @dataclass(frozen=True)
@@ -306,47 +318,24 @@ class CrystGroup:
             raise StructuralError("lattice basis is singular")
         self.gram: Mat = mat_mul(mat_transpose(self.lattice_basis), self.lattice_basis)
         self.generators = tuple(generators)
-        self._close()
-
-    def _close(self) -> None:
         for g in self.generators:
             check_point_part(g.point_part, self.gram)
-        # BFS closure of (point part, coset vector mod lattice)
-        coset: dict[IMat, Vec] = {IDENTITY_MAT: (Fraction(0), Fraction(0))}
-        order_list: list[IMat] = [IDENTITY_MAT]
-        frontier = [AffineIsometry(IDENTITY_MAT, (Fraction(0), Fraction(0)))]
+        # the closure mod the lattice holds one coset vector per point part
+        self.coset_vectors: dict[IMat, Vec] = {}
         gens = sorted(self.generators, key=lambda g: (g.point_part, g.translation))
-        while frontier:
-            cur = frontier.pop(0)
-            for g in gens:
-                nxt = g.compose(cur)
-                a, s = nxt.point_part, vec_frac(nxt.translation)
-                if a in coset:
-                    if coset[a] != s:
-                        raise StructuralError(
-                            "translation lattice is not normal: conflicting coset vectors")
-                else:
-                    coset[a] = s
-                    order_list.append(a)
-                    frontier.append(AffineIsometry(a, s))
-            if len(coset) > 12:
-                raise StructuralError("point group closure exceeds wallpaper bound")
-        self.point_parts: tuple[IMat, ...] = tuple(order_list)
-        self.coset_vectors: dict[IMat, Vec] = coset
+        for g in close_mod_lattice(gens):
+            if self.coset_vectors.setdefault(g.point_part, g.translation) != g.translation:
+                raise StructuralError(
+                    "translation lattice is not normal: conflicting coset vectors")
+        self.point_parts: tuple[IMat, ...] = tuple(self.coset_vectors)
         self._pp_index = {a: i for i, a in enumerate(self.point_parts)}
+        self._turns = {a: rotation_turns_for_gram(a, self.gram) for a in self.point_parts}
 
     # -- structure ----------------------------------------------------------
 
     @property
     def point_group_order(self) -> int:
         return len(self.point_parts)
-
-    def point_group_table(self) -> tuple[FiniteGroupTable, tuple[IMat, ...]]:
-        """The quotient by the lattice, as a table with its faithful point parts."""
-        idx = self._pp_index
-        table = [[idx[tuple(tuple(int(x) for x in row) for row in mat_mul(a, b))]
-                  for b in self.point_parts] for a in self.point_parts]
-        return FiniteGroupTable(table), self.point_parts
 
     def contains(self, g: AffineIsometry) -> bool:
         s = self.coset_vectors.get(g.point_part)
@@ -360,7 +349,7 @@ class CrystGroup:
 
     def rotation_turns(self, a: IMat) -> Fraction:
         """Rotation angle of a point part as a fraction of a full turn."""
-        return rotation_turns_for_gram(a, self.gram)
+        return self._turns[a]
 
     # -- element enumeration -------------------------------------------------
 
@@ -591,7 +580,7 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
 def fixed_set(g: AffineIsometry, ambient) -> FixedSetDescriptor:
     """Fixed locus of an orientation-preserving g on the plane or on a torus.
 
-    `ambient` is "plane" or ("torus", lattice) -- lattice coordinates mod Z^2.
+    `ambient` is "plane" or ("torus", gram) -- lattice coordinates mod Z^2.
     On the torus the point count equals |det(I - A)| for A != I.
     """
     a, t = g.point_part, g.translation

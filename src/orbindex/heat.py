@@ -22,7 +22,6 @@ from .groups import (
     ConjugacyClassHandle,
     CrystGroup,
     IDENTITY_MAT,
-    centralizer,
     mat_det,
     mat_inv,
     mat_sub,
@@ -33,6 +32,7 @@ from .sectors import (
     QuotientModel,
     _bump_np,
     build_cutoff,
+    class_components,
     fiber_eigendata,
     supertrace_turns,
 )
@@ -307,8 +307,9 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
         # vanishes
         return 0j
 
-    # rotation class: integrate over centers u, weight 1/|Z_Gamma(g)|
-    zq = len(centralizer(g, group))
+    # rotation class: integrate over centers u, weight 1/|Z_Gamma(g)|, the
+    # local group order of the class's sector component
+    zq = class_components(model, cls)[0].local_group_order
     tau = _supertrace_factor(model, g.point_part)
     radius = float(quad.truncation_radius)
     n = 2 * quad.resolution

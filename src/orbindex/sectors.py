@@ -35,6 +35,7 @@ from .groups import (
     Vec,
     centralizer,
     check_point_part,
+    close_mod_lattice,
     fixed_set,
     mat,
     mat_det,
@@ -43,7 +44,6 @@ from .groups import (
     mat_vec,
     matrix_order,
     rotation_turns_for_gram,
-    vec_add,
     vec_frac,
     vec_supnorm,
 )
@@ -85,33 +85,25 @@ Ambient = Union[EuclideanPlane, FlatTorus, RoundSphere]
 # ---------------------------------------------------------------------------
 
 class TorusAction:
-    """A finite group acting on a flat torus by affine isometries mod the lattice."""
+    """A finite group acting on a flat torus by affine isometries mod the lattice.
 
-    def __init__(self, table: FiniteGroupTable, isometries: Sequence[AffineIsometry],
-                 gram: Mat):
-        if len(isometries) != table.order:
-            raise StructuralError("one isometry per group element required")
-        self.table = table
-        self.isometries = tuple(isometries)
-        self.gram = gram
-        for g in self.isometries:
+    The group is the closure of `generators` modulo the lattice: element i of
+    `table` acts by `isometries[i]`, and element 0 is the identity.
+    """
+
+    def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
+        for g in generators:
             check_point_part(g.point_part, gram)
-        for a in table.elements():
-            for b in table.elements():
-                lhs = self.isometries[a].compose(self.isometries[b])
-                rhs = self.isometries[table.mul(a, b)]
-                if lhs.point_part != rhs.point_part or \
-                        vec_frac(lhs.translation) != vec_frac(rhs.translation):
-                    raise StructuralError("isometry assignment is not a homomorphism mod lattice")
-
-    def isometry(self, g: int) -> AffineIsometry:
-        return self.isometries[g]
+        self.gram = gram
+        self.isometries = close_mod_lattice(generators)
+        index = {g: i for i, g in enumerate(self.isometries)}
+        self.table = FiniteGroupTable([[index[a.compose(b).mod_lattice()]
+                                        for b in self.isometries] for a in self.isometries])
+        self._turns = tuple(rotation_turns_for_gram(g.point_part, gram)
+                            for g in self.isometries)
 
     def rotation_turns(self, g: int) -> Fraction:
-        return rotation_turns_for_gram(self.isometries[g].point_part, self.gram)
-
-    def apply_mod(self, g: int, x: Vec) -> Vec:
-        return vec_frac(self.isometries[g].apply(x))
+        return self._turns[g]
 
 
 class SphereRotationAction:
@@ -497,16 +489,17 @@ def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
                            normal, stab, data)
 
 
-def _orbit_decompose(points: Sequence[Vec], elems: tuple, apply_mod) \
+def _orbit_decompose(points: Sequence[Vec], elems: Sequence[AffineIsometry]) \
         -> list[tuple[Vec, Fraction, int]]:
-    """Split a finite fixed set into orbits of the centralizer `elems`, with weights."""
+    """Split a finite set of points mod the lattice into orbits of the group
+    `elems`: (least point, 1 / |stabilizer|, orbit size) per orbit."""
     remaining = list(points)
     out = []
     while remaining:
         p = remaining[0]
-        orbit = {apply_mod(z, p) for z in elems}
-        stab = sum(1 for z in elems if apply_mod(z, p) == p)
-        out.append((p, Fraction(1, stab), len(orbit)))
+        images = [vec_frac(z.apply(p)) for z in elems]
+        orbit = set(images)
+        out.append((p, Fraction(1, images.count(p)), len(orbit)))
         remaining = [q for q in remaining if q not in orbit]
     return out
 
@@ -518,8 +511,7 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
     comps: list[SectorComponent] = []
     for handle in handles:
         g = handle.representative
-        iso = action.isometry(g)
-        fs = fixed_set(iso, ("torus", action.gram))
+        fs = fixed_set(action.isometries[g], ("torus", action.gram))
         if fs.kind == "empty":
             continue
         if fs.kind == "full":
@@ -527,9 +519,9 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
                 raise StructuralError("non-identity element acting trivially")
             comps.append(_full_component(model, handle, table.order))
             continue
-        zc = centralizer(g, table)
+        zc = [action.isometries[z] for z in centralizer(g, table)]
         rot = action.rotation_turns(g)
-        for i, (p, w, size) in enumerate(_orbit_decompose(fs.points, zc, action.apply_mod)):
+        for i, (p, w, size) in enumerate(_orbit_decompose(fs.points, zc)):
             comps.append(_point_component(model, handle, _center_tag(p, i), p, w,
                                           size, rot))
     return comps
@@ -560,16 +552,12 @@ def _sectors_sphere(model: QuotientModel) -> list[SectorComponent]:
 def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
     group: CrystGroup = model.group
     comps = []
-    for handle in cryst_fixed_classes(group):
-        if handle.representative.is_identity:
+    for handle, center, weight in _cryst_classes(group):
+        if center is None:
             comps.append(_full_component(model, handle, group.point_group_order))
-            continue
-        g = handle.representative
-        fs = fixed_set(g, "plane")
-        weight = Fraction(1, len(centralizer(g, group)))
-        rot = group.rotation_turns(g.point_part)
-        comps.append(_point_component(model, handle, "p0", fs.points[0], weight, 1,
-                                      rot))
+        else:
+            rot = group.rotation_turns(handle.representative.point_part)
+            comps.append(_point_component(model, handle, "p0", center, weight, 1, rot))
     return comps
 
 
@@ -599,7 +587,7 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
         if g == table.identity:
             label = "e"
         else:
-            iso = action.isometry(g)
+            iso = action.isometries[g]
             if iso.point_part == IDENTITY_MAT:
                 t = vec_frac(iso.translation)
                 label = f"t{t[0]}_{t[1]}".replace("/", "d")
@@ -623,7 +611,7 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
 
 def _min_rotation_unit(action: TorusAction) -> Fraction:
     return min(action.rotation_turns(g) for g in action.table.elements()
-               if action.isometry(g).point_part != IDENTITY_MAT)
+               if action.isometries[g].point_part != IDENTITY_MAT)
 
 
 def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHandle]:
@@ -636,71 +624,50 @@ def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHa
 
 
 def cryst_fixed_classes(group: CrystGroup) -> list[ConjugacyClassHandle]:
-    """Conjugacy classes of a wallpaper group with nonempty fixed sets.
+    """Conjugacy classes of a wallpaper group with nonempty fixed sets,
+    sorted by label."""
+    return [handle for handle, _, _ in _cryst_classes(group)]
 
-    These are the identity class and, since the point group is cyclic and
-    conjugation fixes point parts, one class per rotation part and orbit of
-    its rotation centers; the center orbits are computed exactly on the
-    finite set of centers modulo the lattice.
+
+def _cryst_classes(group: CrystGroup) \
+        -> list[tuple[ConjugacyClassHandle, Optional[Vec], Optional[Fraction]]]:
+    """(class, center, weight) for every class with a nonempty fixed set.
+
+    The plane mod the lattice is a torus on which the point group P acts by
+    the pairs (B, s_B).  The point group is cyclic and conjugation fixes
+    point parts, so a rotation class is a rotation part A with one P-orbit
+    of its centers: the fixed points of (A, s_A) on that torus.  The
+    centralizer of a rotation is the stabilizer of its center in Gamma, and
+    taking point parts maps it one to one onto the center's stabilizer in
+    P, so the weight 1/|Z_Gamma(g)| is |orbit|/|P|.  The identity class has
+    neither a center nor a weight.
     """
-    handles = [ConjugacyClassHandle(group=group,
-                                    representative=AffineIsometry.identity(),
-                                    kind_tag="infinite-class", label="e")]
-    for a in group.point_parts:
-        if a != IDENTITY_MAT:
-            handles.extend(_rotation_classes_for_part(group, a))
-    handles.sort(key=lambda h: h.label)
-    return handles
-
-
-def _rotation_classes_for_part(group: CrystGroup, a) -> list[ConjugacyClassHandle]:
-    m = mat_sub(IDENTITY_MAT, a)
-    d = abs(int(mat_det(m)))
-    minv = mat_inv(m)
-    s_a = group.coset_vectors[a]
-    # centers modulo the lattice: (I - A)^{-1}(s_A + lattice) mod lattice
-    centers = sorted({vec_frac(mat_vec(minv, (s_a[0] + p, s_a[1] + q)))
-                      for p in range(d) for q in range(d)})
-    if len(centers) != d:
-        raise StructuralError("rotation-center count disagrees with det(I - A)")
-    # conjugation by (B, s_B + lambda) moves centers by x -> B x + s_B + lambda;
-    # orbits are computed mod the lattice
-    remaining = list(centers)
-    out = []
-    used_tags: dict[str, int] = {}
-    turns = group.rotation_turns(a)
-    # the rotation parts form a cyclic group, so turns is a multiple of unit
-    unit = min(group.rotation_turns(p) for p in group.point_parts if p != IDENTITY_MAT)
-    power = int(turns / unit)
-    part_name = f"r{power}" if power > 1 else "r"
-    ordinal = 0
-    while remaining:
-        c0 = remaining[0]
-        orbit = set()
-        frontier = [c0]
-        while frontier:
-            x = frontier.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            for b, s_b in group.coset_vectors.items():
-                frontier.append(vec_frac(vec_add(mat_vec(b, x), s_b)))
-        remaining = [x for x in remaining if x not in orbit]
-        rep_center = min(orbit)
-        t = mat_vec(m, rep_center)
-        rep = AffineIsometry(a, t)
-        if not group.contains(rep):
-            raise StructuralError("rotation representative fell outside the group")
-        tag = _center_tag(rep_center, ordinal)
-        if tag in used_tags:
-            used_tags[tag] += 1
-            tag = f"{tag}{used_tags[tag]}"
-        else:
-            used_tags[tag] = 1
-        label = f"{part_name}_{tag}"
-        out.append(ConjugacyClassHandle(
-            group=group, representative=rep, kind_tag="infinite-class", label=label))
-        ordinal += 1
+    identity = ConjugacyClassHandle(group=group, representative=AffineIsometry.identity(),
+                                    kind_tag="infinite-class", label="e")
+    out = [(identity, None, None)]
+    point_group = [AffineIsometry(a, s) for a, s in group.coset_vectors.items()]
+    rotations = [g for g in point_group if g.point_part != IDENTITY_MAT]
+    # the rotation parts form a cyclic group, so every angle is a multiple
+    # of the smallest one
+    unit = min((group.rotation_turns(g.point_part) for g in rotations), default=1)
+    for g in rotations:
+        a = g.point_part
+        power = int(group.rotation_turns(a) / unit)
+        part_name = f"r{power}" if power > 1 else "r"
+        used_tags: dict[str, int] = {}
+        centers = fixed_set(g, ("torus", group.gram)).points
+        for ordinal, (center, weight, _) in enumerate(_orbit_decompose(centers, point_group)):
+            tag = _center_tag(center, ordinal)
+            if tag in used_tags:
+                used_tags[tag] += 1
+                tag = f"{tag}{used_tags[tag]}"
+            else:
+                used_tags[tag] = 1
+            rep = AffineIsometry(a, mat_vec(mat_sub(IDENTITY_MAT, a), center))
+            handle = ConjugacyClassHandle(group=group, representative=rep,
+                                          kind_tag="infinite-class", label=f"{part_name}_{tag}")
+            out.append((handle, center, weight))
+    out.sort(key=lambda item: item[0].label)
     return out
 
 
@@ -722,13 +689,7 @@ def square_torus_rotation_model(n: int, name: str, mode: str = "exact") -> Quoti
         raise StructuralError("square torus admits rotation orders 1, 2, 4")
     rot = {1: IDENTITY_MAT, 2: ((-1, 0), (0, -1)), 4: ((0, -1), (1, 0))}[n]
     gram = mat([[1, 0], [0, 1]])
-    isos = []
-    cur = AffineIsometry.identity()
-    step = AffineIsometry(rot, (Fraction(0), Fraction(0)))
-    for _ in range(n):
-        isos.append(cur)
-        cur = step.compose(cur)
-    action = TorusAction(FiniteGroupTable.cyclic(n), isos, gram)
+    action = TorusAction([AffineIsometry(rot, (Fraction(0), Fraction(0)))], gram)
     return QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
                          name=name, mode=mode)
 
@@ -755,9 +716,8 @@ def induced_torus_model(model: QuotientModel) -> QuotientModel:
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("induced torus model needs a crystallographic group")
     group = model.group
-    table, parts = group.point_group_table()
-    isos = [AffineIsometry(a, group.coset_vectors[a]) for a in parts]
-    action = TorusAction(table, isos, group.gram)
+    action = TorusAction([AffineIsometry(a, s) for a, s in group.coset_vectors.items()],
+                         group.gram)
     return QuotientModel(FlatTorus(group.gram), action, model.bundle,
                          name=model.name + "_torus", mode=model.mode,
                          tolerance=model.tolerance)

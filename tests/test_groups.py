@@ -1,8 +1,9 @@
 """Group kernel: tables, wallpaper groups, conjugacy, fixed sets."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -13,11 +14,17 @@ from orbindex.groups import (
     CrystGroup,
     FiniteGroupTable,
     centralizer,
+    close_mod_lattice,
     conjugate_test,
     enumerate_classes_finite,
     fixed_set,
+    mat,
     mat_det,
+    mat_mul,
     mat_sub,
+    mat_transpose,
+    matrix_order,
+    rotation_turns_for_gram,
     IDENTITY_MAT,
 )
 
@@ -81,12 +88,67 @@ class TestFiniteGroups:
             assert list(c.coset_section()) == [0]
 
 
+def _float_turns(a, gram) -> Fraction:
+    """Reference angle rule: atan2 of B A B^{-1} in floats, B the transposed
+    Cholesky factor of the Gram matrix, snapped to a multiple of 1/order."""
+    n = matrix_order(a)
+    g00, g01, g11 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
+    l00 = math.sqrt(g00)
+    l10 = g01 / l00
+    l11 = math.sqrt(g11 - l10 * l10)
+    b = ((l00, l10), (0.0, l11))
+    binv = ((1 / l00, -l10 / (l00 * l11)), (0.0, 1 / l11))
+    r = mat_mul(mat_mul(b, a), binv)
+    theta = math.atan2(r[1][0], r[0][0]) / (2 * math.pi)
+    return Fraction(round(theta * n) % n, n)
+
+
+@pytest.mark.parametrize("gram, rotations", [
+    ([[1, 0], [0, 1]], 4),                       # square
+    ([["9/4", 0], [0, "9/4"]], 4),               # rational square
+    ([[4, 2], [2, 10]], 2),                      # rational oblique
+    ([[2, 1], [1, 2]], 6),                       # hexagonal
+    ([[2, -1], [-1, 2]], 6),                     # hexagonal
+])
+def test_exact_angle_rule_matches_float_rule(gram, rotations):
+    g = mat(gram)
+    found = 0
+    for e in product(range(-3, 4), repeat=4):
+        a = ((e[0], e[1]), (e[2], e[3]))
+        if mat_det(a) != 1 or mat_mul(mat_mul(mat_transpose(a), g), a) != g:
+            continue
+        found += 1
+        assert rotation_turns_for_gram(a, g) == _float_turns(a, g), a
+    assert found == rotations
+
+
+class TestCloseModLattice:
+    def test_breadth_first_order_with_reduced_translations(self):
+        r = AffineIsometry.of(ROT, (Fraction(3, 2), Fraction(1, 2)))
+        elems = close_mod_lattice([r])
+        assert elems[0].is_identity and len(elems) == 4
+        assert elems[1] == AffineIsometry.of(ROT, (Fraction(1, 2), Fraction(1, 2)))
+        assert elems[2] == AffineIsometry.of(((-1, 0), (0, -1)), (0, 0))
+        assert all(0 <= x < 1 for g in elems for x in g.translation)
+
+    def test_closure_cap(self):
+        t = AffineIsometry.of(IDENTITY_MAT, (Fraction(1, 300), 0))
+        with pytest.raises(StructuralError, match="finite cap"):
+            close_mod_lattice([t])
+
+    def test_second_coset_vector_rejected(self):
+        r = AffineIsometry.of(ROT, (0, 0))
+        half = AffineIsometry.of(IDENTITY_MAT, (Fraction(1, 2), 0))
+        with pytest.raises(StructuralError, match="conflicting coset vectors"):
+            CrystGroup([[1, 0], [0, 1]], [r, half])
+
+
 class TestCrystGroup:
     def test_point_group_closure(self):
         p4 = make_p4()
         assert p4.point_group_order == 4
-        table, parts = p4.point_group_table()
-        assert table.order == 4 and parts[0] == IDENTITY_MAT
+        assert p4.point_parts[0] == IDENTITY_MAT
+        assert all(s == (0, 0) for s in p4.coset_vectors.values())
 
     def test_rotation_angle(self):
         p4 = make_p4()

@@ -18,7 +18,7 @@ from orbindex.engine import (
     scalars_for_model,
     sum_identity,
 )
-from orbindex.groups import AffineIsometry, CrystGroup, FiniteGroupTable
+from orbindex.groups import AffineIsometry, CrystGroup
 from orbindex.heat import QuadratureSpec, g_heat_trace, orbital_integral_euclidean
 from orbindex.oracle import torus_invariant_index
 from orbindex.sectors import (
@@ -106,8 +106,7 @@ class TestAffineTorusActions:
         # order-2 action x -> -x + (1/2, 0): four fixed points at quarter shifts
         gram = mat([[1, 0], [0, 1]])
         g = AffineIsometry.of(((-1, 0), (0, -1)), (Fraction(1, 2), 0))
-        table = FiniteGroupTable.cyclic(2)
-        action = TorusAction(table, [AffineIsometry.identity(), g], gram)
+        action = TorusAction([g], gram)
         return QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
                              name="t2_z2_shift")
 
@@ -128,8 +127,7 @@ class TestAffineTorusActions:
     def test_translation_only_action_is_free(self):
         gram = mat([[1, 0], [0, 1]])
         s = AffineIsometry.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))
-        table = FiniteGroupTable.cyclic(2)
-        action = TorusAction(table, [AffineIsometry.identity(), s], gram)
+        action = TorusAction([s], gram)
         model = QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
                               name="t2_shift")
         assert finite_assembly(model).average_total == 0
@@ -179,10 +177,20 @@ class TestCliErrorBranches:
          "$.group.generators[0].translation"),
         ("group", "generators", [{"matrix": [[1, 0], [0, 1]], "translation": ["1"]}],
          "$.group.generators[0].translation"),
+        # JSON booleans are not integers or rationals
+        ("bundle", "twistDegree", True, "$.bundle.twistDegree"),
+        ("group", "generators", [{"matrix": [[0, -1], [True, 0]], "translation": ["0", "0"]}],
+         "$.group.generators[0].matrix"),
+        ("group", "generators", [{"matrix": [[1, 0], [0, 1]], "translation": [True, "0"]}],
+         "$.group.generators[0].translation[0]"),
+        ("group", "order", True, "$.group.order"),
+        ("ambient", "radius", True, "$.ambient.radius"),
     ])
     def test_malformed_field_exits_one_with_path(self, tmp_path, capsys,
                                                   block, key, value, path):
-        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
+        # the sphere fields are edited on the sphere fixture, the rest on p4
+        fixture = "s2_z3_o7" if key in ("order", "radius") else "p4"
+        doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
         (doc if block is None else doc[block])[key] = value
         model = tmp_path / "bad.json"
         model.write_text(json.dumps(doc))

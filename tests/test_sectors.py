@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbindex.errors import DomainError, StructuralError
-from orbindex.groups import AffineIsometry, CrystGroup, FiniteGroupTable
+from orbindex.groups import AffineIsometry, CrystGroup, FiniteGroupTable, centralizer
 from orbindex.sectors import (
     BundleSpec,
     TorusAction,
@@ -108,7 +108,7 @@ class TestEnumeration:
         refl = AffineIsometry.of(((1, 0), (0, -1)), (0, 0))
         gram = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         with pytest.raises(StructuralError):
-            TorusAction(FiniteGroupTable.cyclic(2), [AffineIsometry.identity(), refl], gram)
+            TorusAction([refl], gram)
 
 
 class TestFiberEigendata:
@@ -232,3 +232,33 @@ def test_induced_torus_model_matches_point_group():
     assert torus.group.table.order == 4
     comps = enumerate_sectors(torus)
     assert {c.label for c in comps} == {"e", "r1", "r2", "r3"}
+
+
+def test_torus_action_table_comes_from_the_closure():
+    gram = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    action = TorusAction([AffineIsometry.of(ROT, (Fraction(1, 2), Fraction(1, 2)))], gram)
+    assert action.table.product == FiniteGroupTable.cyclic(4).product
+    assert [action.rotation_turns(g) for g in range(4)] == \
+        [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+HALF_TURN = ((-1, 0), (0, -1))
+
+
+@pytest.mark.parametrize("lattice, point_part, classes", [
+    ([[1, 0], [0, 1]], ROT, 7),
+    ([[1, 0], [0, 1]], HALF_TURN, 4),
+    ([[2, -1], [1, 2]], ROT, 7),
+    ([[2, 1], [0, 3]], HALF_TURN, 4),
+])
+def test_plane_weights_are_inverse_centralizer_orders(lattice, point_part, classes):
+    gens = [AffineIsometry.of(point_part, (0, 0)),
+            AffineIsometry.of(((1, 0), (0, 1)), (1, 0)),
+            AffineIsometry.of(((1, 0), (0, 1)), (0, 1))]
+    model = wallpaper_model(CrystGroup(lattice, gens), "plane")
+    points = [c for c in enumerate_sectors(model) if not c.is_full]
+    assert len(points) == classes
+    for comp in points:
+        z = centralizer(comp.class_handle.representative, model.group)
+        assert comp.geometry.weight == Fraction(1, len(z))
+        assert comp.local_group_order == len(z)
