@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import StructuralError
 from .exactnum import Scalars
-from .sectors import FiberEigenData, PointOrbit, SectorComponent
+from .sectors import FiberEigenData, SectorComponent
 
 Monomial = tuple[str, ...]   # sorted generator names with repetition; degree = 2*len
 
@@ -213,16 +213,10 @@ def deloc_chern(data: FiberEigenData, trunc: int, scalars: Scalars) -> TruncForm
 
 def orbifold_integrate(form: TruncForm, component: SectorComponent,
                        curv: ComponentCurvature, scalars: Scalars):
-    """Integrate a bound form over one sector component.
-
-    Dimension 2: the degree-2 coefficients pair with the generators' integrals.
-    Dimension 0: the degree-0 value.  Either is then multiplied by the orbit
-    weight (1/stabilizer order for point orbits, 1/localGroupOrder for full
-    components).
+    """Integrate a bound form over one full sector component: the degree-2
+    coefficients pair with the generators' integrals, times the orbit weight
+    1/localGroupOrder.
     """
-    if isinstance(component.geometry, PointOrbit):
-        c0 = form.coefficient(()) or scalars.zero()
-        return c0 * scalars.from_rational(component.geometry.weight)
     total = scalars.zero()
     for mono, c in form.degree_part(2).items():
         integral = curv.integrals.get(mono[0], Fraction(0))
@@ -231,9 +225,7 @@ def orbifold_integrate(form: TruncForm, component: SectorComponent,
 
 
 def component_curvature(component: SectorComponent, twist_chern: int) -> ComponentCurvature:
-    """Curvature data for a catalogue component."""
-    if isinstance(component.geometry, PointOrbit):
-        return ComponentCurvature(dimension=0)
+    """Curvature data for a full catalogue component."""
     geo = component.geometry
     if geo.curvature_kind == "sphere":
         return ComponentCurvature(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -197,7 +198,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if errors:
                 raise ModelValidationError(errors)
             group = CrystGroup(lattice, gens)
-            bundle = BundleSpec(kind, twist, fiber_weights, twist)
+            bundle = BundleSpec(kind, twist, fiber_weights)
             model = QuotientModel(EuclideanPlane(), group, bundle, name, mode, tolerance)
         elif akind == "torus":
             _check_fields(ambient_block, {"kind", "lattice"}, "$.ambient", errors)
@@ -213,7 +214,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             basis = mat(lattice)
             gram = mat_mul(mat_transpose(basis), basis)
             action = TorusAction(gens, gram)
-            bundle = BundleSpec(kind, twist, fiber_weights, twist)
+            bundle = BundleSpec(kind, twist, fiber_weights)
             model = QuotientModel(FlatTorus(gram), action, bundle, name, mode, tolerance)
         elif akind == "sphere":
             _check_fields(ambient_block, {"kind", "radius"}, "$.ambient", errors)
@@ -228,7 +229,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             radius = _rational(ambient_block.get("radius", "1"), "$.ambient.radius", errors)
             if errors:
                 raise ModelValidationError(errors)
-            bundle = BundleSpec(kind, twist, fiber_weights, twist)
+            bundle = BundleSpec(kind, twist, fiber_weights)
             model = QuotientModel(RoundSphere(radius), SphereRotationAction(order),
                                   bundle, name, mode, tolerance)
         else:
@@ -500,6 +501,25 @@ def _verify_sphere_characters(model: QuotientModel, per_element: dict) -> bool:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _positive_float(text: str) -> float:
+    """A finite positive float, or an argparse error (exit 1)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return x
+
+
+def _t_list(text: str) -> list[float]:
+    """A non-empty comma list of finite positive floats."""
+    ts = [_positive_float(x) for x in text.split(",") if x]
+    if not ts:
+        raise argparse.ArgumentTypeError("expected at least one heat time")
+    return ts
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbindex",
@@ -518,8 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heat")
     p.add_argument("model")
     p.add_argument("--class", dest="label", required=True)
-    p.add_argument("--t", default="0.05,0.1,0.2")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--t", type=_t_list, default="0.05,0.1,0.2")
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--cutoff", default="indicator", choices=["indicator", "smooth"])
     return parser
 
@@ -556,8 +576,7 @@ def run_command(argv: list[str], sink=None) -> int:
         elif args.command == "localized":
             report, code = cmd_localized(model, args.label)
         elif args.command == "heat":
-            t_list = [float(x) for x in args.t.split(",") if x]
-            report, code = cmd_heat(model, args.label, t_list, args.tol, args.cutoff)
+            report, code = cmd_heat(model, args.label, args.t, args.tol, args.cutoff)
         else:  # verify
             report, code = cmd_verify(model)
     except ResolutionError as exc:

@@ -86,12 +86,12 @@ def _route_for(model: QuotientModel) -> str:
 def component_value(component: SectorComponent, model: QuotientModel):
     """Orbifold integral of the delocalized index density over one component."""
     scalars, route = scalars_for_model(model), _route_for(model)
-    curv = component_curvature(component, model.bundle.curvature_scalar)
     if isinstance(component.geometry, PointOrbit):
         term = point_term(component.normal_angle_turns,
                           component.geometry.twist_turns,
                           component.fiber_data, scalars, route)
         return term * scalars.from_rational(component.geometry.weight)
+    curv = component_curvature(component, model.bundle.twist_degree)
     form = _full_component_form(curv, scalars, route)
     return orbifold_integrate(form, component, curv, scalars)
 
@@ -155,11 +155,11 @@ def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
     if isinstance(model.ambient, RoundSphere):
         curv = ComponentCurvature(
             dimension=2, tangent_roots=("t",), twist_line="w",
-            integrals={"t": Fraction(2), "w": Fraction(model.bundle.curvature_scalar)})
+            integrals={"t": Fraction(2), "w": Fraction(model.bundle.twist_degree)})
     else:
         curv = ComponentCurvature(
             dimension=2, tangent_roots=(), twist_line="w",
-            integrals={"w": Fraction(model.bundle.curvature_scalar)})
+            integrals={"w": Fraction(model.bundle.twist_degree)})
     form = _full_component_form(curv, scalars, route)
     total = scalars.zero()
     for mono, c in form.degree_part(2).items():
@@ -232,12 +232,9 @@ def localized_index(model: QuotientModel, cls: ConjugacyClassHandle):
 
 @dataclass
 class IndexReport:
-    model_name: str
-    mode: str
     per_class: dict                      # label -> value (scalar)
     kawasaki_total: object
     assembly_total: object
-    oracle_value: Optional[object] = None
     residuals: dict = field(default_factory=dict)
     psc_obstruction: Optional[bool] = None
     psc_note: str = ""
@@ -290,12 +287,9 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     integrality = scalars.is_integer(kawasaki_total, model.tolerance)
 
     report = IndexReport(
-        model_name=model.name,
-        mode=scalars.mode,
         per_class=per_class,
         kawasaki_total=kawasaki_total,
         assembly_total=assembly_total,
-        oracle_value=oracle_value,
         residuals=residuals,
         integrality_verdict=integrality,
         pair_reality=pair_reality,

@@ -467,24 +467,14 @@ class ConjugacyClassHandle:
         return hit
 
     def members(self):
-        """All class members (finite classes only)."""
-        if self._members is not None:
-            return self._members
-        if isinstance(self.group, FiniteGroupTable):
+        """All class members of a finite table group; plane classes use
+        members_in_ball."""
+        if not isinstance(self.group, FiniteGroupTable):
+            raise DomainError("a plane class has no member list; use members_in_ball")
+        if self._members is None:
             g = self.representative
-            mem = sorted({self.group.conjugate(k, g) for k in self.group.elements()})
-            self._members = tuple(mem)
-            return self._members
-        if self.kind_tag != "finite-class":
-            raise DomainError("infinite class has no member list")
-        # crystallographic finite classes are translation classes: the orbit
-        # of the translation vector under the point group
-        g = self.representative
-        if g.point_part != IDENTITY_MAT:
-            raise DomainError("finite crystallographic class must be a translation class")
-        mem = {AffineIsometry(IDENTITY_MAT, mat_vec(b, g.translation))
-               for b in self.group.point_parts}
-        self._members = tuple(sorted(mem, key=lambda e: (e.translation,)))
+            self._members = tuple(sorted({self.group.conjugate(k, g)
+                                          for k in self.group.elements()}))
         return self._members
 
     def members_in_ball(self, radius) -> list[AffineIsometry]:

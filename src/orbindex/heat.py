@@ -23,14 +23,12 @@ from .groups import (
     CrystGroup,
     IDENTITY_MAT,
     mat_det,
-    mat_inv,
     mat_sub,
 )
 from .sectors import (
     CutoffFunction,
     EuclideanPlane,
     QuotientModel,
-    _bump_np,
     build_cutoff,
     class_components,
     fiber_eigendata,
@@ -119,38 +117,8 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 HEAT_BLOCK = 1 << 15
 
 
-def partition_residuals_batch(cutoff: CutoffFunction, xs: np.ndarray,
-                              ys: np.ndarray) -> np.ndarray:
-    """|sum_gamma c(gamma^{-1} x) - 1| at many points, vectorized.
-
-    Sums actual cut-off evaluations over every group element whose inverse
-    can move a point into the support window; elements outside the window
-    contribute exactly zero by compact support.
-    """
-    group: CrystGroup = cutoff.group
-    total = np.zeros_like(xs, dtype=float)
-    pad = 2 if cutoff.kind == "indicator" else 3
-    for a in group.point_parts:
-        ainv = mat_inv(a)
-        s = group.coset_vectors[a]
-        vx, vy = xs - float(s[0]), ys - float(s[1])
-        bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
-        by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
-        for m in range(math.floor(bx.min()) - pad, math.floor(bx.max()) + pad + 1):
-            for k in range(math.floor(by.min()) - pad, math.floor(by.max()) + pad + 1):
-                zx, zy = bx - m, by - k
-                if cutoff.kind == "indicator":
-                    total += cutoff.grid(zx, zy)
-                    continue
-                mask = (_bump_np(zx) * _bump_np(zy)) > 0
-                if mask.any():
-                    total[mask] += cutoff.grid(zx[mask], zy[mask])
-    return np.abs(total - 1.0)
-
-
 @dataclass
 class HeatTraceReport:
-    label: str
     per_t: dict                      # t -> complex value
     truncation_bound: float
     max_t_variation: float
@@ -210,7 +178,7 @@ def _midpoint_sums(cutoff: CutoffFunction, members: list, taus: list, ts: list,
     member x point array exceeds HEAT_BLOCK entries; d^2 is formed once per
     chunk and shared by every t.
     """
-    lo, hi = (0.0, 1.0) if cutoff.kind == "indicator" else (-1.0, 2.0)
+    lo, hi = cutoff.support
     n = int(round((hi - lo) * n_per_unit))
     xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     # h x - x = p.v and q.v with v = (x, y, 1), so d^2 = v^T S v with
@@ -261,7 +229,7 @@ def t_independence(model: QuotientModel, cls: ConjugacyClassHandle,
     values = heat_traces(model, cls, t_list, quad, cutoff)
     vs = list(values.values())
     deviation = max((abs(a - b) for a in vs for b in vs), default=0.0)
-    return HeatTraceReport(cls.label, values, quad.tail_bound, deviation)
+    return HeatTraceReport(values, quad.tail_bound, deviation)
 
 
 def mckean_singer_compare(model: QuotientModel, cls: ConjugacyClassHandle,

@@ -132,14 +132,13 @@ class BundleSpec:
 
     `fiber_weights`, when given, overrides the built-in eigen-angle rule: a map
     from a rotation angle (in turns) to a pair (plus angles, minus angles).
-    `curvature_scalar` is the first Chern number of the twist over the compact
-    model (k for O(k) on the sphere, the twist degree on a torus, 0 flat).
+    `twist_degree` is also the first Chern number of the twist over the
+    compact model (k for O(k) on the sphere).
     """
 
     operator_kind: str = "dolbeault"
     twist_degree: int = 0
     fiber_weights: Optional[dict] = None
-    curvature_scalar: int = 0
 
     def __post_init__(self):
         if self.operator_kind not in ("dolbeault", "spinc_dirac"):
@@ -312,15 +311,17 @@ class CutoffFunction:
 
     Kinds: "constant" (finite group, c = 1/|G|), "indicator" (scaled unit-cell
     indicator, exact on rational points), "smooth" (normalized bump).  Both
-    crystallographic kinds vanish outside the box [-1, 2]^2.
+    crystallographic kinds vanish outside the box `support`^2.
     """
 
     kind: str
     group: GroupAction
 
     @property
-    def exact(self) -> bool:
-        return self.kind in ("constant", "indicator")
+    def support(self) -> tuple[int, int]:
+        """(lo, hi): c vanishes outside [lo, hi)^2, and the smooth kind on its
+        boundary too."""
+        return (0, 1) if self.kind == "indicator" else (-1, 2)
 
     def __call__(self, x: Vec):
         if self.kind == "constant":
@@ -331,7 +332,8 @@ class CutoffFunction:
         if self.kind == "indicator" and exact_pt:
             inside = 0 <= x[0] < 1 and 0 <= x[1] < 1
             return Fraction(1, self.group.point_group_order) if inside else Fraction(0)
-        if self.kind == "smooth" and not (-1 < x[0] < 2 and -1 < x[1] < 2):
+        lo, hi = self.support
+        if self.kind == "smooth" and not (lo < x[0] < hi and lo < x[1] < hi):
             return 0.0
         return float(self.grid(np.array([float(x[0])]), np.array([float(x[1])]))[0])
 
@@ -357,17 +359,30 @@ class CutoffFunction:
             total += _periodized_bump(bx) * _periodized_bump(by)
         return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
 
-    def partition_residual(self, x) -> float:
-        """|sum_{g} c(g^{-1} x) - 1| at a single point."""
-        if self.kind == "constant":
-            return 0.0
+    def partition_residual(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """|sum_g c(g^{-1} x) - 1| at arrays of float points.
+
+        Per point part A, g^{-1} x = b - mu with b = A^{-1}(x - s_A) and mu
+        in the lattice; b - mu lies in the support box [lo, hi)^2 only for
+        floor(b) - hi < mu <= floor(b) - lo, and each term is masked to the
+        points it moves into the box.
+        """
         group: CrystGroup = self.group
-        exact_pt = isinstance(x[0], (int, Fraction)) and isinstance(x[1], (int, Fraction))
-        total = Fraction(0) if (self.exact and exact_pt) else 0.0
-        radius = Fraction(math.ceil(max(abs(float(x[0])), abs(float(x[1])))) + 4)
-        for g in group.elements_in_ball(radius):
-            total = total + self(g.inverse().apply(x))
-        return float(abs(total - 1))
+        lo, hi = self.support
+        total = np.zeros_like(xs, dtype=float)
+        for a in group.point_parts:
+            ainv = mat_inv(a)
+            s = group.coset_vectors[a]
+            vx, vy = xs - float(s[0]), ys - float(s[1])
+            bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
+            by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
+            for m in range(math.floor(bx.min()) - hi + 1, math.floor(bx.max()) - lo + 1):
+                for k in range(math.floor(by.min()) - hi + 1, math.floor(by.max()) - lo + 1):
+                    zx, zy = bx - m, by - k
+                    mask = (zx >= lo) & (zx < hi) & (zy >= lo) & (zy < hi)
+                    if mask.any():
+                        total[mask] += self.grid(zx[mask], zy[mask])
+        return np.abs(total - 1.0)
 
 
 def build_cutoff(model: QuotientModel, kind: str = "indicator") -> CutoffFunction:
@@ -413,7 +428,7 @@ def fixed_set_cutoff(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
 
 
 def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
-                               y: Vec, max_terms: int = 4000):
+                               y: Vec):
     """Directly evaluate c^{(g)}(y) = sum_{k in K} c(k y).
 
     The section K represents the left cosets of the centralizer, so summing
@@ -423,14 +438,10 @@ def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle
     and the action is proper.
     """
     total = None
-    count = 0
     for k in cls.coset_section():
-        count += 1
-        if count > max_terms:
-            break
         val = cutoff(k.apply(y))
         total = val if total is None else total + val
-        # c vanishes outside sup-norm 2, so conjugates far from the support
+        # c vanishes outside its support box, so conjugates far from it
         # cannot contribute; stop once the translation norm passes the window
         if isinstance(k, AffineIsometry) and vec_supnorm(k.translation) > \
                 vec_supnorm(y) + 6:
@@ -696,7 +707,7 @@ def square_torus_rotation_model(n: int, name: str, mode: str = "exact") -> Quoti
 
 def sphere_model(n: int, k: int, name: str, mode: str = "exact") -> QuotientModel:
     return QuotientModel(RoundSphere(Fraction(1)), SphereRotationAction(n),
-                         BundleSpec("dolbeault", k, curvature_scalar=k),
+                         BundleSpec("dolbeault", k),
                          name=name, mode=mode)
 
 

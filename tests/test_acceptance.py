@@ -37,7 +37,6 @@ from orbindex.heat import (
     QuadratureSpec,
     g_heat_trace,
     orbital_integral_euclidean,
-    partition_residuals_batch,
     t_independence,
 )
 from orbindex.sectors import (
@@ -247,9 +246,9 @@ def test_acceptance_6_cutoff_suite():
     rng = np.random.default_rng(123)
     xs = rng.uniform(-3.0, 3.0, size=10_000)
     ys = rng.uniform(-3.0, 3.0, size=10_000)
-    smooth_res = partition_residuals_batch(build_cutoff(model, "smooth"), xs, ys)
+    smooth_res = build_cutoff(model, "smooth").partition_residual(xs, ys)
     smooth_ok = float(smooth_res.max()) < 1e-12
-    ind_res = partition_residuals_batch(build_cutoff(model, "indicator"), xs, ys)
+    ind_res = build_cutoff(model, "indicator").partition_residual(xs, ys)
     indicator_ok = float(ind_res.max()) == 0.0
 
     # Z_G(g)-partition property, exactly, for every point class

@@ -165,24 +165,6 @@ class TestDelocChern:
 
 
 class TestOrbifoldIntegrate:
-    def test_point_orbit_weight(self):
-        # constant 1 over [pt/Z_n] integrates to 1/n
-        from orbindex.char import orbifold_integrate
-        from orbindex.groups import ConjugacyClassHandle, FiniteGroupTable
-        from orbindex.sectors import FiberEigenData as FED, PointOrbit, SectorComponent
-
-        n = 5
-        handle = ConjugacyClassHandle(group=FiniteGroupTable.cyclic(n),
-                                      representative=1, kind_tag="finite-class",
-                                      label="r1")
-        comp = SectorComponent(
-            handle, "p0",
-            PointOrbit((Fraction(0), Fraction(0)), Fraction(1, n), 1),
-            Fraction(1, 5), n, FED((Fraction(0),), (Fraction(4, 5),)))
-        curv = ComponentCurvature(dimension=0)
-        form = TruncForm.constant(SX.one(), 0)
-        assert orbifold_integrate(form, comp, curv, SX) == Fraction(1, n)
-
     def test_degree_d_line_over_torus(self):
         from orbindex.char import orbifold_integrate
         from orbindex.sectors import (FullComponentGeometry, SectorComponent,

@@ -370,6 +370,13 @@ class TestDirectEnumeration:
                         if cls.contains(h)]
                 assert cls.members_in_ball(radius) == want, (cls.label, radius)
 
+    def test_plane_class_has_no_member_list(self):
+        from orbindex.sectors import translation_class
+
+        cls = translation_class(make_p4(), (Fraction(1), Fraction(0)))
+        with pytest.raises(DomainError):
+            cls.members()
+
     def test_members_in_ball_rejects_orientation_reversing(self):
         # a reflection class cannot arise: the group is rejected when built
         refl = AffineIsometry.of(((1, 0), (0, -1)), (0, 0))

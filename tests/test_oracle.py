@@ -86,7 +86,7 @@ class TestTorusInvariantIndex:
         from orbindex.sectors import BundleSpec
 
         model = dataclasses.replace(square_torus_rotation_model(1, "m"),
-                                    bundle=BundleSpec("dolbeault", 3, curvature_scalar=3))
+                                    bundle=BundleSpec("dolbeault", 3))
         with pytest.raises(DomainError):
             torus_invariant_index(model)
 

@@ -163,6 +163,17 @@ class TestCliErrorBranches:
         assert code == 2
         assert "error: quadrature error estimate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--t", ""), ("--t", "abc"), ("--t", "0"), ("--t", "-0.1"), ("--t", "0.1,nan"),
+        ("--t", "nan"), ("--t", "inf"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+    ])
+    def test_bad_heat_times_and_tolerance_exit_one(self, option, value, capsys):
+        code = run_command(["heat", str(FIXTURE_DIR / "p4.json"), "--class", "r_origin",
+                            f"{option}={value}"], io.StringIO())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and "Traceback" not in err
+
     @pytest.mark.parametrize("block, key, value, path", [
         ("options", "tolerance", "abc", "$.options.tolerance"),
         ("group", "lattice", [[1]], "$.group.lattice"),

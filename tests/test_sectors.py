@@ -1,8 +1,10 @@
 """Sector enumeration, cut-off functions and fixed-set weights."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbindex.errors import DomainError, StructuralError
@@ -142,33 +144,36 @@ class TestCutoffs:
         model = make_p4_model()
         c = build_cutoff(model, "indicator")
         rng = random.Random(0)
-        for _ in range(60):
-            x = (Fraction(rng.randint(-300, 300), 101),
-                 Fraction(rng.randint(-300, 300), 103))
-            assert c.partition_residual(x) == 0.0
-
-    def test_smooth_partition_residual(self):
-        model = make_p4_model()
-        c = build_cutoff(model, "smooth")
-        rng = random.Random(1)
-        worst = 0.0
-        for _ in range(60):
-            x = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            worst = max(worst, c.partition_residual(x))
-        assert worst < 1e-12
+        points = [(Fraction(rng.randint(-300, 300), 101),
+                   Fraction(rng.randint(-300, 300), 103)) for _ in range(60)]
+        xs = np.array([float(x) for x, _ in points])
+        ys = np.array([float(y) for _, y in points])
+        assert np.all(c.partition_residual(xs, ys) == 0.0)
 
     def test_smooth_partition_residual_batch(self):
-        import numpy as np
-        from orbindex.heat import partition_residuals_batch
-
         model = make_p4_model()
         rng = np.random.default_rng(5)
         xs = rng.uniform(-3, 3, size=2000)
         ys = rng.uniform(-3, 3, size=2000)
-        res = partition_residuals_batch(build_cutoff(model, "smooth"), xs, ys)
+        res = build_cutoff(model, "smooth").partition_residual(xs, ys)
         assert float(res.max()) < 1e-12
-        res = partition_residuals_batch(build_cutoff(model, "indicator"), xs, ys)
+        res = build_cutoff(model, "indicator").partition_residual(xs, ys)
         assert float(res.max()) == 0.0
+
+    @pytest.mark.parametrize("kind", ["indicator", "smooth"])
+    def test_partition_residual_matches_ball_scan(self, kind):
+        # reference: sum c(g^{-1} x) over every group element in a ball that
+        # holds all g with g^{-1} x in the support box
+        model = make_p4_model()
+        c = build_cutoff(model, kind)
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(-3, 3, size=(2, 8))
+        want = []
+        for x in zip(xs.tolist(), ys.tolist()):
+            radius = Fraction(math.ceil(max(abs(x[0]), abs(x[1]))) + 4)
+            total = sum(c(g.inverse().apply(x)) for g in model.group.elements_in_ball(radius))
+            want.append(abs(total - 1))
+        assert np.max(np.abs(c.partition_residual(xs, ys) - want)) <= 1e-15
 
     def test_fixed_set_cutoff_weights(self):
         model = make_p4_model()
