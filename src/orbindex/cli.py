@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
-from .groups import AffineIsometry, CrystGroup, mat, mat_mul, mat_transpose
+from .groups import AffineIsometry, CrystGroup, mat, mat_det, mat_mul, mat_transpose
 from .sectors import (
     BundleSpec,
     EuclideanPlane,
@@ -78,7 +78,11 @@ def _lattice(value, path: str, errors: list[str]) -> list[list[Fraction]]:
             or any(not isinstance(r, list) or len(r) != 2 for r in value)):
         errors.append(f"{path}: expected a 2x2 matrix of exact rationals, got {value!r}")
         return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    return [[_rational(x, path, errors) for x in row] for row in value]
+    before = len(errors)
+    rows = [[_rational(x, path, errors) for x in row] for row in value]
+    if len(errors) == before and mat_det(rows) == 0:
+        errors.append(f"{path}: the lattice basis is singular")
+    return rows
 
 
 def _check_fields(block: dict, allowed: set, path: str, errors: list[str]) -> None:
@@ -226,7 +230,10 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if not _is_int(order) or order < 1 or order > 24:
                 errors.append("$.group.order: expected an integer in [1, 24]")
                 raise ModelValidationError(errors)
+            before = len(errors)
             radius = _rational(ambient_block.get("radius", "1"), "$.ambient.radius", errors)
+            if len(errors) == before and radius <= 0:
+                errors.append(f"$.ambient.radius: expected a positive radius, got {radius}")
             if errors:
                 raise ModelValidationError(errors)
             bundle = BundleSpec(kind, twist, fiber_weights)

@@ -524,6 +524,8 @@ class ConjugacyClassHandle:
 
         Enumeration order: table order for finite groups; increasing sup-norm
         of translation part, ties lexicographic, for crystallographic groups.
+        The section is finite for a translation class and infinite for a
+        rotation class.
         """
         g = self.representative
         if isinstance(self.group, FiniteGroupTable):
@@ -535,14 +537,19 @@ class ConjugacyClassHandle:
                     yield k
             return
         # the point group is cyclic, so k g k^{-1} = (A, B a + (I - A) w) for
-        # k = (B, w): conjugates differ in their translations alone
+        # k = (B, w): conjugates differ in their translations alone.  A
+        # translation class is finite, the (I, B a), and ends once all are seen
         m = mat_sub(IDENTITY_MAT, g.point_part)
+        size = len({mat_vec(b, g.translation) for b in self.group.point_parts}) \
+            if g.point_part == IDENTITY_MAT else None
         seen_aff = set()
         for k in self.group.iterate_elements():
             c = vec_add(mat_vec(k.point_part, g.translation), mat_vec(m, k.translation))
             if c not in seen_aff:
                 seen_aff.add(c)
                 yield k
+                if len(seen_aff) == size:
+                    return
 
 
 def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHandle]:

@@ -44,8 +44,8 @@ from .groups import (
     mat_vec,
     matrix_order,
     rotation_turns_for_gram,
+    vec_add,
     vec_frac,
-    vec_supnorm,
 )
 
 # ---------------------------------------------------------------------------
@@ -429,24 +429,34 @@ def fixed_set_cutoff(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
 
 def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle,
                                y: Vec):
-    """Directly evaluate c^{(g)}(y) = sum_{k in K} c(k y).
+    """Directly evaluate c^{(g)}(y) = sum_{k in K} c(k y), K a section of the
+    left cosets of the centralizer Z_G(g) in a wallpaper group.
 
-    The section K represents the left cosets of the centralizer, so summing
-    c over K applied on the left is what telescopes against the Z_G(g) sum to
-    the full-orbit partition (K Z_G(g) = G).  Used by tests to confirm the
-    group-theoretic weights; the sum is finite because c has compact support
-    and the action is proper.
+    For the identity class K = {e}, so this is c(y).  A rotation g fixes one
+    point y, and Z_G(g) is the stabilizer of y, so k -> k y maps K one to one
+    onto the orbit of y: the sum is sum_{p in orbit} c(p), whatever the
+    section.  The orbit points are B y + s_B + m with m in the lattice, and
+    per point part B only the shifts that land in the support box [lo, hi)^2
+    are taken.  Used by tests to confirm the group-theoretic weights.
     """
-    total = None
-    for k in cls.coset_section():
-        val = cutoff(k.apply(y))
-        total = val if total is None else total + val
-        # c vanishes outside its support box, so conjugates far from it
-        # cannot contribute; stop once the translation norm passes the window
-        if isinstance(k, AffineIsometry) and vec_supnorm(k.translation) > \
-                vec_supnorm(y) + 6:
-            break
-    return total
+    if not isinstance(cls.group, CrystGroup):
+        raise DomainError("direct section sums need a crystallographic group")
+    g = cls.representative
+    if g.is_identity:
+        return cutoff(y)
+    if g.is_translation:
+        raise DomainError(f"class {cls.label} has an empty fixed set")
+    if g.apply(y) != y:
+        raise DomainError(f"class {cls.label} does not fix {y}")
+    lo, hi = cutoff.support
+    # different point parts can reach one orbit point, so collect a set
+    points = set()
+    for a, s in cls.group.coset_vectors.items():
+        b = vec_add(mat_vec(a, y), s)
+        for m in range(math.ceil(lo - b[0]), math.ceil(hi - b[0])):
+            for n in range(math.ceil(lo - b[1]), math.ceil(hi - b[1])):
+                points.add((b[0] + m, b[1] + n))
+    return sum(cutoff(p) for p in sorted(points))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,21 @@ class TestCosetSection:
         for g in p4.elements_in_ball(Fraction(1)):
             assert (g.point_part, g.translation) in products
 
+    @pytest.mark.parametrize("make, translations", [
+        (make_p4, {(1, 0), (0, 1), (-1, 0), (0, -1)}),
+        (make_p2, {(1, 0), (-1, 0)}),
+    ])
+    def test_translation_class_section_is_finite(self, make, translations):
+        # the conjugates of (I, t) are the finitely many (I, B t)
+        group = make()
+        for t, want in (((0, 0), {(0, 0)}), ((1, 0), translations)):
+            g = group.element(IDENTITY_MAT, t)
+            handle = ConjugacyClassHandle(group=group, representative=g,
+                                          kind_tag="finite-class", label="t")
+            ks = list(handle.coset_section())
+            assert len(ks) == len(want)
+            assert {k.compose(g).compose(k.inverse()).translation for k in ks} == want
+
     def test_finite_abelian_section_trivial(self):
         z4 = FiniteGroupTable.cyclic(4)
         for c in enumerate_classes_finite(z4):

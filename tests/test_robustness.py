@@ -196,11 +196,18 @@ class TestCliErrorBranches:
          "$.group.generators[0].translation[0]"),
         ("group", "order", True, "$.group.order"),
         ("ambient", "radius", True, "$.ambient.radius"),
+        # degenerate geometry: a singular lattice basis, a sphere radius <= 0
+        ("group", "lattice", [["1", "0"], ["2", "0"]], "$.group.lattice"),
+        ("ambient", "lattice", [["1", "0"], ["2", "0"]], "$.ambient.lattice"),
+        ("ambient", "radius", "0", "$.ambient.radius"),
+        ("ambient", "radius", "-1", "$.ambient.radius"),
     ])
     def test_malformed_field_exits_one_with_path(self, tmp_path, capsys,
                                                   block, key, value, path):
-        # the sphere fields are edited on the sphere fixture, the rest on p4
-        fixture = "s2_z3_o7" if key in ("order", "radius") else "p4"
+        # the sphere fields are edited on the sphere fixture, the torus
+        # lattice on the half-turn torus, the rest on p4
+        fixture = ("s2_z3_o7" if key in ("order", "radius")
+                   else "t2_z2" if (block, key) == ("ambient", "lattice") else "p4")
         doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
         (doc if block is None else doc[block])[key] = value
         model = tmp_path / "bad.json"

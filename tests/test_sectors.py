@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from orbindex.errors import DomainError, StructuralError
-from orbindex.groups import AffineIsometry, CrystGroup, FiniteGroupTable, centralizer
+from orbindex.groups import (
+    AffineIsometry,
+    ConjugacyClassHandle,
+    CrystGroup,
+    FiniteGroupTable,
+    centralizer,
+    vec_supnorm,
+)
 from orbindex.sectors import (
     BundleSpec,
+    CutoffFunction,
     TorusAction,
     build_cutoff,
     cryst_fixed_classes,
@@ -250,20 +258,109 @@ def test_torus_action_table_comes_from_the_closure():
 HALF_TURN = ((-1, 0), (0, -1))
 
 
-@pytest.mark.parametrize("lattice, point_part, classes", [
+# p4, p2, p4 on a rotated lattice and p2 on an oblique lattice, with the
+# number of point classes of each
+PLANE_SCENES = [
     ([[1, 0], [0, 1]], ROT, 7),
     ([[1, 0], [0, 1]], HALF_TURN, 4),
     ([[2, -1], [1, 2]], ROT, 7),
     ([[2, 1], [0, 3]], HALF_TURN, 4),
-])
-def test_plane_weights_are_inverse_centralizer_orders(lattice, point_part, classes):
+]
+
+
+def make_plane_model(lattice, point_part):
     gens = [AffineIsometry.of(point_part, (0, 0)),
             AffineIsometry.of(((1, 0), (0, 1)), (1, 0)),
             AffineIsometry.of(((1, 0), (0, 1)), (0, 1))]
-    model = wallpaper_model(CrystGroup(lattice, gens), "plane")
+    return wallpaper_model(CrystGroup(lattice, gens), "plane")
+
+
+@pytest.mark.parametrize("lattice, point_part, classes", PLANE_SCENES)
+def test_plane_weights_are_inverse_centralizer_orders(lattice, point_part, classes):
+    model = make_plane_model(lattice, point_part)
     points = [c for c in enumerate_sectors(model) if not c.is_full]
     assert len(points) == classes
     for comp in points:
         z = centralizer(comp.class_handle.representative, model.group)
         assert comp.geometry.weight == Fraction(1, len(z))
         assert comp.local_group_order == len(z)
+
+
+def _section_walk(cls, y):
+    """The section elements the former direct sum visited: the coset section
+    in sup-norm shells, up to the first k with |k| > |y| + 6."""
+    ks = []
+    for k in cls.coset_section():
+        ks.append(k)
+        if vec_supnorm(k.translation) > vec_supnorm(y) + 6:
+            return ks
+
+
+class TestDirectSectionSum:
+    @pytest.mark.parametrize("lattice, point_part, classes", PLANE_SCENES)
+    def test_matches_the_section_walk(self, lattice, point_part, classes):
+        model = make_plane_model(lattice, point_part)
+        points = [c for c in model.sectors if not c.is_full]
+        assert len(points) == classes
+        indicator = build_cutoff(model, "indicator")
+        smooth = build_cutoff(model, "smooth")
+        for comp in points:
+            cls, y = comp.class_handle, comp.geometry.representative
+            images = [k.apply(y) for k in _section_walk(cls, y)]
+            direct = cutoff_on_fixed_set_direct(indicator, cls, y)
+            assert isinstance(direct, Fraction)
+            assert direct == sum(indicator(p) for p in images) == comp.geometry.weight
+            assert abs(cutoff_on_fixed_set_direct(smooth, cls, y)
+                       - sum(smooth(p) for p in images)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["indicator", "smooth"])
+    def test_work_is_bounded_by_the_support_box(self, kind, monkeypatch):
+        model = make_p4_model()
+        cutoff = build_cutoff(model, kind)
+        calls = {"section": 0, "cutoff": 0}
+        section = ConjugacyClassHandle.coset_section
+        evaluate = CutoffFunction.__call__
+
+        def counted_section(self):
+            calls["section"] += 1
+            return section(self)
+
+        def counted_cutoff(self, x):
+            calls["cutoff"] += 1
+            return evaluate(self, x)
+
+        monkeypatch.setattr(ConjugacyClassHandle, "coset_section", counted_section)
+        monkeypatch.setattr(CutoffFunction, "__call__", counted_cutoff)
+        lo, hi = cutoff.support
+        bound = model.group.point_group_order * (hi - lo) ** 2
+        for comp in model.sectors:
+            if comp.is_full:
+                continue
+            calls["cutoff"] = 0
+            cutoff_on_fixed_set_direct(cutoff, comp.class_handle,
+                                       comp.geometry.representative)
+            assert 0 < calls["cutoff"] <= bound
+        assert calls["section"] == 0
+
+    def test_identity_class_gives_the_cutoff(self):
+        model = make_p4_model()
+        identity = {c.label: c for c in cryst_fixed_classes(model.group)}["e"]
+        for kind in ("indicator", "smooth"):
+            cutoff = build_cutoff(model, kind)
+            for y in ((Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 2), Fraction(-1, 7))):
+                assert cutoff_on_fixed_set_direct(cutoff, identity, y) == cutoff(y)
+
+    def test_classes_without_a_direct_sum_raise(self):
+        # a translation class, a point the rotation does not fix, a torus class
+        model = make_p4_model()
+        cutoff = build_cutoff(model, "indicator")
+        tcls = translation_class(model.group, (Fraction(1), Fraction(0)))
+        with pytest.raises(DomainError):
+            cutoff_on_fixed_set_direct(cutoff, tcls, (Fraction(0), Fraction(0)))
+        rotation = {c.label: c for c in cryst_fixed_classes(model.group)}["r_origin"]
+        with pytest.raises(DomainError):
+            cutoff_on_fixed_set_direct(cutoff, rotation, (Fraction(1, 2), Fraction(0)))
+        torus = square_torus_rotation_model(4, "e_z4")
+        with pytest.raises(DomainError):
+            cutoff_on_fixed_set_direct(build_cutoff(torus), torus.sectors[0].class_handle,
+                                       (Fraction(0), Fraction(0)))
