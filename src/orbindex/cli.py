@@ -15,17 +15,13 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
 from .groups import AffineIsometry, CrystGroup, mat, mat_det, mat_mul, mat_transpose
 from .sectors import (
     BundleSpec,
-    EuclideanPlane,
-    FlatTorus,
     QuotientModel,
-    RoundSphere,
     SphereRotationAction,
     TorusAction,
     build_cutoff,
@@ -188,7 +184,6 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
 
     akind = ambient_block.get("kind")
     gkind = group_block.get("kind")
-    model: Optional[QuotientModel] = None
     try:
         if akind == "plane":
             _check_fields(ambient_block, {"kind"}, "$.ambient", errors)
@@ -201,9 +196,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             gens = _generators(group_block, errors)
             if errors:
                 raise ModelValidationError(errors)
-            group = CrystGroup(lattice, gens)
-            bundle = BundleSpec(kind, twist, fiber_weights)
-            model = QuotientModel(EuclideanPlane(), group, bundle, name, mode, tolerance)
+            action = CrystGroup(lattice, gens)
         elif akind == "torus":
             _check_fields(ambient_block, {"kind", "lattice"}, "$.ambient", errors)
             _check_fields(group_block, {"kind", "generators"}, "$.group", errors)
@@ -216,10 +209,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if errors:
                 raise ModelValidationError(errors)
             basis = mat(lattice)
-            gram = mat_mul(mat_transpose(basis), basis)
-            action = TorusAction(gens, gram)
-            bundle = BundleSpec(kind, twist, fiber_weights)
-            model = QuotientModel(FlatTorus(gram), action, bundle, name, mode, tolerance)
+            action = TorusAction(gens, mat_mul(mat_transpose(basis), basis))
         elif akind == "sphere":
             _check_fields(ambient_block, {"kind", "radius"}, "$.ambient", errors)
             _check_fields(group_block, {"kind", "order"}, "$.group", errors)
@@ -236,18 +226,15 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                 errors.append(f"$.ambient.radius: expected a positive radius, got {radius}")
             if errors:
                 raise ModelValidationError(errors)
-            bundle = BundleSpec(kind, twist, fiber_weights)
-            model = QuotientModel(RoundSphere(radius), SphereRotationAction(order),
-                                  bundle, name, mode, tolerance)
+            action = SphereRotationAction(order, radius)
         else:
             errors.append(f"$.ambient.kind: unknown ambient {akind!r}")
             raise ModelValidationError(errors)
+        return QuotientModel(action, BundleSpec(kind, twist, fiber_weights),
+                             name, mode, tolerance)
     except StructuralError as exc:
         errors.append(str(exc))
         raise ModelValidationError(errors) from exc
-    if errors:
-        raise ModelValidationError(errors)
-    return model
 
 
 def load_model(path: str | Path) -> QuotientModel:
@@ -438,10 +425,10 @@ def cmd_heat(model: QuotientModel, label: str, t_list: list[float], tol: float,
 
 
 def _oracle_value(model: QuotientModel):
-    if isinstance(model.ambient, RoundSphere):
+    if isinstance(model.group, SphereRotationAction):
         return oracle.sphere_invariant_monomial_count(
             model.bundle.twist_degree, model.group.order).value
-    if isinstance(model.ambient, FlatTorus):
+    if isinstance(model.group, TorusAction):
         if model.bundle.twist_degree == 0 and model.bundle.operator_kind == "dolbeault":
             return oracle.torus_invariant_index(model).value
         return None
@@ -478,9 +465,9 @@ def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
     if oracle_value is not None:
         report["totals"]["oracle"] = _complex_pair(oracle_value)
         verdicts["oracleAgreement"] = rep.residuals["total_vs_oracle"] <= model.tolerance
-    if not isinstance(model.ambient, EuclideanPlane):
+    if not isinstance(model.group, CrystGroup):
         asm = engine.finite_assembly(model)
-        if isinstance(model.ambient, RoundSphere):
+        if isinstance(model.group, SphereRotationAction):
             verdicts["perClassCharacters"] = _verify_sphere_characters(model, asm.per_element)
         report["totals"]["assemblyAverage"] = _complex_pair(asm.average_total)
         verdicts["assemblyGroupings"] = _assembly_agrees(model, asm, rep.kawasaki_total)

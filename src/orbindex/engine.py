@@ -39,11 +39,9 @@ from .groups import (
     fixed_set,
 )
 from .sectors import (
-    EuclideanPlane,
     FiberEigenData,
     PointOrbit,
     QuotientModel,
-    RoundSphere,
     SectorComponent,
     SphereRotationAction,
     TorusAction,
@@ -121,7 +119,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
     Fixed-point-free elements return 0; the identity returns the ordinary
     index of the compact model.
     """
-    if isinstance(model.ambient, EuclideanPlane):
+    if isinstance(model.group, CrystGroup):
         raise StructuralError("Lefschetz evaluator requires a compact model")
     scalars, route = scalars_for_model(model), _route_for(model)
 
@@ -140,7 +138,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
         return north + south
 
     action: TorusAction = model.group
-    fs = fixed_set(action.isometries[g], ("torus", action.gram))
+    fs = fixed_set(action.isometries[g], torus=True)
     if fs.kind == "empty":
         return scalars.zero()
     if fs.kind == "full":
@@ -152,7 +150,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
 
 
 def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
-    if isinstance(model.ambient, RoundSphere):
+    if isinstance(model.group, SphereRotationAction):
         curv = ComponentCurvature(
             dimension=2, tangent_roots=("t",), twist_line="w",
             integrals={"t": Fraction(2), "w": Fraction(model.bundle.twist_degree)})

@@ -574,26 +574,25 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
 # Fixed sets of affine isometries
 # ---------------------------------------------------------------------------
 
-def fixed_set(g: AffineIsometry, ambient) -> FixedSetDescriptor:
-    """Fixed locus of an orientation-preserving g on the plane or on a torus.
+def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
+    """Fixed locus of an orientation-preserving g on the plane or, when
+    `torus`, on the torus of lattice coordinates mod Z^2.
 
-    `ambient` is "plane" or ("torus", gram) -- lattice coordinates mod Z^2.
     On the torus the point count equals |det(I - A)| for A != I.
     """
     a, t = g.point_part, g.translation
     m = mat_sub(IDENTITY_MAT, a)
     d = mat_det(m)
-    on_torus = ambient != "plane"
 
     if a == IDENTITY_MAT:
-        offset_ok = (t == (0, 0)) if not on_torus else (vec_frac(t) == (0, 0))
+        offset_ok = (vec_frac(t) == (0, 0)) if torus else (t == (0, 0))
         return FixedSetDescriptor("full") if offset_ok else FixedSetDescriptor("empty")
     # det(I - A) = 2 - trace(A) > 0 for every rotation A != I
     if d == 0:
         raise StructuralError("orientation-reversing isometries have no isolated fixed points")
 
     minv = mat_inv(m)
-    if not on_torus:
+    if not torus:
         return FixedSetDescriptor("points", (mat_vec(minv, t),))
     pts = set()
     n = abs(int(d))

@@ -29,31 +29,43 @@ class OracleResult:
         return Scalars.to_complex(self.value)
 
 
-def sphere_equivariant_character(k: int, n: int, j: int, mode: str = "exact") -> OracleResult:
-    """Trace of the j-th rotation power on the degree-k monomial basis.
+def _sphere_basis(k: int) -> tuple[int, range]:
+    """(sign, exponents m) of the monomial basis z^m of the cohomology of O(k).
 
-    The sections of the degree-k line on the sphere are spanned by the k+1
-    monomials z^m; the rotation multiplies z^m by zeta^{jm}.  H^1 vanishes for
-    k >= 0 and contributes nothing.
+    For k >= 0 the sections are spanned by z^m, 0 <= m <= k, and H^1 vanishes.
+    For k < 0 the sections vanish and H^1 has the Cech basis z^m,
+    k + 1 <= m <= -1, on the overlap of the two charts; by Serre duality it is
+    the dual of H^0(O(-k-2)).  It enters the index with sign -1.
     """
-    if k < 0:
-        raise DomainError("negative twist degree: dual basis not implemented")
-    if k > MAX_TWIST or n > MAX_ORDER:
-        raise DomainError("oracle degree bounds exceeded (k <= 100, n <= 24)")
+    return (1, range(k + 1)) if k >= 0 else (-1, range(k + 1, 0))
+
+
+def sphere_equivariant_character(k: int, n: int, j: int, mode: str = "exact") -> OracleResult:
+    """Supertrace of the j-th rotation power on the degree-k monomial basis.
+
+    The rotation multiplies z^m by zeta^{jm}; the H^1 basis of a negative
+    twist counts with sign -1.
+    """
+    if abs(k) > MAX_TWIST or n > MAX_ORDER:
+        raise DomainError("oracle degree bounds exceeded (|k| <= 100, n <= 24)")
     if n < 1 or not (0 <= j < n):
         raise DomainError("rotation power outside the group")
+    sign, exponents = _sphere_basis(k)
     sc = Scalars(mode, n if mode == "exact" else 0)
     total = sc.zero()
-    for m in range(k + 1):
+    for m in exponents:
         total = total + sc.unit(Fraction(j * m, n))
-    return OracleResult(total, "monomial-character", f"z^m, 0 <= m <= {k}")
+    return OracleResult(total if sign > 0 else -total, "monomial-character",
+                        f"z^m, {exponents.start} <= m <= {exponents.stop - 1}")
 
 
 def sphere_invariant_monomial_count(k: int, n: int) -> OracleResult:
-    """Dimension of the invariant sections: monomials z^m with n | m."""
-    if k < 0 or k > MAX_TWIST or n < 1 or n > MAX_ORDER:
+    """Index of the invariant part: signed count of basis monomials z^m with
+    n | m."""
+    if abs(k) > MAX_TWIST or n < 1 or n > MAX_ORDER:
         raise DomainError("oracle degree bounds exceeded")
-    count = sum(1 for m in range(k + 1) if m % n == 0)
+    sign, exponents = _sphere_basis(k)
+    count = sign * sum(1 for m in exponents if m % n == 0)
     return OracleResult(count, "monomial-count", f"z^m with {n} | m")
 
 

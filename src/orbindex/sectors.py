@@ -1,10 +1,13 @@
 """Scene models, twisted-sector enumeration and cut-off functions.
 
-A QuotientModel is an ambient geometry (plane, flat torus, round sphere), an
-isometric group action (crystallographic on the plane, finite elsewhere) and
-an equivariant bundle specification.  Sectors are enumerated per connected
-component: each fixed-point-bearing conjugacy class contributes one component
-per centralizer-orbit of isolated fixed points, or one full component.
+A QuotientModel is an isometric group action and an equivariant bundle
+specification.  Each action type fixes its space: a CrystGroup acts on the
+plane, a TorusAction on the flat torus of its Gram matrix and a
+SphereRotationAction on the round sphere of its radius, so every scene-kind
+decision is one isinstance check on the action.  Sectors are enumerated per
+connected component: each fixed-point-bearing conjugacy class contributes one
+component per centralizer-orbit of isolated fixed points, or one full
+component.
 
 Angle convention used throughout: `normal_angle_turns` of a component is the
 rotation angle of the *inverse* of the class representative on the normal
@@ -49,39 +52,7 @@ from .groups import (
 )
 
 # ---------------------------------------------------------------------------
-# Ambients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EuclideanPlane:
-    kind: str = "plane"
-
-
-@dataclass(frozen=True)
-class FlatTorus:
-    lattice_gram: Mat
-    kind: str = "torus"
-
-    @property
-    def area(self) -> float:
-        return math.sqrt(float(mat_det(self.lattice_gram)))
-
-
-@dataclass(frozen=True)
-class RoundSphere:
-    radius: Fraction
-    kind: str = "sphere"
-
-    @property
-    def area(self) -> float:
-        return 4 * math.pi * float(self.radius) ** 2
-
-
-Ambient = Union[EuclideanPlane, FlatTorus, RoundSphere]
-
-
-# ---------------------------------------------------------------------------
-# Group actions on compact ambients
+# Group actions on compact spaces
 # ---------------------------------------------------------------------------
 
 class TorusAction:
@@ -102,18 +73,28 @@ class TorusAction:
         self._turns = tuple(rotation_turns_for_gram(g.point_part, gram)
                             for g in self.isometries)
 
+    @property
+    def area(self) -> float:
+        return math.sqrt(float(mat_det(self.gram)))
+
     def rotation_turns(self, g: int) -> Fraction:
         return self._turns[g]
 
 
 class SphereRotationAction:
-    """Z_n acting on the round sphere by rotations about the polar axis."""
+    """Z_n acting on the round sphere of `radius` by rotations about the
+    polar axis."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, radius: Fraction):
         if order < 1:
             raise StructuralError("rotation order must be positive")
         self.order = order
+        self.radius = radius
         self.table = FiniteGroupTable.cyclic(order)
+
+    @property
+    def area(self) -> float:
+        return 4 * math.pi * float(self.radius) ** 2
 
     def rotation_turns(self, j: int) -> Fraction:
         return Fraction(j % self.order, self.order)
@@ -147,12 +128,11 @@ class BundleSpec:
 
 @dataclass(frozen=True)
 class QuotientModel:
-    """Ambient + group action + bundle: the scene every computation consumes.
+    """Group action + bundle: the scene every computation consumes.
 
     Frozen, so the sector list cached on first use cannot go stale.
     """
 
-    ambient: Ambient
     group: GroupAction
     bundle: BundleSpec
     name: str = "model"
@@ -160,15 +140,6 @@ class QuotientModel:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if isinstance(self.ambient, EuclideanPlane):
-            if not isinstance(self.group, CrystGroup):
-                raise StructuralError("plane models require a crystallographic group")
-        elif isinstance(self.ambient, FlatTorus):
-            if not isinstance(self.group, TorusAction):
-                raise StructuralError("torus models require a finite torus action")
-        elif isinstance(self.ambient, RoundSphere):
-            if not isinstance(self.group, SphereRotationAction):
-                raise StructuralError("sphere models require a polar rotation action")
         if isinstance(self.group, (TorusAction, CrystGroup)) and self.twist_nontrivial:
             if isinstance(self.group, CrystGroup) or _has_rotation(self.group):
                 if self.bundle.fiber_weights is None:
@@ -325,9 +296,7 @@ class CutoffFunction:
 
     def __call__(self, x: Vec):
         if self.kind == "constant":
-            n = self.group.order if isinstance(self.group, SphereRotationAction) \
-                else self.group.table.order
-            return Fraction(1, n)
+            return Fraction(1, self.group.table.order)
         exact_pt = isinstance(x[0], (int, Fraction)) and isinstance(x[1], (int, Fraction))
         if self.kind == "indicator" and exact_pt:
             inside = 0 <= x[0] < 1 and 0 <= x[1] < 1
@@ -465,9 +434,9 @@ def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle
 
 def enumerate_sectors(model: QuotientModel) -> list[SectorComponent]:
     """All connected components of all nonempty twisted sectors, sorted by label."""
-    if isinstance(model.ambient, EuclideanPlane):
+    if isinstance(model.group, CrystGroup):
         comps = _sectors_cryst(model)
-    elif isinstance(model.ambient, FlatTorus):
+    elif isinstance(model.group, TorusAction):
         comps = _sectors_torus(model)
     else:
         comps = _sectors_sphere(model)
@@ -481,20 +450,20 @@ def class_components(model: QuotientModel,
     fixed set really is empty."""
     comps = [c for c in model.sectors if c.label == cls.label]
     if not comps and isinstance(model.group, CrystGroup) \
-            and fixed_set(cls.representative, "plane").kind != "empty":
+            and fixed_set(cls.representative, torus=False).kind != "empty":
         raise StructuralError(f"class {cls.label} missing from the sector list")
     return comps
 
 
 def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
                     order: int) -> SectorComponent:
-    amb = model.ambient
-    if isinstance(amb, RoundSphere):
-        geo = FullComponentGeometry(2, amb.area, "sphere", tangent_chern=2,
+    group = model.group
+    if isinstance(group, SphereRotationAction):
+        geo = FullComponentGeometry(2, group.area, "sphere", tangent_chern=2,
                                     local_group_order=order)
     else:
-        area = amb.area if isinstance(amb, FlatTorus) else \
-            float(abs(mat_det(model.group.lattice_basis)))
+        area = group.area if isinstance(group, TorusAction) else \
+            float(abs(mat_det(group.lattice_basis)))
         geo = FullComponentGeometry(2, area, "flat", local_group_order=order)
     data = fiber_eigendata(Fraction(0), model.bundle)
     return SectorComponent(handle, "full", geo, None, order, data)
@@ -532,7 +501,7 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
     comps: list[SectorComponent] = []
     for handle in handles:
         g = handle.representative
-        fs = fixed_set(action.isometries[g], ("torus", action.gram))
+        fs = fixed_set(action.isometries[g], torus=True)
         if fs.kind == "empty":
             continue
         if fs.kind == "full":
@@ -676,7 +645,7 @@ def _cryst_classes(group: CrystGroup) \
         power = int(group.rotation_turns(a) / unit)
         part_name = f"r{power}" if power > 1 else "r"
         used_tags: dict[str, int] = {}
-        centers = fixed_set(g, ("torus", group.gram)).points
+        centers = fixed_set(g, torus=True).points
         for ordinal, (center, weight, _) in enumerate(_orbit_decompose(centers, point_group)):
             tag = _center_tag(center, ordinal)
             if tag in used_tags:
@@ -711,20 +680,17 @@ def square_torus_rotation_model(n: int, name: str, mode: str = "exact") -> Quoti
     rot = {1: IDENTITY_MAT, 2: ((-1, 0), (0, -1)), 4: ((0, -1), (1, 0))}[n]
     gram = mat([[1, 0], [0, 1]])
     action = TorusAction([AffineIsometry(rot, (Fraction(0), Fraction(0)))], gram)
-    return QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
-                         name=name, mode=mode)
+    return QuotientModel(action, BundleSpec("dolbeault", 0), name=name, mode=mode)
 
 
 def sphere_model(n: int, k: int, name: str, mode: str = "exact") -> QuotientModel:
-    return QuotientModel(RoundSphere(Fraction(1)), SphereRotationAction(n),
-                         BundleSpec("dolbeault", k),
+    return QuotientModel(SphereRotationAction(n, Fraction(1)), BundleSpec("dolbeault", k),
                          name=name, mode=mode)
 
 
 def wallpaper_model(group: CrystGroup, name: str, mode: str = "exact",
                     operator_kind: str = "dolbeault") -> QuotientModel:
-    return QuotientModel(EuclideanPlane(), group, BundleSpec(operator_kind, 0),
-                         name=name, mode=mode)
+    return QuotientModel(group, BundleSpec(operator_kind, 0), name=name, mode=mode)
 
 
 def induced_torus_model(model: QuotientModel) -> QuotientModel:
@@ -739,6 +705,5 @@ def induced_torus_model(model: QuotientModel) -> QuotientModel:
     group = model.group
     action = TorusAction([AffineIsometry(a, s) for a, s in group.coset_vectors.items()],
                          group.gram)
-    return QuotientModel(FlatTorus(group.gram), action, model.bundle,
-                         name=model.name + "_torus", mode=model.mode,
+    return QuotientModel(action, model.bundle, name=model.name + "_torus", mode=model.mode,
                          tolerance=model.tolerance)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from orbindex.cli import (
     FIXTURE_DIR,
     ModelValidationError,
+    _f17,
     load_model,
     parse_model,
     run_command,
@@ -158,6 +160,20 @@ class TestCommands:
         assert code == 0
         point_rows = [r for r in doc["rows"] if r["geometry"] == "point"]
         assert {r["label"] for r in point_rows} == {"r1", "r2", "r3"}
+
+    @pytest.mark.parametrize("fixture, block, key, value, area", [
+        ("s2_z3_o7", "ambient", "radius", "2", 4 * math.pi * 4),
+        ("t2_z2", "ambient", "lattice", [["2", "0"], ["0", "3"]], 6),
+        ("p2", "group", "lattice", [["2", "1"], ["0", "3"]], 6),
+    ])
+    def test_sectors_full_component_area(self, tmp_path, fixture, block, key, value, area):
+        doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
+        doc[block][key] = value
+        path = tmp_path / f"{fixture}.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run(["sectors", str(path)])
+        assert code == 0
+        assert [r["area"] for r in report["rows"] if r["geometry"] == "full"] == [_f17(area)]
 
     def test_index_methods(self):
         code, doc, _ = run(["index", str(FIXTURE_DIR / "e_z4.json"),

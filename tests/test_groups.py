@@ -246,7 +246,7 @@ class TestCosetSection:
         # centers of pi/2-rotations biject with the lattice
         centers = set()
         for c in conjugates:
-            fs = fixed_set(c, "plane")
+            fs = fixed_set(c, torus=False)
             assert fs.kind == "points"
             centers.add(fs.points[0])
         assert all(x.denominator == 1 and y.denominator == 1 for x, y in centers)
@@ -293,19 +293,19 @@ class TestCosetSection:
 class TestFixedSets:
     def test_rotation_on_plane(self):
         p4 = make_p4()
-        fs = fixed_set(p4.element(ROT, (0, 0)), "plane")
+        fs = fixed_set(p4.element(ROT, (0, 0)), torus=False)
         assert fs.kind == "points" and fs.points == ((0, 0),)
 
     def test_multiplication_by_i_on_square_torus(self):
-        fs = fixed_set(AffineIsometry.of(ROT, (0, 0)), ("torus", None))
+        fs = fixed_set(AffineIsometry.of(ROT, (0, 0)), torus=True)
         assert fs.kind == "points"
         assert set(fs.points) == {(0, 0), (Fraction(1, 2), Fraction(1, 2))}
 
     def test_pure_translation_empty(self):
-        assert fixed_set(AffineIsometry.of(IDENTITY_MAT, (1, 0)), "plane").kind == "empty"
+        assert fixed_set(AffineIsometry.of(IDENTITY_MAT, (1, 0)), torus=False).kind == "empty"
 
     def test_identity_full(self):
-        assert fixed_set(AffineIsometry.identity(), "plane").kind == "full"
+        assert fixed_set(AffineIsometry.identity(), torus=False).kind == "full"
 
     def test_torus_count_equals_det(self):
         rng = random.Random(3)
@@ -314,16 +314,16 @@ class TestFixedSets:
             t = (Fraction(rng.randint(0, 3), 4), Fraction(rng.randint(0, 3), 4))
             g = AffineIsometry.of(a, t)
             m = mat_sub(IDENTITY_MAT, a)
-            fs = fixed_set(g, ("torus", None))
+            fs = fixed_set(g, torus=True)
             assert len(fs.points) == abs(mat_det(m))
 
     def test_equivariance_under_conjugation(self):
         p4 = make_p4()
         g = p4.element(ROT, (1, 0))
-        fs_g = fixed_set(g, "plane")
+        fs_g = fixed_set(g, torus=False)
         for h in p4.elements_in_ball(Fraction(1))[:20]:
             conj = h.compose(g).compose(h.inverse())
-            fs_c = fixed_set(conj, "plane")
+            fs_c = fixed_set(conj, torus=False)
             assert fs_c.points == tuple(h.apply(p) for p in fs_g.points)
 
     def test_reflection_and_glide_rejected(self):
@@ -332,7 +332,7 @@ class TestFixedSets:
         glide = AffineIsometry.of(((1, 0), (0, -1)), (Fraction(1, 2), 0))
         for g in (refl, glide):
             with pytest.raises(StructuralError):
-                fixed_set(g, "plane")
+                fixed_set(g, torus=False)
 
 
 # ---------------------------------------------------------------------------

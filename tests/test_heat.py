@@ -10,6 +10,7 @@ from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
 from orbindex.engine import localized_index
 from orbindex.groups import AffineIsometry, CrystGroup
+from orbindex import heat
 from orbindex.heat import (
     QuadratureSpec,
     class_sum_tail_bound,
@@ -172,6 +173,14 @@ class TestHeatTrace:
             heat_traces(P4, CLASSES["r_origin"], [0.002, 0.001], rough)
         assert str(many.value) == str(one.value)
         assert many.value.suggested_resolution == 16
+
+    def test_error_estimate_gates_values_near_zero(self, monkeypatch):
+        # coarse 2 tol and fine tol/2 extrapolate to 0 with error estimate 1.5 tol
+        tol = QUAD.tolerance
+        sums = iter([[2 * tol], [tol / 2]])
+        monkeypatch.setattr(heat, "_midpoint_sums", lambda *args: next(sums))
+        with pytest.raises(ResolutionError):
+            heat_traces(P4, CLASSES["r_origin"], [0.1], QUAD)
 
 
 def _cutoff_grid_windowed(cutoff, gx, gy):

@@ -1,10 +1,13 @@
 """Spectral oracles: monomial characters and pullback traces."""
 
 import dataclasses
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
+from orbindex.cli import FIXTURE_DIR, run_command
 from orbindex.errors import DomainError
 from orbindex.exactnum import Cyclo
 from orbindex.oracle import (
@@ -46,7 +49,7 @@ class TestSphereCharacter:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            sphere_equivariant_character(-1, 3, 0)
+            sphere_equivariant_character(-101, 3, 0)
         with pytest.raises(DomainError):
             sphere_equivariant_character(101, 3, 0)
         with pytest.raises(DomainError):
@@ -54,6 +57,22 @@ class TestSphereCharacter:
         with pytest.raises(DomainError):
             sphere_equivariant_character(5, 3, 3)
 
+    @pytest.mark.parametrize("n, k, index, lefschetz", [
+        (3, -4, -1, [-3, 0, 0]),
+        (2, -2, 0, [-1, 1]),
+        (3, -1, 0, [0, 0, 0]),
+    ])
+    def test_negative_twist_hand_values(self, tmp_path, n, k, index, lefschetz):
+        # H^1(O(k)) has the Cech basis z^m, k+1 <= m <= -1, counted with sign -1
+        assert sphere_invariant_monomial_count(k, n).value == index
+        assert [sphere_equivariant_character(k, n, j).value for j in range(n)] == lefschetz
+        doc = json.loads((FIXTURE_DIR / "s2_z3_o7.json").read_text())
+        doc["group"]["order"], doc["bundle"]["twistDegree"] = n, k
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        assert run_command(["verify", str(path)], out) == 0
+        assert json.loads(out.getvalue())["totals"]["oracle"] == [str(index), "0"]
 
 class TestEllipticCharacter:
     def test_quarter_turn(self):

@@ -22,7 +22,6 @@ from orbindex.groups import AffineIsometry, CrystGroup
 from orbindex.heat import QuadratureSpec, g_heat_trace, orbital_integral_euclidean
 from orbindex.oracle import torus_invariant_index
 from orbindex.sectors import (
-    FlatTorus,
     QuotientModel,
     BundleSpec,
     TorusAction,
@@ -107,8 +106,7 @@ class TestAffineTorusActions:
         gram = mat([[1, 0], [0, 1]])
         g = AffineIsometry.of(((-1, 0), (0, -1)), (Fraction(1, 2), 0))
         action = TorusAction([g], gram)
-        return QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
-                             name="t2_z2_shift")
+        return QuotientModel(action, BundleSpec("dolbeault", 0), name="t2_z2_shift")
 
     def test_shifted_involution_assembly(self):
         model = self.make_glide_z2()
@@ -128,8 +126,7 @@ class TestAffineTorusActions:
         gram = mat([[1, 0], [0, 1]])
         s = AffineIsometry.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))
         action = TorusAction([s], gram)
-        model = QuotientModel(FlatTorus(gram), action, BundleSpec("dolbeault", 0),
-                              name="t2_shift")
+        model = QuotientModel(action, BundleSpec("dolbeault", 0), name="t2_shift")
         assert finite_assembly(model).average_total == 0
         report = sum_identity(model)
         assert list(report.per_class) == ["e"]
