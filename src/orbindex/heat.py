@@ -5,8 +5,13 @@ heat kernel is the exact Gaussian (4 pi t)^{-n/2} e^{-d^2/4t} with identity
 fiber transport, so quadrature checks the index identities without curved
 parametrices.  Class sums are truncated at a radius derived from the Gaussian
 tail estimate, never adaptively, so reports are reproducible bit for bit for a
-fixed spec.  A quadrature whose Richardson error estimate |fine - coarse|
-exceeds the tolerance raises, whatever the size of the value.
+fixed spec.  At each t only the members whose kernel reaches 2^-60 somewhere
+on the cut-off box are summed; whether one does is decided from the exact
+minimum of |hx - x|^2 over the box, so the skip rests on a bound, not on
+sampling, and depends on the spec and t alone.  A t whose Gaussian is
+narrower than the fine grid's spacing, and a quadrature whose Richardson
+error estimate |fine - coarse| exceeds the tolerance, raise, whatever the
+size of the value.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ class QuadratureSpec:
         raise ResolutionError("tail bound does not reach tolerance/10", resolution)
 
 
-def _gram_min_eig(model: QuotientModel) -> float:
+def _gram_eigs(model: QuotientModel) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the lattice Gram matrix."""
     g = model.group.gram
     a, b, c = float(g[0][0]), float(g[0][1]), float(g[1][1])
     tr, det = a + c, a * c - b * b
-    return (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
+    root = math.sqrt(max(tr * tr - 4 * det, 0.0))
+    return (tr - root) / 2, (tr + root) / 2
 
 
 def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
@@ -92,7 +99,7 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
         m = mat_sub(IDENTITY_MAT, a)
         opnorm = max(abs(m[0][0]) + abs(m[0][1]), abs(m[1][0]) + abs(m[1][1]))
         opnorm_inv = min(opnorm_inv, 1.0 / float(opnorm))
-    metric = math.sqrt(_gram_min_eig(model))
+    metric = math.sqrt(_gram_eigs(model)[0])
     p = group.point_group_order
     pref = (4 * math.pi * t) ** -1 * 2.0 * math.sqrt(float(abs(mat_det(group.gram))))
     total = 0.0
@@ -117,6 +124,10 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 # pass; bounds its memory whatever the class size and resolution.
 HEAT_BLOCK = 1 << 15
 
+# A member is summed at time t only if its kernel exp(-|hx - x|^2 / 4t)
+# reaches this fraction of its peak somewhere on the cut-off box.
+KERNEL_FLOOR = 2.0 ** -60
+
 
 @dataclass
 class HeatTraceReport:
@@ -139,9 +150,14 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the supertrace
     factors into the fiber eigen-character times the scalar Gaussian.
     Members, supertrace factors, grids and cut-off values do not depend on t
-    and are built once; every t is accumulated in the same pass.  Richardson
-    refinement of the midpoint rule; unreachable tolerance raises with a
-    suggested resolution.
+    and are built once; every t is accumulated in the same pass.  The
+    members are sorted once by the minimum d2_min of |hx - x|^2 over the
+    cut-off box, and at time t only the prefix with
+    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Richardson refinement of
+    the midpoint rule; a t whose Gaussian width sqrt(t / lambda_max(G)) is
+    below the fine grid's spacing 1 / (2 resolution) raises before any sum,
+    and an unreachable tolerance raises after, both with a suggested
+    resolution.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -153,11 +169,20 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     factors = {a: _supertrace_factor(model, a) for a in model.group.point_parts}
     members = [h for h in cls.members_in_ball(quad.truncation_radius)
                if factors[h.point_part] != 0]
-    taus = [factors[h.point_part] for h in members]
     if not members:
         return {t: 0j for t in ts}
-    coarse = _midpoint_sums(cutoff, members, taus, ts, quad.resolution)
-    fine = _midpoint_sums(cutoff, members, taus, ts, 2 * quad.resolution)
+    _check_grid_resolves(model, ts, quad.resolution)
+    coef = _d2_coefficients(cutoff, members)
+    d2_min = _box_min_d2(coef, *cutoff.support)
+    order = np.argsort(d2_min, kind="stable")
+    coef, d2_min = coef[order], d2_min[order]
+    tau = np.array([factors[h.point_part] for h in members], dtype=complex)[order]
+    # every grid point of both resolutions lies in the box, so one count per
+    # t serves both; exp is monotone, so the kept members are a prefix
+    kept = [int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
+            for t in ts]
+    coarse = _midpoint_sums(cutoff, coef, tau, kept, ts, quad.resolution)
+    fine = _midpoint_sums(cutoff, coef, tau, kept, ts, 2 * quad.resolution)
     values = {}
     for t, c, f in zip(ts, coarse, fine):
         value = (4 * f - c) / 3
@@ -170,21 +195,37 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     return values
 
 
-def _midpoint_sums(cutoff: CutoffFunction, members: list, taus: list, ts: list,
-                   n_per_unit: int) -> list[complex]:
-    """Midpoint sums of sum_h tau_h c(x) k_t(hx, x) at one resolution, one per t.
+def _check_grid_resolves(model: QuotientModel, ts: list, resolution: int) -> None:
+    """Raise for the first t whose Gaussian is narrower than the fine grid.
 
-    The grid is walked in row blocks of at most HEAT_BLOCK points, with the
-    cut-off evaluated once per block, and the members in chunks so that no
-    member x point array exceeds HEAT_BLOCK entries; d^2 is formed once per
-    chunk and shared by every t.
+    Along the Gram matrix's stiffest direction the kernel decays on the
+    coordinate scale sqrt(t / lambda_max); once that is below the fine grid's
+    spacing 1 / (2 resolution) the Gaussian can fall between the midpoints of
+    both grids, and a zero sum would pass the Richardson check.  The
+    suggested resolution is the first 4^k multiple whose fine spacing is not
+    above that scale.
     """
-    lo, hi = cutoff.support
-    n = int(round((hi - lo) * n_per_unit))
-    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-    # h x - x = p.v and q.v with v = (x, y, 1), so d^2 = v^T S v with
-    # S = g00 p p^T + g01 (p q^T + q p^T) + g11 q q^T; one product with the
-    # block's monomials (x^2, y^2, 1, 2xy, 2x, 2y) forms d^2 for a whole chunk
+    lam_max = _gram_eigs(model)[1]
+    for t in ts:
+        width = math.sqrt(t / lam_max)
+        if 2 * resolution * width < 1:
+            suggested = 4 * resolution
+            while 2 * suggested * width < 1:
+                suggested *= 4
+            raise ResolutionError(
+                f"heat time {t:.3e} is below the grid: Gaussian width {width:.3e} "
+                f"under the fine spacing {1 / (2 * resolution):.3e}",
+                suggested_resolution=suggested)
+
+
+def _d2_coefficients(cutoff: CutoffFunction, members: list) -> np.ndarray:
+    """Per member, the coefficients (S00, S11, S22, S01, S02, S12) of
+    |hx - x|^2_G = v^T S v, v = (x, y, 1).
+
+    h x - x = p.v and q.v, so S = g00 p p^T + g01 (p q^T + q p^T) + g11 q q^T;
+    one product with the monomials (x^2, y^2, 1, 2xy, 2x, 2y) of a block of
+    points forms d^2 for a whole chunk of members.
+    """
     p = np.array([[float(h.point_part[0][0]) - 1, float(h.point_part[0][1]),
                    float(h.translation[0])] for h in members])
     q = np.array([[float(h.point_part[1][0]), float(h.point_part[1][1]) - 1,
@@ -192,9 +233,55 @@ def _midpoint_sums(cutoff: CutoffFunction, members: list, taus: list, ts: list,
     g = cutoff.group.gram
     g00, g01, g11 = float(g[0][0]), float(g[0][1]), float(g[1][1])
     i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-    quad_coef = (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
-                 + g11 * q[:, i] * q[:, j])
-    tau = np.array(taus, dtype=complex)
+    return (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
+            + g11 * q[:, i] * q[:, j])
+
+
+def _box_min_d2(coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per member, the exact minimum of d^2 = v^T S v over the closed box
+    [lo, hi]^2, for rows of coefficients as made by _d2_coefficients.
+
+    A translation's d^2 is the constant |b|^2_G = S22.  A rotation's d^2 is a
+    positive definite quadratic that vanishes at the rotation centre: the
+    minimum is 0 when the centre is in the box, and otherwise lies on an
+    edge, where d^2 is a parabola minimised at its vertex clamped to the edge.
+    """
+    d2_min = coef[:, 2].copy()
+    s00, s11, s22, s01, s02, s12 = coef.T
+    det = s00 * s11 - s01 * s01
+    rot = det > 0
+    s00, s11, s22, s01, s02, s12, det = (a[rot] for a in (s00, s11, s22, s01, s02, s12, det))
+
+    def d2(x, y):
+        return s00 * x * x + s11 * y * y + s22 + 2 * (s01 * x * y + s02 * x + s12 * y)
+
+    cx = (s01 * s12 - s11 * s02) / det
+    cy = (s01 * s02 - s00 * s12) / det
+    inside = (lo <= cx) & (cx <= hi) & (lo <= cy) & (cy <= hi)
+    edges = []
+    for e in (lo, hi):
+        edges.append(d2(e, np.clip(-(s01 * e + s12) / s11, lo, hi)))
+        edges.append(d2(np.clip(-(s01 * e + s02) / s00, lo, hi), e))
+    d2_min[rot] = np.where(inside, 0.0, np.min(edges, axis=0))
+    return d2_min
+
+
+def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, kept: list,
+                   ts: list, n_per_unit: int) -> list[complex]:
+    """Midpoint sums of sum_h tau_h c(x) k_t(hx, x) at one resolution, one per t.
+
+    The members come sorted by their box minimum of d^2, and at the k-th t only
+    the first kept[k] are summed; each omitted member's kernel is below
+    KERNEL_FLOOR on the whole box, so the omitted total is below
+    N max|tau| KERNEL_FLOOR vol sum(c) cell / (4 pi t) for N members.  The
+    grid is walked in row blocks of at most HEAT_BLOCK points, with the
+    cut-off evaluated once per block, and the members in chunks so that no
+    member x point array exceeds HEAT_BLOCK entries; a chunk's d^2 is formed
+    only while some t still needs it, once, and shared by every such t.
+    """
+    lo, hi = cutoff.support
+    n = int(round((hi - lo) * n_per_unit))
+    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     scales = [-1.0 / (4 * t) for t in ts]
     sums = np.zeros(len(ts), dtype=complex)
     rows = max(1, HEAT_BLOCK // n)
@@ -205,11 +292,13 @@ def _midpoint_sums(cutoff: CutoffFunction, members: list, taus: list, ts: list,
         monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
                               2 * gx * gy, 2 * gx, 2 * gy])
         chunk = max(1, HEAT_BLOCK // gx.size)
-        for k0 in range(0, len(members), chunk):
-            d2 = quad_coef[k0:k0 + chunk] @ monomials
-            for k, scale in enumerate(scales):
-                sums[k] += tau[k0:k0 + chunk] @ (np.exp(d2 * scale) @ cvals)
-    vol = math.sqrt(float(abs(mat_det(g))))
+        for k0 in range(0, max(kept), chunk):
+            d2 = coef[k0:k0 + chunk] @ monomials
+            for k, (scale, m) in enumerate(zip(scales, kept)):
+                c = min(chunk, m - k0)
+                if c > 0:
+                    sums[k] += tau[k0:k0 + c] @ (np.exp(d2[:c] * scale) @ cvals)
+    vol = math.sqrt(float(abs(mat_det(cutoff.group.gram))))
     cell = ((hi - lo) / n) ** 2
     return [complex(v) * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
 

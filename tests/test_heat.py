@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
 from orbindex.engine import localized_index
-from orbindex.groups import AffineIsometry, CrystGroup
+from orbindex.groups import IDENTITY_MAT, AffineIsometry, CrystGroup, mat_det, mat_inv, mat_sub
 from orbindex import heat
 from orbindex.heat import (
     QuadratureSpec,
@@ -31,10 +32,17 @@ from orbindex.sectors import (
 ROT = ((0, -1), (1, 0))
 
 
-def make_p4():
+def make_p4(lattice=((1, 0), (0, 1))):
     r = AffineIsometry.of(ROT, (0, 0))
     t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
-    return wallpaper_model(CrystGroup([[1, 0], [0, 1]], [r, t1]), "p4")
+    return wallpaper_model(CrystGroup([list(row) for row in lattice], [r, t1]), "p4")
+
+
+def make_p2(lattice=((1, 0), (0, 1))):
+    half_turn = AffineIsometry.of(((-1, 0), (0, -1)), (0, 0))
+    t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
+    return wallpaper_model(CrystGroup([list(row) for row in lattice], [half_turn, t1]),
+                           "p2_lattice")
 
 
 P4 = make_p4()
@@ -174,6 +182,32 @@ class TestHeatTrace:
         assert str(many.value) == str(one.value)
         assert many.value.suggested_resolution == 16
 
+    def test_time_below_grid_refused_before_summing(self, monkeypatch):
+        # a Gaussian narrower than the fine spacing can fall between the
+        # midpoints of both grids: both sums 0, Richardson error 0
+        monkeypatch.setattr(heat, "_midpoint_sums", lambda *args: pytest.fail("summed"))
+        with pytest.raises(ResolutionError) as info:
+            heat_traces(P4, CLASSES["r_center"], [0.1, 1e-12, 1e-14], QUAD)
+        assert "1.000e-12" in str(info.value)
+        # the first 4^k multiple whose fine spacing is within the width 1e-6
+        suggested = info.value.suggested_resolution
+        assert suggested == QUAD.resolution * 4 ** 7
+        assert 2 * suggested * 1e-6 >= 1 > 2 * (suggested // 4) * 1e-6
+        # the width is taken along the Gram matrix's stiffest direction: for
+        # [[4, 2], [2, 10]], sqrt(4e-4 / 10.61) is below the fine spacing 1/128
+        # and sqrt(4e-4 / 3.39) is not
+        oblique = make_p2([[2, 1], [0, 3]])
+        cls = {c.label: c for c in cryst_fixed_classes(oblique.group)}["r_center"]
+        with pytest.raises(ResolutionError, match="below the grid"):
+            heat_traces(oblique, cls, [4e-4], QUAD)
+
+    def test_time_between_grid_spacings_left_to_richardson(self):
+        # sqrt(1e-4) lies between the fine spacing 1/128 and the coarse 1/64:
+        # the fine grid resolves the Gaussian, and |fine - coarse| measures
+        # what the coarse one misses
+        with pytest.raises(ResolutionError, match="quadrature error estimate"):
+            heat_traces(P4, CLASSES["r_center"], [1e-4], QUAD)
+
     def test_error_estimate_gates_values_near_zero(self, monkeypatch):
         # coarse 2 tol and fine tol/2 extrapolate to 0 with error estimate 1.5 tol
         tol = QUAD.tolerance
@@ -186,8 +220,6 @@ class TestHeatTrace:
 def _cutoff_grid_windowed(cutoff, gx, gy):
     """Reference smooth cut-off: the periodized denominator summed over every
     lattice shift in a window around the points."""
-    from orbindex.groups import mat_inv
-
     group = cutoff.group
     num = _bump_np(gx) * _bump_np(gy)
     total = np.zeros_like(gx)
@@ -206,13 +238,127 @@ def _cutoff_grid_windowed(cutoff, gx, gy):
 def test_periodized_smooth_cutoff_matches_window_sum():
     rng = np.random.default_rng(3)
     gx, gy = rng.uniform(-1.5, 2.5, size=(2, 40, 40))
-    for model in (P4, wallpaper_model(
-            CrystGroup([[2, 1], [0, 3]], [AffineIsometry.of(((-1, 0), (0, -1)), (0, 0)),
-                                          AffineIsometry.of(((1, 0), (0, 1)), (1, 0))]),
-            "p2_lattice")):
+    for model in (P4, make_p2([[2, 1], [0, 3]])):
         cutoff = build_cutoff(model, "smooth")
         want = _cutoff_grid_windowed(cutoff, gx, gy)
         assert np.max(np.abs(cutoff.grid(gx, gy) - want)) < 1e-14
+
+
+# p2/p4 models on the unit lattice and on lattices with a non-scalar Gram
+# matrix ([[2, 1], [0, 3]]) or a larger one ([[2, -2], [2, 2]], 8 I); p4 does
+# not preserve the Gram matrix of [[2, 1], [0, 3]]
+BOX_MODELS = (P4, make_p4([[2, -2], [2, 2]]), make_p2(), make_p2([[2, 1], [0, 3]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(BOX_MODELS), kind=st.sampled_from(["indicator", "smooth"]),
+       data=st.data())
+def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
+    group = model.group
+    shift = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    members = []
+    for a, (m, k) in data.draw(st.lists(st.tuples(st.sampled_from(group.point_parts), shift),
+                                        min_size=1, max_size=6)):
+        s = group.coset_vectors[a]
+        members.append(AffineIsometry.of(a, (s[0] + m, s[1] + k)))
+    cutoff = build_cutoff(model, kind)
+    lo, hi = cutoff.support
+    got = heat._box_min_d2(heat._d2_coefficients(cutoff, members), lo, hi)
+    g = group.gram
+    gf = np.array(g, dtype=float)
+    xs = np.linspace(lo, hi, 241)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    for h, d2_min in zip(members, got):
+        a, b = h.point_part, h.translation
+        if a == IDENTITY_MAT:
+            # a translation's d^2 is the constant |b|^2_G
+            exact = sum(b[i] * g[i][j] * b[j] for i in range(2) for j in range(2))
+            assert d2_min == float(exact)
+            continue
+        # the rotation centre (I - A)^{-1} b, exactly
+        m = mat_inv(mat_sub(IDENTITY_MAT, a))
+        centre = [m[i][0] * b[0] + m[i][1] * b[1] for i in range(2)]
+        if all(lo <= c <= hi for c in centre):
+            assert d2_min == 0.0
+        dx = (a[0][0] - 1) * gx + a[0][1] * gy + float(b[0])
+        dy = a[1][0] * gx + (a[1][1] - 1) * gy + float(b[1])
+        grid_min = float(np.min(gf[0, 0] * dx * dx + 2 * gf[0, 1] * dx * dy
+                                + gf[1, 1] * dy * dy))
+        assert 0.0 <= d2_min <= grid_min * (1 + 1e-12) + 1e-12
+
+
+def _heat_traces_unpruned(model, cls, ts, quad, cutoff):
+    """Reference heat traces: every member in the truncation ball, each over
+    the whole grid of both resolutions, Richardson as in heat_traces."""
+    g = model.group.gram
+    gf = np.array(g, dtype=float)
+    vol = math.sqrt(float(abs(mat_det(g))))
+    lo, hi = cutoff.support
+    members = [(h, heat._supertrace_factor(model, h.point_part))
+               for h in cls.members_in_ball(quad.truncation_radius)]
+
+    def midpoint_sums(n_per_unit):
+        n = int(round((hi - lo) * n_per_unit))
+        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+        c = cutoff.grid(gx, gy)
+        sums = np.zeros(len(ts), dtype=complex)
+        for h, tau in members:
+            a, b = h.point_part, h.translation
+            dx = (a[0][0] - 1) * gx + a[0][1] * gy + float(b[0])
+            dy = a[1][0] * gx + (a[1][1] - 1) * gy + float(b[1])
+            d2 = gf[0, 0] * dx * dx + 2 * gf[0, 1] * dx * dy + gf[1, 1] * dy * dy
+            for k, t in enumerate(ts):
+                sums[k] += tau * np.sum(c * np.exp(-d2 / (4 * t)))
+        cell = ((hi - lo) / n) ** 2
+        return [v * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
+
+    coarse, fine = midpoint_sums(quad.resolution), midpoint_sums(2 * quad.resolution)
+    return {t: (4 * f - c) / 3 for t, c, f in zip(ts, coarse, fine)}
+
+
+THREE_T = [0.05, 0.1, 0.2]
+PRUNE_CASES = {
+    "p4_r_center_3t": (P4, "r_center", THREE_T, "indicator"),
+    "p4_r_center_smooth": (P4, "r_center", [0.1], "smooth"),
+    "p4_lattice_8I_r2_edge_3t": (make_p4([[2, -2], [2, 2]]), "r2_edge", THREE_T, "indicator"),
+    "p2_lattice_2_1_0_3_r_center_3t": (make_p2([[2, 1], [0, 3]]), "r_center", THREE_T,
+                                       "indicator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNE_CASES))
+def test_pruned_sum_matches_every_member(case):
+    model, label, ts, kind = PRUNE_CASES[case]
+    cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
+    quad = QuadratureSpec.for_model(model, max(ts), 1e-6)
+    cutoff = build_cutoff(model, kind)
+    got = heat_traces(model, cls, ts, quad, cutoff)
+    want = _heat_traces_unpruned(model, cls, ts, quad, cutoff)
+    for t in ts:
+        assert abs(got[t] - want[t]) < 1e-13, t
+
+
+@pytest.mark.parametrize("ts, kind, summed", [
+    (THREE_T, "indicator", (180, [21, 37, 69])),
+    ([0.1], "smooth", (144, [69])),
+])
+def test_members_summed_per_t(monkeypatch, ts, kind, summed):
+    # p4 r_center as the CLI runs it: the truncation ball holds 180 members
+    # for t_max = 0.2 and 144 for t_max = 0.1; each t sums only the members
+    # whose kernel reaches 2^-60 on the cut-off box, which is larger for the
+    # smooth kind
+    seen = []
+    real = heat._midpoint_sums
+
+    def spy(cutoff, coef, tau, kept, ts, n_per_unit):
+        seen.append((len(coef), kept))
+        return real(cutoff, coef, tau, kept, ts, n_per_unit)
+
+    monkeypatch.setattr(heat, "_midpoint_sums", spy)
+    quad = QuadratureSpec.for_model(P4, max(ts), 1e-6)
+    heat_traces(P4, CLASSES["r_center"], ts, quad, build_cutoff(P4, kind))
+    assert seen == [summed, summed]
 
 
 class TestMcKeanSinger:

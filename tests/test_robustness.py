@@ -160,6 +160,16 @@ class TestCliErrorBranches:
         assert code == 2
         assert "error: quadrature error estimate" in capsys.readouterr().err
 
+    def test_heat_time_below_grid_exits_two(self, capsys):
+        # the Gaussian falls between the midpoints of both grids: refused
+        # before any sum, not reported as a resolved 0
+        out = io.StringIO()
+        code = run_command(["heat", str(FIXTURE_DIR / "p4.json"),
+                            "--class", "r_center", "--t", "1e-12"], out)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith("error: heat time 1.000e-12 is below the grid")
+
     @pytest.mark.parametrize("option, value", [
         ("--t", ""), ("--t", "abc"), ("--t", "0"), ("--t", "-0.1"), ("--t", "0.1,nan"),
         ("--t", "nan"), ("--t", "inf"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
