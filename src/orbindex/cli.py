@@ -81,6 +81,18 @@ def _lattice(value, path: str, errors: list[str]) -> list[list[Fraction]]:
     return rows
 
 
+def _check_area(action, path: str, errors: list[str]) -> None:
+    """Reject an action whose area is not a finite positive float: every
+    command reads the area, or the Gram matrix behind it, as floats."""
+    try:
+        ok = 0 < action.area < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        errors.append(f"{path}: the area is not a finite positive float")
+        raise ModelValidationError(errors)
+
+
 def _check_fields(block: dict, allowed: set, path: str, errors: list[str]) -> None:
     for key in block:
         if key not in allowed:
@@ -197,6 +209,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if errors:
                 raise ModelValidationError(errors)
             action = CrystGroup(lattice, gens)
+            _check_area(action, "$.group.lattice", errors)
         elif akind == "torus":
             _check_fields(ambient_block, {"kind", "lattice"}, "$.ambient", errors)
             _check_fields(group_block, {"kind", "generators"}, "$.group", errors)
@@ -210,6 +223,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                 raise ModelValidationError(errors)
             basis = mat(lattice)
             action = TorusAction(gens, mat_mul(mat_transpose(basis), basis))
+            _check_area(action, "$.ambient.lattice", errors)
         elif akind == "sphere":
             _check_fields(ambient_block, {"kind", "radius"}, "$.ambient", errors)
             _check_fields(group_block, {"kind", "order"}, "$.group", errors)
@@ -227,6 +241,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             if errors:
                 raise ModelValidationError(errors)
             action = SphereRotationAction(order, radius)
+            _check_area(action, "$.ambient.radius", errors)
         else:
             errors.append(f"$.ambient.kind: unknown ambient {akind!r}")
             raise ModelValidationError(errors)

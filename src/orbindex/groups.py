@@ -337,6 +337,10 @@ class CrystGroup:
     def point_group_order(self) -> int:
         return len(self.point_parts)
 
+    @property
+    def area(self) -> float:
+        return float(abs(mat_det(self.lattice_basis)))
+
     def contains(self, g: AffineIsometry) -> bool:
         s = self.coset_vectors.get(g.point_part)
         return s is not None and vec_frac(g.translation) == s

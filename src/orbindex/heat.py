@@ -69,12 +69,19 @@ class QuadratureSpec:
 
 
 def _gram_eigs(model: QuotientModel) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the lattice Gram matrix."""
+    """Smallest and largest eigenvalue of the lattice Gram matrix, or a
+    DomainError when they are not finite positive floats."""
     g = model.group.gram
-    a, b, c = float(g[0][0]), float(g[0][1]), float(g[1][1])
+    try:
+        a, b, c = float(g[0][0]), float(g[0][1]), float(g[1][1])
+    except OverflowError:
+        a = b = c = math.inf
     tr, det = a + c, a * c - b * b
     root = math.sqrt(max(tr * tr - 4 * det, 0.0))
-    return (tr - root) / 2, (tr + root) / 2
+    lo, hi = (tr - root) / 2, (tr + root) / 2
+    if not 0 < lo <= hi < math.inf:
+        raise DomainError("heat needs a lattice whose Gram eigenvalues are finite positive floats")
+    return lo, hi
 
 
 def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
@@ -275,8 +282,9 @@ def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, ke
     KERNEL_FLOOR on the whole box, so the omitted total is below
     N max|tau| KERNEL_FLOOR vol sum(c) cell / (4 pi t) for N members.  The
     grid is walked in row blocks of at most HEAT_BLOCK points, with the
-    cut-off evaluated once per block, and the members in chunks so that no
-    member x point array exceeds HEAT_BLOCK entries; a chunk's d^2 is formed
+    cut-off evaluated once per block on its axis vectors (the rows as a
+    column, the axis as a row), and the members in chunks so that no member
+    x point array exceeds HEAT_BLOCK entries; a chunk's d^2 is formed
     only while some t still needs it, once, and shared by every such t.
     """
     lo, hi = cutoff.support
@@ -286,9 +294,9 @@ def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, ke
     sums = np.zeros(len(ts), dtype=complex)
     rows = max(1, HEAT_BLOCK // n)
     for r0 in range(0, n, rows):
-        gx, gy = np.meshgrid(xs[r0:r0 + rows], xs, indexing="ij")
-        cvals = cutoff.grid(gx, gy).ravel()
-        gx, gy = gx.ravel(), gy.ravel()
+        col, row = xs[r0:r0 + rows, None], xs[None, :]
+        cvals = cutoff.grid(col, row).ravel()
+        gx, gy = (g.ravel() for g in np.broadcast_arrays(col, row))
         monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
                               2 * gx * gy, 2 * gx, 2 * gy])
         chunk = max(1, HEAT_BLOCK // gx.size)

@@ -307,7 +307,8 @@ class CutoffFunction:
         return float(self.grid(np.array([float(x[0])]), np.array([float(x[1])]))[0])
 
     def grid(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """c at arrays of float points: the one float evaluator of both
+        """c at the points of two broadcastable float arrays, such as an axis
+        column and an axis row: the one float evaluator of both
         crystallographic kinds."""
         group: CrystGroup = self.group
         if self.kind == "indicator":
@@ -318,15 +319,17 @@ class CutoffFunction:
         # bump is supported on (-1, 2), so its lattice periodization at u is
         # bump(f - 1) + bump(f) + bump(f + 1), f = u - floor(u)
         num = _bump_np(gx) * _bump_np(gy)
-        total = np.zeros_like(gx)
-        for a in group.point_parts:
-            ainv = mat_inv(a)
-            s = group.coset_vectors[a]
-            vx, vy = gx - float(s[0]), gy - float(s[1])
-            bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
-            by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
-            total += _periodized_bump(bx) * _periodized_bump(by)
+        preimages = (self._preimage(a, gx, gy) for a in group.point_parts)
+        total = sum(_periodized_bump(bx) * _periodized_bump(by) for bx, by in preimages)
         return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
+
+    def _preimage(self, a: Mat, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+        """b = A^{-1}(x - s_A) without the terms whose coefficient is 0: exact,
+        as each is +-0.0, and a coordinate that depends on one axis stays a
+        vector along it, so on p2 and p4 every bump runs on axis vectors."""
+        s = self.group.coset_vectors[a]
+        v = (xs - float(s[0]), ys - float(s[1]))
+        return [sum(float(c) * vi for c, vi in zip(row, v) if c != 0) for row in mat_inv(a)]
 
     def partition_residual(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """|sum_g c(g^{-1} x) - 1| at arrays of float points.
@@ -340,11 +343,7 @@ class CutoffFunction:
         lo, hi = self.support
         total = np.zeros_like(xs, dtype=float)
         for a in group.point_parts:
-            ainv = mat_inv(a)
-            s = group.coset_vectors[a]
-            vx, vy = xs - float(s[0]), ys - float(s[1])
-            bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
-            by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
+            bx, by = self._preimage(a, xs, ys)
             for m in range(math.floor(bx.min()) - hi + 1, math.floor(bx.max()) - lo + 1):
                 for k in range(math.floor(by.min()) - hi + 1, math.floor(by.max()) - lo + 1):
                     zx, zy = bx - m, by - k
@@ -462,9 +461,7 @@ def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
         geo = FullComponentGeometry(2, group.area, "sphere", tangent_chern=2,
                                     local_group_order=order)
     else:
-        area = group.area if isinstance(group, TorusAction) else \
-            float(abs(mat_det(group.lattice_basis)))
-        geo = FullComponentGeometry(2, area, "flat", local_group_order=order)
+        geo = FullComponentGeometry(2, group.area, "flat", local_group_order=order)
     data = fiber_eigendata(Fraction(0), model.bundle)
     return SectorComponent(handle, "full", geo, None, order, data)
 

@@ -11,7 +11,7 @@ from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
 from orbindex.engine import localized_index
 from orbindex.groups import IDENTITY_MAT, AffineIsometry, CrystGroup, mat_det, mat_inv, mat_sub
-from orbindex import heat
+from orbindex import heat, sectors
 from orbindex.heat import (
     QuadratureSpec,
     class_sum_tail_bound,
@@ -242,6 +242,80 @@ def test_periodized_smooth_cutoff_matches_window_sum():
         cutoff = build_cutoff(model, "smooth")
         want = _cutoff_grid_windowed(cutoff, gx, gy)
         assert np.max(np.abs(cutoff.grid(gx, gy) - want)) < 1e-14
+
+
+def _cutoff_grid_full(cutoff, gx, gy):
+    """Reference smooth cut-off: every coefficient of A^{-1} applied, zeros
+    included, at equal-shape arrays of points."""
+    group = cutoff.group
+    num = _bump_np(gx) * _bump_np(gy)
+    total = np.zeros_like(gx)
+    for a in group.point_parts:
+        ainv = mat_inv(a)
+        s = group.coset_vectors[a]
+        vx, vy = gx - float(s[0]), gy - float(s[1])
+        bx = float(ainv[0][0]) * vx + float(ainv[0][1]) * vy
+        by = float(ainv[1][0]) * vx + float(ainv[1][1]) * vy
+        total += sectors._periodized_bump(bx) * sectors._periodized_bump(by)
+    return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
+
+
+# p4 on a sheared basis of the unit lattice: its quarter turn's inverse
+# [[1, 2], [-1, -1]] mixes the two axes
+SHEARED_P4 = wallpaper_model(CrystGroup(
+    [[1, 1], [0, 1]], [AffineIsometry.of(((-1, -2), (1, 1)), (0, 0)),
+                       AffineIsometry.of(((1, 0), (0, 1)), (1, 0))]), "p4_sheared")
+GRID_MODELS = {
+    "p4": P4,
+    "p2": make_p2(),
+    "p4_lattice_8I": make_p4([[2, -2], [2, 2]]),
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_sheared": SHEARED_P4,
+}
+
+
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_grid_on_axes_equals_grid_on_points(name, kind):
+    # an axis column times an axis row gives the same bits as the flattened
+    # meshgrid, midpoints and quarter points on and beyond the box alike
+    cutoff = build_cutoff(GRID_MODELS[name], kind)
+    lo, hi = cutoff.support
+    xs = np.concatenate([lo + (hi - lo) * (np.arange(60) + 0.5) / 60,
+                         np.linspace(lo - 0.25, hi + 0.25, 4 * (hi - lo) + 3)])
+    ys = xs[::-1] + 1 / 7
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    on_axes = cutoff.grid(xs[:, None], ys[None, :])
+    on_points = cutoff.grid(gx.ravel(), gy.ravel())
+    assert on_axes.shape == gx.shape
+    assert np.array_equal(on_axes.ravel(), on_points)
+    if kind == "smooth":
+        assert np.array_equal(on_points, _cutoff_grid_full(cutoff, gx.ravel(), gy.ravel()))
+
+
+def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
+    # p4 r_center as `heat --t 0.1 --cutoff smooth` runs it: per row block,
+    # 2 bumps for the numerator and 3 per coordinate per point part, each on
+    # at most one axis of n grid points, never on the rows x n block
+    seen = []
+    real_sums, real_bump = heat._midpoint_sums, sectors._bump_np
+
+    def sums_spy(cutoff, coef, tau, kept, ts, n_per_unit):
+        seen.append((3 * n_per_unit, []))
+        return real_sums(cutoff, coef, tau, kept, ts, n_per_unit)
+
+    def bump_spy(u):
+        seen[-1][1].append(u.size)
+        return real_bump(u)
+
+    monkeypatch.setattr(heat, "_midpoint_sums", sums_spy)
+    monkeypatch.setattr(sectors, "_bump_np", bump_spy)
+    heat_traces(P4, CLASSES["r_center"], [0.1], QUAD, build_cutoff(P4, "smooth"))
+    assert [n for n, _ in seen] == [3 * QUAD.resolution, 6 * QUAD.resolution]
+    for n, sizes in seen:
+        blocks = -(-n // (heat.HEAT_BLOCK // n))
+        assert len(sizes) == (2 + 4 * 2 * 3) * blocks
+        assert max(sizes) <= n
 
 
 # p2/p4 models on the unit lattice and on lattices with a non-scalar Gram

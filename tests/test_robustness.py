@@ -1,20 +1,26 @@
 """Off-catalogue stress checks: oblique lattices, larger cyclotomic fields,
 affine torus actions, CLI error branches."""
 
+import contextlib
+import copy
 import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from orbindex.cli import FIXTURE_DIR, run_command
+from orbindex.cli import FIXTURE_DIR, load_model, model_classes, run_command
 from orbindex.errors import OrbindexError
-from orbindex.exactnum import Cyclo
+from orbindex.exactnum import Cyclo, Scalars
 from orbindex.engine import (
     equivariant_lefschetz,
     finite_assembly,
     kawasaki_index,
+    localized_index,
     scalars_for_model,
     sum_identity,
 )
@@ -67,6 +73,30 @@ class TestObliqueLattices:
         orb = orbital_integral_euclidean(model, cls, 0.1, quad)
         trace = g_heat_trace(model, cls, 0.1, quad)
         assert abs(orb - trace) < 1e-6
+
+
+    @pytest.mark.parametrize("kind", ["indicator", "smooth"])
+    def test_heat_on_sheared_p4_matches_localized(self, tmp_path, kind):
+        # p4 on a sheared basis of the unit lattice, whose quarter turn's
+        # inverse mixes the two axes, so the smooth cut-off takes its 2-D
+        # path: every rotation class resolves at t = 0.1
+        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
+        doc["group"]["lattice"] = [["1", "1"], ["0", "1"]]
+        doc["group"]["generators"][0]["matrix"] = [[-1, -2], [1, 1]]
+        path = tmp_path / "p4_sheared.json"
+        path.write_text(json.dumps(doc))
+        model = load_model(path)
+        classes = model_classes(model)
+        labels = sorted(label for label in classes if label != "e")
+        assert len(labels) == 7
+        for label in labels:
+            out = io.StringIO()
+            code = run_command(["heat", str(path), "--class", label, "--t", "0.1",
+                                "--cutoff", kind], out)
+            assert code == 0, label
+            (re, im), = json.loads(out.getvalue())["rows"][0]["perT"].values()
+            want = Scalars.to_complex(localized_index(model, classes[label]))
+            assert abs(complex(float(re), float(im)) - want) < 1e-9, label
 
 
 class TestLargerCyclotomicFields:
@@ -208,6 +238,15 @@ class TestCliErrorBranches:
         ("ambient", "lattice", [["1", "0"], ["2", "0"]], "$.ambient.lattice"),
         ("ambient", "radius", "0", "$.ambient.radius"),
         ("ambient", "radius", "-1", "$.ambient.radius"),
+        # an area that is not a finite positive float: the plane cell |det B|,
+        # the torus sqrt(det B^T B) and the sphere 4 pi r^2 over- or underflow
+        ("group", "lattice", [["1e160", "0"], ["0", "1e160"]], "$.group.lattice"),
+        ("group", "lattice", [["1e-200", "0"], ["0", "1e-200"]], "$.group.lattice"),
+        ("ambient", "lattice", [["1e160", "0"], ["0", "1"]], "$.ambient.lattice"),
+        ("ambient", "lattice", [["1e-400", "0"], ["0", "1"]], "$.ambient.lattice"),
+        ("ambient", "radius", "1e160", "$.ambient.radius"),
+        ("ambient", "radius", "1e400", "$.ambient.radius"),
+        ("ambient", "radius", "1e-200", "$.ambient.radius"),
     ])
     def test_malformed_field_exits_one_with_path(self, tmp_path, capsys,
                                                   block, key, value, path):
@@ -224,6 +263,22 @@ class TestCliErrorBranches:
         assert err.startswith(f"error: {model}: {path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["1e100", "1e160"])
+    def test_heat_on_a_float_unusable_gram_matrix_exits_one(self, tmp_path, capsys, entry):
+        # a unimodular basis whose Gram matrix has an entry of 1e200 or
+        # 1e320: the area is 1, but heat cannot hold the Gram eigenvalues in
+        # floats
+        doc = json.loads((FIXTURE_DIR / "p2.json").read_text())
+        doc["group"]["lattice"] = [["1", entry], ["0", "1"]]
+        model = tmp_path / "p2_skewed.json"
+        model.write_text(json.dumps(doc))
+        assert run_command(["verify", str(model)], io.StringIO()) == 0
+        out = io.StringIO()
+        assert run_command(["heat", str(model), "--class", "r_origin", "--t", "0.1"], out) == 1
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith(
+            "error: heat needs a lattice whose Gram eigenvalues are finite positive floats")
+
     def test_reflection_generator_exits_one(self, tmp_path, capsys):
         doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
         doc["group"]["generators"][0]["matrix"] = [[1, 0], [0, -1]]
@@ -239,3 +294,110 @@ class TestCliErrorBranches:
             code = run_command(["verify", str(FIXTURE_DIR / f"{name}.json")], buf)
             doc = json.loads(buf.getvalue())
             assert code == 0, (name, doc.get("verdicts"))
+
+
+# ---------------------------------------------------------------------------
+# Fuzz over model documents
+# ---------------------------------------------------------------------------
+
+FIXTURE_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))}
+
+# exact rationals, most of whose floats overflow or underflow
+EDGE_RATIONALS = ["1e400", "1e-400", "1e160", "-1e160", "1e-160", "1e100", "1e-200",
+                  "0", "-1", "1/3", "2"]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(EDGE_RATIONALS + ["1/0", "nan", "inf", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _node_paths(doc, prefix=()):
+    """The path of every node of a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _node_paths(value, prefix + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    _node(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _is_nonzero_rational(value) -> bool:
+    try:
+        return isinstance(value, str) and Fraction(value) != 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture with one or two edits.
+
+    Half of the edits put one edge rational at every nonzero exact rational
+    under some node (one lattice entry, a whole lattice scaled alike, a
+    radius), a quarter put an integer where an integer was, and a quarter
+    put an arbitrary JSON value at an arbitrary node, the root included; the
+    first two kinds keep many documents parseable, so that they reach the
+    arithmetic."""
+    doc = FIXTURE_DOCS[draw(st.sampled_from(sorted(FIXTURE_DOCS)))]
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_node_paths(doc))
+        rationals = [p for p in paths if _is_nonzero_rational(_node(doc, p))]
+        integers = [p for p in paths if type(_node(doc, p)) is int]
+        kind = draw(st.sampled_from(["rational", "rational", "integer", "any"]))
+        if kind == "rational" and rationals:
+            node = draw(st.sampled_from([p for p in paths
+                                         if any(p == q[:len(p)] for q in rationals)]))
+            value = draw(st.sampled_from(EDGE_RATIONALS))
+            for path in rationals:
+                if path[:len(node)] == node:
+                    doc = _replaced(doc, path, value)
+        elif kind == "integer" and integers:
+            doc = _replaced(doc, draw(st.sampled_from(integers)), draw(st.integers(-1000, 1000)))
+        else:
+            doc = _replaced(doc, draw(st.sampled_from(paths)), draw(JSON_VALUES))
+    return doc
+
+
+def _lattice_doc(name, block, lattice):
+    return _replaced(FIXTURE_DOCS[name], (block, "lattice"), lattice)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_documents())
+# areas or Gram matrices whose floats over- or underflow
+@example(doc=_replaced(FIXTURE_DOCS["s2_z3_o7"], ("ambient", "radius"), "1e160"))
+@example(doc=_lattice_doc("p4", "group", [["1e160", "0"], ["0", "1e160"]]))
+@example(doc=_lattice_doc("p4", "group", [["1e-200", "0"], ["0", "1e-200"]]))
+@example(doc=_lattice_doc("p2", "group", [["1", "1e100"], ["0", "1"]]))
+@example(doc=_lattice_doc("t2_z2", "ambient", [["1e160", "0"], ["0", "1"]]))
+def test_any_model_document_exits_zero_one_or_two(doc):
+    # classes, verify and a one-t heat on the first rotation class each exit
+    # 0, 1 or 2, and none raises
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        path = str(Path(tmp) / "model.json")
+        Path(path).write_text(json.dumps(doc))
+        out = io.StringIO()
+        code = run_command(["classes", path], out)
+        assert code in (0, 1)
+        labels = [row["label"] for row in json.loads(out.getvalue())["rows"]] if code == 0 else []
+        label = next((x for x in labels if x != "e"), "e")
+        assert run_command(["verify", path], io.StringIO()) in (0, 1, 2)
+        assert run_command(["heat", path, "--class", label, "--t", "0.1"],
+                           io.StringIO()) in (0, 1, 2)
