@@ -423,7 +423,7 @@ def cmd_heat(model: QuotientModel, label: str, t_list: list[float], tol: float,
     # McKean-Singer at t0 reuses the t0 trace of the pass above
     index = engine.localized_index(model, handle)
     ms_residual = abs(trace.per_t[t_list[0]] - Scalars.to_complex(index))
-    orbital = heat.orbital_integral_euclidean(model, handle, t_list[0], quad)
+    orbital = heat.orbital_integral_euclidean(model, handle, t_list[0])
     orb_residual = abs(orbital - trace.per_t[t_list[0]])
     report = base_report(model, f"heat --class {label}", cutoff_kind)
     report["rows"] = [{

@@ -11,7 +11,9 @@ minimum of |hx - x|^2 over the box, so the skip rests on a bound, not on
 sampling, and depends on the spec and t alone.  A t whose Gaussian is
 narrower than the fine grid's spacing, and a quadrature whose Richardson
 error estimate |fine - coarse| exceeds the tolerance, raise, whatever the
-size of the value.
+size of the value.  The Euclidean orbital integral a class's trace is
+compared with needs no quadrature: for a rotation class it is the closed
+form tau(A) / (|Z_Gamma(g)| det(I - A)), the same at every t.
 """
 
 from __future__ import annotations
@@ -346,14 +348,18 @@ def mckean_singer_compare(model: QuotientModel, cls: ConjugacyClassHandle,
 # ---------------------------------------------------------------------------
 
 def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
-                               t: float, quad: QuadratureSpec) -> complex:
+                               t: float) -> complex:
     """vol(Z_G(g)/Z_Gamma(g)) times the integral of the kernel over the
     conjugation orbit, in the Lebesgue-times-counting Haar normalization.
 
     For a rotation class the coset space is parametrized by the rotation
-    center; for translations it is the compact rotation factor, where the
-    graded fiber character kills the integrand; for the identity it is the
-    quotient volume times the supertrace of the kernel at the origin.
+    center u, and the integral is exact: h_u(0) = (I - A) u, so
+    vol (4 pi t)^-1 int exp(-|(I - A) u|^2_G / 4t) du = 1 / det(I - A) and
+    the value is tau(A) / (|Z_Gamma(g)| det(I - A)) at every t (the Gaussian
+    integral behind Atiyah-Bott).  For translations it is the compact
+    rotation factor, where the graded fiber character kills the integrand;
+    for the identity it is the quotient volume times the supertrace of the
+    kernel at the origin.
     """
     if t <= 0:
         raise DomainError("heat time must be positive")
@@ -361,10 +367,9 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
         raise StructuralError("orbital integrals need a crystallographic plane model")
     group = model.group
     g = cls.representative
-    covol = math.sqrt(float(abs(mat_det(group.gram))))
 
     if g.is_identity:
-        vol = covol / group.point_group_order
+        vol = math.sqrt(float(abs(mat_det(group.gram)))) / group.point_group_order
         return vol * _supertrace_factor(model, g.point_part) / (4 * math.pi * t)
 
     if g.is_translation:
@@ -373,22 +378,8 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
         # vanishes
         return 0j
 
-    # rotation class: integrate over centers u, weight 1/|Z_Gamma(g)|, the
-    # local group order of the class's sector component
+    # rotation class: weight 1/|Z_Gamma(g)|, the local group order of the
+    # class's sector component; det(I - A) is an integer, 1 to 4
     zq = class_components(model, cls)[0].local_group_order
-    tau = _supertrace_factor(model, g.point_part)
-    radius = float(quad.truncation_radius)
-    n = 2 * quad.resolution
-    xs = -radius + 2 * radius * (np.arange(n) + 0.5) / n
-    ux, uy = np.meshgrid(xs, xs, indexing="ij")
-    # h_u(0) = (I - R) u for the rotation R about center u
-    a = g.point_part
-    dx = (1 - float(a[0][0])) * ux - float(a[0][1]) * uy
-    dy = -float(a[1][0]) * ux + (1 - float(a[1][1])) * uy
-    gm = group.gram
-    d2 = (float(gm[0][0]) * dx * dx + 2 * float(gm[0][1]) * dx * dy
-          + float(gm[1][1]) * dy * dy)
-    vol = math.sqrt(float(abs(mat_det(gm))))
-    integral = float(np.sum(np.exp(-d2 / (4 * t)))) / (4 * math.pi * t) \
-        * (2 * radius / n) ** 2 * vol
-    return tau * integral / zq
+    det = mat_det(mat_sub(IDENTITY_MAT, g.point_part))
+    return _supertrace_factor(model, g.point_part) / (zq * det)

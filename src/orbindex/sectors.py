@@ -659,7 +659,9 @@ def _cryst_classes(group: CrystGroup) \
 
 
 def translation_class(group: CrystGroup, t: Vec) -> ConjugacyClassHandle:
-    """The (finite) conjugacy class of a lattice translation."""
+    """The (finite) conjugacy class of a nonzero lattice translation."""
+    if not any(t):
+        raise StructuralError("the zero translation is the identity, whose class is e")
     rep = group.element(IDENTITY_MAT, t)
     label = f"t{t[0]}_{t[1]}".replace("/", "d")
     return ConjugacyClassHandle(group=group, representative=rep,

@@ -162,7 +162,7 @@ def test_acceptance_4_heat_verification():
         trace = t_independence(model, cls, [0.05, 0.1, 0.2], quad)
         ind = Scalars.to_complex(localized_index(model, cls))
         match_ok = all(abs(v - ind) < 1e-6 for v in trace.per_t.values())
-        orbital = orbital_integral_euclidean(model, cls, 0.05, quad)
+        orbital = orbital_integral_euclidean(model, cls, 0.05)
         orb_ok = abs(orbital - trace.per_t[0.05]) < 1e-6
         ok = ok and match_ok and orb_ok and trace.max_t_variation < 1e-6
     elapsed = time.perf_counter() - start

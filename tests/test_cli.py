@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from orbindex import heat
 from orbindex.cli import (
     FIXTURE_DIR,
     ModelValidationError,
@@ -218,6 +219,29 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "r2_edge" in err
+
+    @pytest.mark.parametrize("command", ["localized", "heat"])
+    @pytest.mark.parametrize("label", ["t0_0", "t-0_0"])
+    def test_zero_translation_is_an_unknown_label(self, capsys, command, label):
+        # the zero translation is the identity, whose class is e
+        code, _, text = run([command, str(FIXTURE_DIR / "p4.json"), "--class", label])
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"unknown class label {label!r}; valid labels: " in err
+        assert "missing from the sector list" not in err
+
+    def test_wrong_orbital_integral_fails_heat(self, monkeypatch):
+        exact = heat.orbital_integral_euclidean
+
+        def off_by_1e3(model, cls, t):
+            return exact(model, cls, t) + 1e-3
+
+        monkeypatch.setattr(heat, "orbital_integral_euclidean", off_by_1e3)
+        code, doc, _ = run(["heat", str(FIXTURE_DIR / "p4.json"), "--class", "r2_edge"])
+        assert code == 2
+        assert doc["verdicts"]["pass"] is False
+        assert abs(float(doc["rows"][0]["orbitalIntegralResidual"]) - 1e-3) < 1e-12
 
     def test_missing_file(self):
         code, _, _ = run(["verify", "/no/such/model.json"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbindex.cli import FIXTURE_DIR, load_model
 from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
 from orbindex.engine import localized_index
@@ -53,7 +54,7 @@ QUAD = QuadratureSpec.for_model(P4, t_max=0.2, tolerance=1e-6)
 class TestKernel:
     def test_nonpositive_time_rejected(self):
         with pytest.raises(DomainError):
-            orbital_integral_euclidean(P4, CLASSES["r_origin"], 0.0, QUAD)
+            orbital_integral_euclidean(P4, CLASSES["r_origin"], 0.0)
 
     def test_torus_model_rejected(self):
         from orbindex.sectors import square_torus_rotation_model
@@ -451,20 +452,43 @@ class TestOrbitalIntegral:
     def test_rotation_matches_heat_trace(self):
         for label in ("r_origin", "r2_edge", "r2_origin"):
             cls = CLASSES[label]
-            orb = orbital_integral_euclidean(P4, cls, 0.1, QUAD)
+            orb = orbital_integral_euclidean(P4, cls, 0.1)
             trace = g_heat_trace(P4, cls, 0.1, QUAD)
-            assert abs(orb - trace) < 1e-6
+            assert abs(orb - trace) < 1e-12
 
     def test_identity_vanishes(self):
-        assert abs(orbital_integral_euclidean(P4, CLASSES["e"], 0.1, QUAD)) < 1e-12
+        assert abs(orbital_integral_euclidean(P4, CLASSES["e"], 0.1)) < 1e-12
 
     def test_translation_vanishes(self):
         cls = translation_class(P4.group, (Fraction(1), Fraction(0)))
-        assert abs(orbital_integral_euclidean(P4, cls, 0.1, QUAD)) < 1e-12
+        assert abs(orbital_integral_euclidean(P4, cls, 0.1)) < 1e-12
 
     def test_equality_under_both_cutoff_kinds(self):
         smooth = build_cutoff(P4, "smooth")
         cls = CLASSES["r_origin"]
-        orb = orbital_integral_euclidean(P4, cls, 0.1, QUAD)
-        assert abs(orb - g_heat_trace(P4, cls, 0.1, QUAD)) < 1e-6
-        assert abs(orb - g_heat_trace(P4, cls, 0.1, QUAD, cutoff=smooth)) < 1e-6
+        orb = orbital_integral_euclidean(P4, cls, 0.1)
+        assert abs(orb - g_heat_trace(P4, cls, 0.1, QUAD)) < 1e-12
+        assert abs(orb - g_heat_trace(P4, cls, 0.1, QUAD, cutoff=smooth)) < 1e-12
+
+
+CLOSED_FORM_MODELS = {
+    "p4_lattice_3I": make_p4([[3, 0], [0, 3]]),
+    "p4_lattice_2_-1_1_2": make_p4([[2, -1], [1, 2]]),
+    "p2_lattice_2_0_0_3": make_p2([[2, 0], [0, 3]]),
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_sheared": SHEARED_P4,
+}
+
+
+@pytest.mark.parametrize("name", ["p4", "p2", "p4_spinc"] + sorted(CLOSED_FORM_MODELS))
+def test_orbital_integral_is_the_localized_index_at_every_t(name):
+    # tau(A) / (|Z_Gamma(g)| det(I - A)) shares no code with the sector sum,
+    # and holds from a Gaussian far below any grid to one far wider than the cell
+    model = CLOSED_FORM_MODELS.get(name) or load_model(FIXTURE_DIR / f"{name}.json")
+    rotations = [c.class_handle for c in model.sectors
+                 if not c.class_handle.representative.is_identity]
+    assert rotations
+    for cls in rotations:
+        want = Scalars.to_complex(localized_index(model, cls))
+        for t in (1e-12, 0.1, 1e3):
+            assert abs(orbital_integral_euclidean(model, cls, t) - want) < 1e-15, (cls.label, t)

@@ -70,33 +70,54 @@ class TestObliqueLattices:
         classes = {c.label: c for c in cryst_fixed_classes(model.group)}
         quad = QuadratureSpec.for_model(model, 0.1, 1e-6)
         cls = classes["r_origin"]
-        orb = orbital_integral_euclidean(model, cls, 0.1, quad)
+        orb = orbital_integral_euclidean(model, cls, 0.1)
         trace = g_heat_trace(model, cls, 0.1, quad)
-        assert abs(orb - trace) < 1e-6
+        assert abs(orb - trace) < 1e-12
 
 
-    @pytest.mark.parametrize("kind", ["indicator", "smooth"])
-    def test_heat_on_sheared_p4_matches_localized(self, tmp_path, kind):
+    @staticmethod
+    def _heat_matches_localized(path, t_values, kind, n_rotations):
+        # every rotation class passes heat, each perT within 1e-9 of localized
+        model = load_model(path)
+        classes = model_classes(model)
+        labels = sorted(label for label in classes if label != "e")
+        assert len(labels) == n_rotations
+        for label in labels:
+            out = io.StringIO()
+            code = run_command(["heat", str(path), "--class", label, "--t", t_values,
+                                "--cutoff", kind], out)
+            assert code == 0, label
+            want = Scalars.to_complex(localized_index(model, classes[label]))
+            for re, im in json.loads(out.getvalue())["rows"][0]["perT"].values():
+                assert abs(complex(float(re), float(im)) - want) < 1e-9, label
+
+    @pytest.mark.parametrize("kind,t_values", [
+        pytest.param("indicator", "0.1", id="indicator"),
+        pytest.param("smooth", "0.1", id="smooth"),
+        pytest.param("indicator", "0.02", id="indicator-0.02"),
+        pytest.param("indicator", "0.05,0.1,0.2", id="indicator-three_t"),
+    ])
+    def test_heat_on_sheared_p4_matches_localized(self, tmp_path, kind, t_values):
         # p4 on a sheared basis of the unit lattice, whose quarter turn's
-        # inverse mixes the two axes, so the smooth cut-off takes its 2-D
-        # path: every rotation class resolves at t = 0.1
+        # inverse mixes the two axes, so the smooth cut-off takes its 2-D path
         doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
         doc["group"]["lattice"] = [["1", "1"], ["0", "1"]]
         doc["group"]["generators"][0]["matrix"] = [[-1, -2], [1, 1]]
         path = tmp_path / "p4_sheared.json"
         path.write_text(json.dumps(doc))
-        model = load_model(path)
-        classes = model_classes(model)
-        labels = sorted(label for label in classes if label != "e")
-        assert len(labels) == 7
-        for label in labels:
-            out = io.StringIO()
-            code = run_command(["heat", str(path), "--class", label, "--t", "0.1",
-                                "--cutoff", kind], out)
-            assert code == 0, label
-            (re, im), = json.loads(out.getvalue())["rows"][0]["perT"].values()
-            want = Scalars.to_complex(localized_index(model, classes[label]))
-            assert abs(complex(float(re), float(im)) - want) < 1e-9, label
+        self._heat_matches_localized(path, t_values, kind, 7)
+
+    @pytest.mark.parametrize("name,lattice,n_rotations", [
+        ("p4", [["3", "0"], ["0", "3"]], 7),
+        ("p2", [["2", "0"], ["0", "3"]], 4),
+    ])
+    def test_heat_on_large_lattices_matches_localized(self, tmp_path, name, lattice,
+                                                      n_rotations):
+        doc = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+        doc["group"]["lattice"] = lattice
+        path = tmp_path / f"{name}_large.json"
+        path.write_text(json.dumps(doc))
+        self._heat_matches_localized(path, "0.05,0.1,0.2", "indicator", n_rotations)
 
 
 class TestLargerCyclotomicFields:
