@@ -9,6 +9,7 @@ so a fixed input yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -529,7 +530,9 @@ def _t_list(text: str) -> list[float]:
     return ts
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="orbindex",
         description="orbifold, equivariant and localized indices on quotient models")

@@ -507,21 +507,25 @@ class ConjugacyClassHandle:
         minv = mat_inv(m)
         minv_norm = max(abs(minv[0][0]) + abs(minv[0][1]),
                         abs(minv[1][0]) + abs(minv[1][1]))
+        cs = [vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
+              for b in group.point_parts]
+        # the search, its dedupe and its sort run in integers over the common
+        # denominator of the c_B; only the members returned become Fractions
+        den = math.lcm(*(x.denominator for c in cs for x in c))
+        bound = math.floor(radius * den)
+        m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
         found = set()
-        for b in group.point_parts:
-            c = vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
+        for c in cs:
             box = math.floor(minv_norm * (radius + vec_supnorm(c)))
-            # the search runs in integers scaled by a common denominator
-            den = math.lcm(c[0].denominator, c[1].denominator, radius.denominator)
-            c0, c1, bound = int(c[0] * den), int(c[1] * den), int(radius * den)
-            m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
+            c0, c1 = int(c[0] * den), int(c[1] * den)
             for l0 in range(-box, box + 1):
                 x0, y0 = c0 + m00 * l0, c1 + m10 * l0
                 for l1 in range(-box, box + 1):
                     x, y = x0 + m01 * l1, y0 + m11 * l1
                     if abs(x) <= bound and abs(y) <= bound:
-                        found.add((Fraction(x, den), Fraction(y, den)))
-        return sorted((AffineIsometry(a, tr) for tr in found), key=group._order_key)
+                        found.add((x, y))
+        return [AffineIsometry(a, (Fraction(x, den), Fraction(y, den)))
+                for x, y in sorted(found, key=lambda v: (max(abs(v[0]), abs(v[1])), v))]
 
     def coset_section(self) -> Iterator:
         """Lazily enumerate K with {k g k^{-1} : k in K} = (g), no repeats.

@@ -8,12 +8,15 @@ tail estimate, never adaptively, so reports are reproducible bit for bit for a
 fixed spec.  At each t only the members whose kernel reaches 2^-60 somewhere
 on the cut-off box are summed; whether one does is decided from the exact
 minimum of |hx - x|^2 over the box, so the skip rests on a bound, not on
-sampling, and depends on the spec and t alone.  A t whose Gaussian is
-narrower than the fine grid's spacing, and a quadrature whose Richardson
-error estimate |fine - coarse| exceeds the tolerance, raise, whatever the
-size of the value.  The Euclidean orbital integral a class's trace is
-compared with needs no quadrature: for a rotation class it is the closed
-form tau(A) / (|Z_Gamma(g)| det(I - A)), the same at every t.
+sampling, and depends on the spec and t alone.  The indicator kind takes
+Richardson's extrapolation of two midpoint sums; the smooth kind, on a grid
+the group maps onto itself, takes the finer of two sums on a grid sized by
+t, a spectrally convergent periodic midpoint rule.  A t whose Gaussian is
+narrower than the fine grid's spacing, and two sums further apart than the
+tolerance, raise, whatever the size of the value.  The Euclidean orbital
+integral a class's trace is compared with needs no quadrature: for a
+rotation class it is the closed form tau(A) / (|Z_Gamma(g)| det(I - A)),
+the same at every t.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
     |x - p| and the center norm grows linearly with the translation norm, so
     shell m contributes at most (shell count) x sup of the Gaussian.  The sum
     over shells converges super-exponentially and is evaluated to negligible
-    remainder.
+    remainder; when the terms have not decayed within 10,000 shells (t far
+    above the cell scale) the bound is inf.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -112,17 +116,15 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
     p = group.point_group_order
     pref = (4 * math.pi * t) ** -1 * 2.0 * math.sqrt(float(abs(mat_det(group.gram))))
     total = 0.0
-    m = radius + 1
-    while m < radius + 10_000:
+    for m in range(radius + 1, radius + 10_000):
         # center sup-norm >= m * opnorm_inv; distance to the unit cell >= that - 2
         d = metric * 2 * sin_min * max(m * opnorm_inv - 2.0, 0.0)
         shell_count = (8 * m + 4) * p
         term = shell_count * pref * math.exp(-d * d / (4 * t))
         total += term
         if term < 1e-300 and d > 0:
-            break
-        m += 1
-    return total
+            return total
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +160,16 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     Sums, over class members within the truncation radius, the integrals of
     c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the supertrace
     factors into the fiber eigen-character times the scalar Gaussian.
-    Members, supertrace factors, grids and cut-off values do not depend on t
-    and are built once; every t is accumulated in the same pass.  The
-    members are sorted once by the minimum d2_min of |hx - x|^2 over the
+    Members, supertrace factors and cut-off values do not depend on t and are
+    built once; the times that share a grid size are accumulated in one pass.
+    The members are sorted once by the minimum d2_min of |hx - x|^2 over the
     cut-off box, and at time t only the prefix with
-    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Richardson refinement of
-    the midpoint rule; a t whose Gaussian width sqrt(t / lambda_max(G)) is
-    below the fine grid's spacing 1 / (2 resolution) raises before any sum,
-    and an unreachable tolerance raises after, both with a suggested
-    resolution.
+    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Each t takes midpoint sums
+    S_n, S_2n at n = _grid_size per unit, valued (4 S_2n - S_n) / 3 for the
+    indicator kind and S_2n for the smooth one.  A t whose Gaussian width
+    sqrt(t / lambda_max(G)) is below the fine spacing 1 / (2 resolution)
+    raises before any sum, and |S_2n - S_n| above the tolerance after, both
+    with a suggested resolution.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -186,22 +189,56 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     order = np.argsort(d2_min, kind="stable")
     coef, d2_min = coef[order], d2_min[order]
     tau = np.array([factors[h.point_part] for h in members], dtype=complex)[order]
-    # every grid point of both resolutions lies in the box, so one count per
-    # t serves both; exp is monotone, so the kept members are a prefix
-    kept = [int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
-            for t in ts]
-    coarse = _midpoint_sums(cutoff, coef, tau, kept, ts, quad.resolution)
-    fine = _midpoint_sums(cutoff, coef, tau, kept, ts, 2 * quad.resolution)
+    # every grid point lies in the box, so one count per t serves every grid;
+    # exp is monotone, so the kept members are a prefix
+    kept = {t: int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
+            for t in ts}
+    sizes = {t: _grid_size(model, cutoff, t, quad) for t in ts}
+    sums = {}
+    for n in dict.fromkeys(sizes.values()):
+        batch = [t for t in ts if sizes[t] == n]
+        coarse, fine = (_midpoint_sums(cutoff, coef, tau, [kept[t] for t in batch], batch, m)
+                        for m in (n, 2 * n))
+        sums.update(zip(batch, zip(coarse, fine)))
     values = {}
-    for t, c, f in zip(ts, coarse, fine):
-        value = (4 * f - c) / 3
+    for t in ts:
+        c, f = sums[t]
         err = abs(f - c)
         if err > quad.tolerance:
             raise ResolutionError(
                 f"quadrature error estimate {err:.3e} exceeds tolerance",
                 suggested_resolution=4 * quad.resolution)
-        values[t] = value
+        values[t] = f if cutoff.kind == "smooth" else (4 * f - c) / 3
     return values
+
+
+# Grid sizes per unit the smooth kind chooses from, coarsest first.
+SMOOTH_GRID_SIZES = (8, 12, 16, 24, 32, 48, 64)
+
+
+def _grid_size(model: QuotientModel, cutoff: CutoffFunction, t: float,
+               quad: QuadratureSpec) -> int:
+    """Midpoint grid size per unit at t: for the smooth kind on a Gamma-invariant
+    grid, the smallest listed n with n w >= 1.4 and exp(-(pi n w)^2) <= tol/10,
+    w = sqrt(t / lambda_max(G)); else the resolution, also as a cap.  There the
+    grid sum of c F is the periodic midpoint rule of the Gamma-invariant class
+    sum F, as c is a partition of unity: the sum at n aliases F's Fourier modes
+    at n k, k != 0, which are down by exp(-(pi n w)^2), and c drops out."""
+    if cutoff.kind != "smooth":
+        return quad.resolution
+    width = math.sqrt(t / _gram_eigs(model)[1])
+    reach = max(1.4, math.sqrt(max(math.log(10 / quad.tolerance), 0.0)) / math.pi)
+    n = next((m for m in SMOOTH_GRID_SIZES if m * width >= reach), quad.resolution)
+    return n if n < quad.resolution and _grid_is_invariant(model.group, n) else quad.resolution
+
+
+def _grid_is_invariant(group: CrystGroup, n: int) -> bool:
+    """Whether the group maps the midpoints ((Z + 1/2) / n)^2 of an n per unit
+    grid onto themselves: every point part a signed permutation in the
+    lattice basis, and n s_A in Z^2 for every coset vector s_A."""
+    return all(abs(a[0][0]) + abs(a[0][1]) == 1 == abs(a[1][0]) + abs(a[1][1])
+               and (n * s[0]).denominator == 1 == (n * s[1]).denominator
+               for a, s in group.coset_vectors.items())
 
 
 def _check_grid_resolves(model: QuotientModel, ts: list, resolution: int) -> None:

@@ -42,6 +42,31 @@ def test_module_entry_point_runs_cleanly():
     assert proc.stderr == ""
 
 
+def _fresh_process(args):
+    """stdout, stderr and exit code of `python -m orbindex.cli` on args."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "orbindex.cli"] + args,
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_one_parser_serves_every_command(monkeypatch, capsys):
+    # the parser is built once per process; a parse error, help, and heat
+    # with the default and an explicit --t, run one after another in one
+    # process, print and exit as each does in a fresh one
+    monkeypatch.setenv("COLUMNS", "80")
+    p4 = str(FIXTURE_DIR / "p4.json")
+    for args in (["heat", p4, "--class", "r_center", "--t", "-1"],
+                 ["--help"],
+                 ["heat", p4, "--class", "r_center"],
+                 ["heat", p4, "--class", "r_center", "--t", "0.1"]):
+        code = run_command(args)
+        out, err = capsys.readouterr()
+        assert (out, err, code) == _fresh_process(args), args
+
+
 class TestLoading:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixtures_load(self, name):
@@ -230,6 +255,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"unknown class label {label!r}; valid labels: " in err
         assert "missing from the sector list" not in err
+
+    @pytest.mark.parametrize("t", ["1e17", "1e20"])
+    def test_heat_time_beyond_the_tail_bound_refused(self, capsys, t):
+        # the shell terms have not started to decay within the shell cap, so
+        # there is no tail bound and no radius reaches tolerance/10
+        code, _, text = run(["heat", str(FIXTURE_DIR / "p4.json"), "--class", "r_center",
+                             "--t", t])
+        assert (code, text) == (2, "")
+        assert "tail bound does not reach tolerance/10" in capsys.readouterr().err
 
     def test_wrong_orbital_integral_fails_heat(self, monkeypatch):
         exact = heat.orbital_integral_euclidean

@@ -347,6 +347,11 @@ def _enumeration_groups() -> dict:
     # non-unit lattices: Gram 5 I keeps the quarter turn, an oblique one for p2
     groups["p4_lattice"] = CrystGroup([[2, -1], [1, 2]], groups["p4"].generators)
     groups["p2_lattice"] = CrystGroup([[2, 1], [0, 3]], groups["p2"].generators)
+    # p4 on a sheared basis of the unit lattice: I - A is no multiple of a
+    # signed permutation, so members come from a mixed integer search
+    quarter = AffineIsometry.of(((-1, -2), (1, 1)), (0, 0))
+    groups["p4_sheared"] = CrystGroup([["1", "1"], ["0", "1"]],
+                                      (quarter,) + groups["p4"].generators[1:])
     return groups
 
 
@@ -380,7 +385,7 @@ class TestDirectEnumeration:
             translation_class(group, (Fraction(a), Fraction(b)))
             for a, b in ((1, 0), (1, 1), (2, 0))]
         for cls in classes:
-            for radius in range(1, 7):
+            for radius in [*range(1, 7), Fraction(5, 2), Fraction(7, 2)]:
                 want = [h for h in group.elements_in_ball(Fraction(radius))
                         if cls.contains(h)]
                 assert cls.members_in_ball(radius) == want, (cls.label, radius)

@@ -103,6 +103,12 @@ class TestQuadratureSpec:
         b2 = class_sum_tail_bound(P4, 0.2, 8)
         assert b2 < b1
 
+    @pytest.mark.parametrize("t", [1e17, 1e20])
+    def test_no_bound_when_the_shells_do_not_decay_within_the_cap(self, t):
+        # the partial sum over the first 10,000 shells is tiny at such t, but
+        # the shells have not started to decay, so it bounds nothing
+        assert class_sum_tail_bound(P4, t, 2) == math.inf
+
     def test_bound_dominates_doubling_effect(self):
         cls = CLASSES["r_origin"]
         small = QuadratureSpec(QUAD.resolution, 4, 1e-6,
@@ -294,10 +300,11 @@ def test_grid_on_axes_equals_grid_on_points(name, kind):
         assert np.array_equal(on_points, _cutoff_grid_full(cutoff, gx.ravel(), gy.ravel()))
 
 
-def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
-    # p4 r_center as `heat --t 0.1 --cutoff smooth` runs it: per row block,
-    # 2 bumps for the numerator and 3 per coordinate per point part, each on
-    # at most one axis of n grid points, never on the rows x n block
+def _smooth_bump_sizes(monkeypatch, model, label):
+    """Per midpoint sum of `heat --t 0.1 --cutoff smooth` on the class, its
+    number of grid points per axis and the sizes of the bumps it evaluates."""
+    cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
+    quad = QuadratureSpec.for_model(model, 0.1)
     seen = []
     real_sums, real_bump = heat._midpoint_sums, sectors._bump_np
 
@@ -311,12 +318,43 @@ def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
 
     monkeypatch.setattr(heat, "_midpoint_sums", sums_spy)
     monkeypatch.setattr(sectors, "_bump_np", bump_spy)
-    heat_traces(P4, CLASSES["r_center"], [0.1], QUAD, build_cutoff(P4, "smooth"))
-    assert [n for n, _ in seen] == [3 * QUAD.resolution, 6 * QUAD.resolution]
+    heat_traces(model, cls, [0.1], quad, build_cutoff(model, "smooth"))
+    return seen
+
+
+def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
+    # p4 r_center as `heat --t 0.1 --cutoff smooth` runs it: per row block,
+    # 2 bumps for the numerator and 3 per coordinate per point part, each on
+    # at most one axis of n grid points, never on the rows x n block.  The
+    # grid is Gamma-invariant, so t = 0.1 takes 8 points per unit
+    seen = _smooth_bump_sizes(monkeypatch, P4, "r_center")
+    assert [n for n, _ in seen] == [24, 48]
     for n, sizes in seen:
         blocks = -(-n // (heat.HEAT_BLOCK // n))
         assert len(sizes) == (2 + 4 * 2 * 3) * blocks
         assert max(sizes) <= n
+
+
+def test_smooth_grid_on_sheared_p4_keeps_the_resolution(monkeypatch):
+    # the sheared quarter turn is no signed permutation, so its grid is not
+    # Gamma-invariant and the cut-off sets the error: n stays the resolution
+    seen = _smooth_bump_sizes(monkeypatch, SHEARED_P4, "r_origin")
+    assert [n for n, _ in seen] == [3 * QUAD.resolution, 6 * QUAD.resolution]
+    for n, sizes in seen:
+        assert len(sizes) == (2 + 4 * 2 * 3) * -(-n // (heat.HEAT_BLOCK // n))
+
+
+@pytest.mark.parametrize("t", [0.0036, 0.0139, 0.0363])
+def test_smooth_grid_follows_the_tolerance(t):
+    # a half turn's coarse sum misses by about exp(-(pi n w)^2): 1e-11 to 3e-9
+    # at n w just above 1.4, which a tolerance of 1e-12 would refuse; the
+    # grid grows until that estimate is below tolerance / 10
+    quad = QuadratureSpec.for_model(P4, t, 1e-12)
+    smooth = build_cutoff(P4, "smooth")
+    n = heat._grid_size(P4, smooth, t, quad)
+    assert math.exp(-(math.pi * n * math.sqrt(t)) ** 2) <= quad.tolerance / 10
+    want = Scalars.to_complex(localized_index(P4, CLASSES["r2_edge"]))
+    assert abs(g_heat_trace(P4, CLASSES["r2_edge"], t, quad, smooth) - want) < 1e-13
 
 
 # p2/p4 models on the unit lattice and on lattices with a non-scalar Gram
@@ -492,3 +530,58 @@ def test_orbital_integral_is_the_localized_index_at_every_t(name):
         want = Scalars.to_complex(localized_index(model, cls))
         for t in (1e-12, 0.1, 1e3):
             assert abs(orbital_integral_euclidean(model, cls, t) - want) < 1e-15, (cls.label, t)
+
+
+# the p4 and p2 lattices of the benchmark's large-lattice heat jobs
+LARGE_P4_LATTICES = ([[2, 0], [0, 2]], [[3, 0], [0, 3]], [["5/2", 0], [0, "5/2"]],
+                     [[2, -1], [1, 2]], [[2, -2], [2, 2]])
+LARGE_P2_LATTICES = ([[2, 0], [0, 3]], [[3, 0], [0, 2]], [[3, 0], [0, 3]],
+                     [[2, 1], [0, 3]], [["5/2", 0], [0, 3]])
+
+
+def test_grid_invariance_of_the_catalogue():
+    # every plane fixture and large lattice acts on lattice coordinates by
+    # signed permutations with integral coset vectors; the sheared quarter
+    # turn [[-1, -2], [1, 1]] moves the midpoints off the grid
+    models = [load_model(FIXTURE_DIR / f"{name}.json") for name in ("p4", "p2", "p4_spinc")]
+    models += [make_p4(lat) for lat in LARGE_P4_LATTICES]
+    models += [make_p2(lat) for lat in LARGE_P2_LATTICES]
+    for model in models:
+        assert all(heat._grid_is_invariant(model.group, n) for n in heat.SMOOTH_GRID_SIZES)
+    assert not any(heat._grid_is_invariant(SHEARED_P4.group, n) for n in heat.SMOOTH_GRID_SIZES)
+
+
+def test_grid_invariance_needs_the_coset_vectors_on_the_grid():
+    # a half-turn screw by (1/3, 0) on p2 maps the grid onto itself only
+    # when n/3 is an integer
+    half_turn = AffineIsometry.of(((-1, 0), (0, -1)), (Fraction(1, 3), 0))
+    t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
+    t2 = AffineIsometry.of(((1, 0), (0, 1)), (0, 1))
+    group = CrystGroup([[1, 0], [0, 1]], [half_turn, t1, t2])
+    assert [n for n in heat.SMOOTH_GRID_SIZES if heat._grid_is_invariant(group, n)] == [12, 24, 48]
+
+
+SMOOTH_RULE_MODELS = {
+    "p4_lattice_3I": make_p4([[3, 0], [0, 3]]),
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_sheared": SHEARED_P4,
+}
+
+
+@pytest.mark.parametrize("t_values", [pytest.param([0.005], id="t0.005"),
+                                      pytest.param(THREE_T, id="three_t")])
+@pytest.mark.parametrize("name", ["p4", "p2", "p4_spinc"] + sorted(SMOOTH_RULE_MODELS))
+def test_smooth_heat_is_the_localized_index(name, t_values):
+    # the smooth kind's S_2n on a grid sized by t, as `heat --cutoff smooth`
+    # computes it, at a Gaussian far narrower than the cell and at the default
+    # times; the sheared grid is not Gamma-invariant and keeps the resolution
+    model = SMOOTH_RULE_MODELS.get(name) or load_model(FIXTURE_DIR / f"{name}.json")
+    quad = QuadratureSpec.for_model(model, max(t_values))
+    cutoff = build_cutoff(model, "smooth")
+    for comp in model.sectors:
+        cls = comp.class_handle
+        if cls.representative.is_identity:
+            continue
+        want = Scalars.to_complex(localized_index(model, cls))
+        for t, got in heat_traces(model, cls, t_values, quad, cutoff).items():
+            assert abs(got - want) < 1e-13, (cls.label, t)
