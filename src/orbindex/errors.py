@@ -14,8 +14,6 @@ class DomainError(OrbindexError):
 
 
 class ResolutionError(OrbindexError):
-    """Quadrature cannot reach the requested tolerance at the given resolution."""
-
-    def __init__(self, message: str, suggested_resolution: int):
-        super().__init__(message)
-        self.suggested_resolution = suggested_resolution
+    """Heat quadrature cannot reach the requested tolerance: no truncation
+    radius bounds the class-sum tail, a heat time is below the grid, or two
+    grid sums differ by more than the tolerance."""

@@ -8,15 +8,15 @@ tail estimate, never adaptively, so reports are reproducible bit for bit for a
 fixed spec.  At each t only the members whose kernel reaches 2^-60 somewhere
 on the cut-off box are summed; whether one does is decided from the exact
 minimum of |hx - x|^2 over the box, so the skip rests on a bound, not on
-sampling, and depends on the spec and t alone.  The indicator kind takes
-Richardson's extrapolation of two midpoint sums; the smooth kind, on a grid
-the group maps onto itself, takes the finer of two sums on a grid sized by
-t, a spectrally convergent periodic midpoint rule.  A t whose Gaussian is
-narrower than the fine grid's spacing, and two sums further apart than the
-tolerance, raise, whatever the size of the value.  The Euclidean orbital
-integral a class's trace is compared with needs no quadrature: for a
-rotation class it is the closed form tau(A) / (|Z_Gamma(g)| det(I - A)),
-the same at every t.
+sampling, and depends on the spec and t alone.  Both cut-off kinds take the
+finer of two sums on one grid, x0 + (Z/n)^2 with n sized by t, anchored at a
+rotation centre x0 so that the group maps it onto itself; the cut-off drops
+out of that sum, the spectrally convergent periodic rule of the Gamma-
+invariant class sum.  A t whose Gaussian is narrower than the finest grid's
+spacing, and two sums further apart than the tolerance, raise, whatever the
+size of the value.  The Euclidean orbital integral a class's trace is
+compared with needs no quadrature: for a rotation class it is the closed
+form tau(A) / (|Z_Gamma(g)| det(I - A)), the same at every t.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .groups import (
     CrystGroup,
     IDENTITY_MAT,
     mat_det,
+    mat_inv,
     mat_sub,
+    mat_vec,
 )
 from .sectors import (
     CutoffFunction,
@@ -55,22 +57,23 @@ FLOAT = Scalars("float")
 
 @dataclass
 class QuadratureSpec:
-    resolution: int
     truncation_radius: int
     tolerance: float
     tail_bound: float
 
     @staticmethod
-    def for_model(model: QuotientModel, t_max: float, tolerance: float = 1e-6,
-                  resolution: int = 64) -> "QuadratureSpec":
-        """Pick the class-sum radius from the explicit Gaussian tail estimate."""
-        radius = 2
-        while radius < 64:
+    def for_model(model: QuotientModel, t_max: float,
+                  tolerance: float = 1e-6) -> "QuadratureSpec":
+        """Pick the class-sum radius, 2 to 63, from the explicit Gaussian tail
+        estimate.  A bound of inf ends the search: every radius's series ends
+        at the same shell, so no larger radius's shells decay by it either."""
+        for radius in range(2, 64):
             bound = class_sum_tail_bound(model, t_max, radius)
             if bound < tolerance / 10:
-                return QuadratureSpec(resolution, radius, tolerance, bound)
-            radius += 1
-        raise ResolutionError("tail bound does not reach tolerance/10", resolution)
+                return QuadratureSpec(radius, tolerance, bound)
+            if bound == math.inf:
+                break
+        raise ResolutionError("tail bound does not reach tolerance/10")
 
 
 def _gram_eigs(model: QuotientModel) -> tuple[float, float]:
@@ -94,10 +97,13 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 
     For a rotation h by angle theta about center p, |hx - x| >= 2 sin(theta/2)
     |x - p| and the center norm grows linearly with the translation norm, so
-    shell m contributes at most (shell count) x sup of the Gaussian.  The sum
-    over shells converges super-exponentially and is evaluated to negligible
-    remainder; when the terms have not decayed within 10,000 shells (t far
-    above the cell scale) the bound is inf.
+    shell m, at most 8m translations of norm in (m - 1, m] per point part,
+    contributes at most (shell count) x sup of the Gaussian.  The translations
+    lie in s_A + Z^2, so shell m's smallest norm is nu + m - radius - 1, nu the
+    smallest above the radius: m when every s_A is integral.  The sum over
+    shells converges super-exponentially and is evaluated to negligible
+    remainder; when the terms have not decayed by shell 10,000 (t far above
+    the cell scale) the bound is inf.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -115,10 +121,13 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
     metric = math.sqrt(_gram_eigs(model)[0])
     p = group.point_group_order
     pref = (4 * math.pi * t) ** -1 * 2.0 * math.sqrt(float(abs(mat_det(group.gram))))
+    fracs = [x - math.floor(x) for s in group.coset_vectors.values() for x in s]
+    nu = radius + min([1] + [min(f, 1 - f) for f in fracs if f])
     total = 0.0
-    for m in range(radius + 1, radius + 10_000):
-        # center sup-norm >= m * opnorm_inv; distance to the unit cell >= that - 2
-        d = metric * 2 * sin_min * max(m * opnorm_inv - 2.0, 0.0)
+    for m in range(radius + 1, 10_001):
+        # center sup-norm >= norm * opnorm_inv; distance to the unit cell >= that - 2
+        norm = float(nu + m - radius - 1)
+        d = metric * 2 * sin_min * max(norm * opnorm_inv - 2.0, 0.0)
         shell_count = (8 * m + 4) * p
         term = shell_count * pref * math.exp(-d * d / (4 * t))
         total += term
@@ -132,7 +141,7 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 # ---------------------------------------------------------------------------
 
 # Grid points per row block, and member x point entries per array, in the heat
-# pass; bounds its memory whatever the class size and resolution.
+# pass; bounds its memory whatever the class size and grid size.
 HEAT_BLOCK = 1 << 15
 
 # A member is summed at time t only if its kernel exp(-|hx - x|^2 / 4t)
@@ -164,12 +173,10 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     built once; the times that share a grid size are accumulated in one pass.
     The members are sorted once by the minimum d2_min of |hx - x|^2 over the
     cut-off box, and at time t only the prefix with
-    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Each t takes midpoint sums
-    S_n, S_2n at n = _grid_size per unit, valued (4 S_2n - S_n) / 3 for the
-    indicator kind and S_2n for the smooth one.  A t whose Gaussian width
-    sqrt(t / lambda_max(G)) is below the fine spacing 1 / (2 resolution)
-    raises before any sum, and |S_2n - S_n| above the tolerance after, both
-    with a suggested resolution.
+    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Each t takes the grid sums
+    S_n, S_2n at n = _grid_size per unit on the grid of _grid_axes, for either
+    cut-off kind, and is valued S_2n.  A t below the grid raises before any
+    sum, and |S_2n - S_n| above the tolerance after.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -183,7 +190,7 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
                if factors[h.point_part] != 0]
     if not members:
         return {t: 0j for t in ts}
-    _check_grid_resolves(model, ts, quad.resolution)
+    sizes = {t: _grid_size(model, t, quad.tolerance) for t in ts}
     coef = _d2_coefficients(cutoff, members)
     d2_min = _box_min_d2(coef, *cutoff.support)
     order = np.argsort(d2_min, kind="stable")
@@ -193,75 +200,63 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     # exp is monotone, so the kept members are a prefix
     kept = {t: int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
             for t in ts}
-    sizes = {t: _grid_size(model, cutoff, t, quad) for t in ts}
     sums = {}
     for n in dict.fromkeys(sizes.values()):
         batch = [t for t in ts if sizes[t] == n]
-        coarse, fine = (_midpoint_sums(cutoff, coef, tau, [kept[t] for t in batch], batch, m)
+        coarse, fine = (_grid_sums(cutoff, coef, tau, [kept[t] for t in batch], batch, m)
                         for m in (n, 2 * n))
         sums.update(zip(batch, zip(coarse, fine)))
-    values = {}
     for t in ts:
-        c, f = sums[t]
-        err = abs(f - c)
+        err = abs(sums[t][1] - sums[t][0])
         if err > quad.tolerance:
-            raise ResolutionError(
-                f"quadrature error estimate {err:.3e} exceeds tolerance",
-                suggested_resolution=4 * quad.resolution)
-        values[t] = f if cutoff.kind == "smooth" else (4 * f - c) / 3
-    return values
+            raise ResolutionError(f"quadrature error estimate {err:.3e} exceeds tolerance")
+    return {t: sums[t][1] for t in ts}
 
 
-# Grid sizes per unit the smooth kind chooses from, coarsest first.
-SMOOTH_GRID_SIZES = (8, 12, 16, 24, 32, 48, 64)
+# Grid sizes per unit, coarsest first.
+GRID_SIZES = (8, 12, 16, 24, 32, 48, 64)
 
 
-def _grid_size(model: QuotientModel, cutoff: CutoffFunction, t: float,
-               quad: QuadratureSpec) -> int:
-    """Midpoint grid size per unit at t: for the smooth kind on a Gamma-invariant
-    grid, the smallest listed n with n w >= 1.4 and exp(-(pi n w)^2) <= tol/10,
-    w = sqrt(t / lambda_max(G)); else the resolution, also as a cap.  There the
-    grid sum of c F is the periodic midpoint rule of the Gamma-invariant class
-    sum F, as c is a partition of unity: the sum at n aliases F's Fourier modes
-    at n k, k != 0, which are down by exp(-(pi n w)^2), and c drops out."""
-    if cutoff.kind != "smooth":
-        return quad.resolution
+def _grid_size(model: QuotientModel, t: float, tolerance: float) -> int:
+    """Grid size per unit at t: the smallest listed n with n w >= 1.4 and
+    exp(-(pi n w)^2) <= tolerance/10, w = sqrt(t / lambda_max(G)), else the
+    largest.  The grid of _grid_axes is Gamma-invariant, so its sum of c F is
+    the periodic rule of the Gamma-invariant class sum F, as c is a partition
+    of unity: the sum at n aliases F's Fourier modes at n k, k != 0, down by
+    exp(-(pi n w)^2), and c drops out.  A w, the kernel's scale along the
+    stiffest direction, below the finest spacing 1 / 128 could fall between
+    the points of both grids and pass the error gate as 0, so it raises."""
     width = math.sqrt(t / _gram_eigs(model)[1])
-    reach = max(1.4, math.sqrt(max(math.log(10 / quad.tolerance), 0.0)) / math.pi)
-    n = next((m for m in SMOOTH_GRID_SIZES if m * width >= reach), quad.resolution)
-    return n if n < quad.resolution and _grid_is_invariant(model.group, n) else quad.resolution
+    finest = 2 * GRID_SIZES[-1]
+    if finest * width < 1:
+        raise ResolutionError(
+            f"heat time {t:.3e} is below the grid: Gaussian width {width:.3e} "
+            f"under the fine spacing {1 / finest:.3e}")
+    reach = max(1.4, math.sqrt(max(math.log(10 / tolerance), 0.0)) / math.pi)
+    return next((n for n in GRID_SIZES if n * width >= reach), GRID_SIZES[-1])
 
 
-def _grid_is_invariant(group: CrystGroup, n: int) -> bool:
-    """Whether the group maps the midpoints ((Z + 1/2) / n)^2 of an n per unit
-    grid onto themselves: every point part a signed permutation in the
-    lattice basis, and n s_A in Z^2 for every coset vector s_A."""
-    return all(abs(a[0][0]) + abs(a[0][1]) == 1 == abs(a[1][0]) + abs(a[1][1])
-               and (n * s[0]).denominator == 1 == (n * s[1]).denominator
-               for a, s in group.coset_vectors.items())
+def _grid_anchor(group: CrystGroup) -> tuple[Fraction, Fraction]:
+    """x0 = (I - A)^-1 s_A, the fixed point of the point-group generator
+    (A, s_A), A the point part of largest order; 0 for a trivial point group.
+    The point group is cyclic and the translations are exactly Z^2, so every
+    element is a power of (A, s_A) times a lattice translation and maps
+    x0 + (Z/n)^2 onto itself for every n."""
+    rotations = [a for a in group.point_parts if a != IDENTITY_MAT]
+    if not rotations:
+        return Fraction(0), Fraction(0)
+    a = max(rotations, key=lambda a: group.rotation_turns(a).denominator)
+    return mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), group.coset_vectors[a])
 
 
-def _check_grid_resolves(model: QuotientModel, ts: list, resolution: int) -> None:
-    """Raise for the first t whose Gaussian is narrower than the fine grid.
-
-    Along the Gram matrix's stiffest direction the kernel decays on the
-    coordinate scale sqrt(t / lambda_max); once that is below the fine grid's
-    spacing 1 / (2 resolution) the Gaussian can fall between the midpoints of
-    both grids, and a zero sum would pass the Richardson check.  The
-    suggested resolution is the first 4^k multiple whose fine spacing is not
-    above that scale.
-    """
-    lam_max = _gram_eigs(model)[1]
-    for t in ts:
-        width = math.sqrt(t / lam_max)
-        if 2 * resolution * width < 1:
-            suggested = 4 * resolution
-            while 2 * suggested * width < 1:
-                suggested *= 4
-            raise ResolutionError(
-                f"heat time {t:.3e} is below the grid: Gaussian width {width:.3e} "
-                f"under the fine spacing {1 / (2 * resolution):.3e}",
-                suggested_resolution=suggested)
+def _grid_axes(cutoff: CutoffFunction, n_per_unit: int) -> list[np.ndarray]:
+    """The grid x0 + (Z/n)^2 in the cut-off box [lo, hi)^2, one axis per
+    coordinate: the (hi - lo) n points lo + ((x0_i - lo) mod 1/n) + k/n, a
+    whole number of periods, each point in the closed box."""
+    lo, hi = cutoff.support
+    steps = np.arange((hi - lo) * n_per_unit) / n_per_unit
+    return [lo + float((x - lo) % Fraction(1, n_per_unit)) + steps
+            for x in _grid_anchor(cutoff.group)]
 
 
 def _d2_coefficients(cutoff: CutoffFunction, members: list) -> np.ndarray:
@@ -312,9 +307,10 @@ def _box_min_d2(coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return d2_min
 
 
-def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, kept: list,
-                   ts: list, n_per_unit: int) -> list[complex]:
-    """Midpoint sums of sum_h tau_h c(x) k_t(hx, x) at one resolution, one per t.
+def _grid_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, kept: list,
+               ts: list, n_per_unit: int) -> list[complex]:
+    """Sums of sum_h tau_h c(x) k_t(hx, x) over the grid of _grid_axes at one
+    size, one per t.
 
     The members come sorted by their box minimum of d^2, and at the k-th t only
     the first kept[k] are summed; each omitted member's kernel is below
@@ -326,14 +322,12 @@ def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, ke
     x point array exceeds HEAT_BLOCK entries; a chunk's d^2 is formed
     only while some t still needs it, once, and shared by every such t.
     """
-    lo, hi = cutoff.support
-    n = int(round((hi - lo) * n_per_unit))
-    xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    xs, ys = _grid_axes(cutoff, n_per_unit)
     scales = [-1.0 / (4 * t) for t in ts]
     sums = np.zeros(len(ts), dtype=complex)
-    rows = max(1, HEAT_BLOCK // n)
-    for r0 in range(0, n, rows):
-        col, row = xs[r0:r0 + rows, None], xs[None, :]
+    rows = max(1, HEAT_BLOCK // ys.size)
+    for r0 in range(0, xs.size, rows):
+        col, row = xs[r0:r0 + rows, None], ys[None, :]
         cvals = cutoff.grid(col, row).ravel()
         gx, gy = (g.ravel() for g in np.broadcast_arrays(col, row))
         monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
@@ -346,7 +340,7 @@ def _midpoint_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, ke
                 if c > 0:
                     sums[k] += tau[k0:k0 + c] @ (np.exp(d2[:c] * scale) @ cvals)
     vol = math.sqrt(float(abs(mat_det(cutoff.group.gram))))
-    cell = ((hi - lo) / n) ** 2
+    cell = n_per_unit ** -2
     return [complex(v) * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
 
 

@@ -256,14 +256,28 @@ class TestExitCodes:
         assert f"unknown class label {label!r}; valid labels: " in err
         assert "missing from the sector list" not in err
 
-    @pytest.mark.parametrize("t", ["1e17", "1e20"])
+    @pytest.mark.parametrize("t", ["100", "1e5", "1e8", "1e17", "1e20"])
     def test_heat_time_beyond_the_tail_bound_refused(self, capsys, t):
-        # the shell terms have not started to decay within the shell cap, so
-        # there is no tail bound and no radius reaches tolerance/10
+        # at 100 every radius's bound is finite but too large; from 1e5 the
+        # shell terms have not started to decay within the shell cap, so there
+        # is no tail bound; either way no radius reaches tolerance/10
         code, _, text = run(["heat", str(FIXTURE_DIR / "p4.json"), "--class", "r_center",
                              "--t", t])
         assert (code, text) == (2, "")
         assert "tail bound does not reach tolerance/10" in capsys.readouterr().err
+
+    def test_heat_tail_counts_fractional_translations(self, tmp_path):
+        # p2 with its half turn translated by (1/3, 1/5): members of norm 13/3
+        # lie beyond radius 4, so the tail series starts at 21/5, not 5, and
+        # the radius grows until the report meets a tolerance of 1e-9
+        doc = json.loads((FIXTURE_DIR / "p2.json").read_text())
+        doc["group"]["generators"][0]["translation"] = ["1/3", "1/5"]
+        path = tmp_path / "p2_shift.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run(["heat", str(path), "--class", "r_pt0", "--t", "0.005",
+                               "--cutoff", "smooth", "--tol", "1e-9"])
+        assert code == 0
+        assert float(report["rows"][0]["mckeanSingerResidual"]) < 1e-14
 
     def test_wrong_orbital_integral_fails_heat(self, monkeypatch):
         exact = heat.orbital_integral_euclidean

@@ -33,14 +33,14 @@ from orbindex.sectors import (
 ROT = ((0, -1), (1, 0))
 
 
-def make_p4(lattice=((1, 0), (0, 1))):
-    r = AffineIsometry.of(ROT, (0, 0))
+def make_p4(lattice=((1, 0), (0, 1)), shift=(0, 0)):
+    r = AffineIsometry.of(ROT, shift)
     t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
     return wallpaper_model(CrystGroup([list(row) for row in lattice], [r, t1]), "p4")
 
 
-def make_p2(lattice=((1, 0), (0, 1))):
-    half_turn = AffineIsometry.of(((-1, 0), (0, -1)), (0, 0))
+def make_p2(lattice=((1, 0), (0, 1)), shift=(0, 0)):
+    half_turn = AffineIsometry.of(((-1, 0), (0, -1)), shift)
     t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
     return wallpaper_model(CrystGroup([list(row) for row in lattice], [half_turn, t1]),
                            "p2_lattice")
@@ -49,6 +49,10 @@ def make_p2(lattice=((1, 0), (0, 1))):
 P4 = make_p4()
 CLASSES = {c.label: c for c in cryst_fixed_classes(P4.group)}
 QUAD = QuadratureSpec.for_model(P4, t_max=0.2, tolerance=1e-6)
+# rotation generators translated off the lattice points: the rotation centres
+# and the translations of the class members are fractional
+P4_SHIFT = make_p4(shift=(Fraction(1, 5), Fraction(2, 7)))
+P2_SHIFT = make_p2(shift=(Fraction(1, 3), Fraction(1, 5)))
 
 
 class TestKernel:
@@ -109,14 +113,33 @@ class TestQuadratureSpec:
         # the shells have not started to decay, so it bounds nothing
         assert class_sum_tail_bound(P4, t, 2) == math.inf
 
-    def test_bound_dominates_doubling_effect(self):
-        cls = CLASSES["r_origin"]
-        small = QuadratureSpec(QUAD.resolution, 4, 1e-6,
-                               class_sum_tail_bound(P4, 0.2, 4))
-        big = QuadratureSpec(QUAD.resolution, 8, 1e-6,
-                             class_sum_tail_bound(P4, 0.2, 8))
-        v_small = g_heat_trace(P4, cls, 0.2, small)
-        v_big = g_heat_trace(P4, cls, 0.2, big)
+    def test_unbounded_time_refused_at_the_first_radius(self, monkeypatch):
+        # every radius's series ends at the same shell, so the first inf is
+        # the answer for all of them
+        calls = []
+        real = heat.class_sum_tail_bound
+
+        def spy(model, t, radius):
+            calls.append(radius)
+            return real(model, t, radius)
+
+        monkeypatch.setattr(heat, "class_sum_tail_bound", spy)
+        with pytest.raises(ResolutionError, match="tail bound does not reach tolerance/10"):
+            QuadratureSpec.for_model(P4, 1e17)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("model, label, t, kind", [
+        (P4, "r_origin", 0.2, "indicator"),
+        # members of norm 13/3 lie beyond radius 4: the series starts there
+        (P2_SHIFT, "r_pt0", 0.005, "smooth"),
+    ])
+    def test_bound_dominates_doubling_effect(self, model, label, t, kind):
+        cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
+        cutoff = build_cutoff(model, kind)
+        small = QuadratureSpec(4, 1e-6, class_sum_tail_bound(model, t, 4))
+        big = QuadratureSpec(8, 1e-6, class_sum_tail_bound(model, t, 8))
+        v_small = g_heat_trace(model, cls, t, small, cutoff)
+        v_big = g_heat_trace(model, cls, t, big, cutoff)
         assert abs(v_small - v_big) <= small.tail_bound
 
 
@@ -140,22 +163,20 @@ class TestHeatTrace:
         assert rep.max_t_variation < 1e-6
 
     def test_t_independence_across_a_decade(self):
-        quad = QuadratureSpec.for_model(P4, t_max=0.5, tolerance=1e-6, resolution=128)
+        quad = QuadratureSpec.for_model(P4, t_max=0.5, tolerance=1e-6)
         for label in ("r_origin", "r2_edge"):
             rep = t_independence(P4, CLASSES[label], [0.05, 0.15, 0.5], quad)
             assert rep.max_t_variation < 1e-6, label
 
-    def test_truncated_radius_flagged_by_t_variation(self):
-        # a deliberately tiny radius loses t-dependent tail mass
-        bad = QuadratureSpec(128, 1, 1e-5, class_sum_tail_bound(P4, 0.4, 1))
-        rep = t_independence(P4, CLASSES["r_origin"], [0.05, 0.4], bad)
-        assert rep.max_t_variation > 1e-6
-
-    def test_resolution_error_suggests_refinement(self):
-        rough = QuadratureSpec(4, QUAD.truncation_radius, 1e-9, QUAD.tail_bound)
-        with pytest.raises(ResolutionError) as info:
-            g_heat_trace(P4, CLASSES["r_origin"], 0.002, rough)
-        assert info.value.suggested_resolution == 16
+    def test_truncated_radius_flagged_by_the_error_gate(self):
+        # a deliberately tiny radius loses tail mass, so the class sum is not
+        # periodic and the two grid sums part; the radius for_model picks passes
+        ts = [0.05, 0.4]
+        bad = QuadratureSpec(1, 1e-5, class_sum_tail_bound(P4, 0.4, 1))
+        with pytest.raises(ResolutionError, match="quadrature error estimate"):
+            t_independence(P4, CLASSES["r_origin"], ts, bad)
+        good = QuadratureSpec.for_model(P4, 0.4, 1e-5)
+        assert t_independence(P4, CLASSES["r_origin"], ts, good).max_t_variation < 1e-6
 
     def test_cutoff_kind_independence(self):
         smooth = build_cutoff(P4, "smooth")
@@ -180,26 +201,22 @@ class TestHeatTrace:
                 assert values[t] == g_heat_trace(P4, CLASSES[label], t, QUAD, cutoff)
 
     def test_resolution_error_in_t_order(self):
-        # the first t in the list that misses the tolerance decides the message
-        rough = QuadratureSpec(4, QUAD.truncation_radius, 1e-9, QUAD.tail_bound)
-        with pytest.raises(ResolutionError) as one:
-            g_heat_trace(P4, CLASSES["r_origin"], 0.002, rough)
-        with pytest.raises(ResolutionError) as many:
-            heat_traces(P4, CLASSES["r_origin"], [0.002, 0.001], rough)
-        assert str(many.value) == str(one.value)
-        assert many.value.suggested_resolution == 16
+        # the first t in the list that misses the tolerance decides the message;
+        # both times take n = 64, and each misses by its own estimate
+        messages = {}
+        for ts in ([1.5e-4], [1e-4], [1.5e-4, 1e-4]):
+            with pytest.raises(ResolutionError) as info:
+                heat_traces(P4, CLASSES["r_origin"], ts, QUAD)
+            messages[len(ts), ts[0]] = str(info.value)
+        assert messages[2, 1.5e-4] == messages[1, 1.5e-4] != messages[1, 1e-4]
 
     def test_time_below_grid_refused_before_summing(self, monkeypatch):
-        # a Gaussian narrower than the fine spacing can fall between the
-        # midpoints of both grids: both sums 0, Richardson error 0
-        monkeypatch.setattr(heat, "_midpoint_sums", lambda *args: pytest.fail("summed"))
+        # a Gaussian narrower than the finest spacing can fall between the
+        # points of both grids: both sums 0, error estimate 0
+        monkeypatch.setattr(heat, "_grid_sums", lambda *args: pytest.fail("summed"))
         with pytest.raises(ResolutionError) as info:
             heat_traces(P4, CLASSES["r_center"], [0.1, 1e-12, 1e-14], QUAD)
         assert "1.000e-12" in str(info.value)
-        # the first 4^k multiple whose fine spacing is within the width 1e-6
-        suggested = info.value.suggested_resolution
-        assert suggested == QUAD.resolution * 4 ** 7
-        assert 2 * suggested * 1e-6 >= 1 > 2 * (suggested // 4) * 1e-6
         # the width is taken along the Gram matrix's stiffest direction: for
         # [[4, 2], [2, 10]], sqrt(4e-4 / 10.61) is below the fine spacing 1/128
         # and sqrt(4e-4 / 3.39) is not
@@ -208,7 +225,7 @@ class TestHeatTrace:
         with pytest.raises(ResolutionError, match="below the grid"):
             heat_traces(oblique, cls, [4e-4], QUAD)
 
-    def test_time_between_grid_spacings_left_to_richardson(self):
+    def test_time_between_grid_spacings_left_to_the_error_gate(self):
         # sqrt(1e-4) lies between the fine spacing 1/128 and the coarse 1/64:
         # the fine grid resolves the Gaussian, and |fine - coarse| measures
         # what the coarse one misses
@@ -216,10 +233,10 @@ class TestHeatTrace:
             heat_traces(P4, CLASSES["r_center"], [1e-4], QUAD)
 
     def test_error_estimate_gates_values_near_zero(self, monkeypatch):
-        # coarse 2 tol and fine tol/2 extrapolate to 0 with error estimate 1.5 tol
+        # coarse 2 tol and fine tol/2: a value of tol/2 with error estimate 1.5 tol
         tol = QUAD.tolerance
         sums = iter([[2 * tol], [tol / 2]])
-        monkeypatch.setattr(heat, "_midpoint_sums", lambda *args: next(sums))
+        monkeypatch.setattr(heat, "_grid_sums", lambda *args: next(sums))
         with pytest.raises(ResolutionError):
             heat_traces(P4, CLASSES["r_origin"], [0.1], QUAD)
 
@@ -301,12 +318,12 @@ def test_grid_on_axes_equals_grid_on_points(name, kind):
 
 
 def _smooth_bump_sizes(monkeypatch, model, label):
-    """Per midpoint sum of `heat --t 0.1 --cutoff smooth` on the class, its
+    """Per grid sum of `heat --t 0.1 --cutoff smooth` on the class, its
     number of grid points per axis and the sizes of the bumps it evaluates."""
     cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
     quad = QuadratureSpec.for_model(model, 0.1)
     seen = []
-    real_sums, real_bump = heat._midpoint_sums, sectors._bump_np
+    real_sums, real_bump = heat._grid_sums, sectors._bump_np
 
     def sums_spy(cutoff, coef, tau, kept, ts, n_per_unit):
         seen.append((3 * n_per_unit, []))
@@ -316,7 +333,7 @@ def _smooth_bump_sizes(monkeypatch, model, label):
         seen[-1][1].append(u.size)
         return real_bump(u)
 
-    monkeypatch.setattr(heat, "_midpoint_sums", sums_spy)
+    monkeypatch.setattr(heat, "_grid_sums", sums_spy)
     monkeypatch.setattr(sectors, "_bump_np", bump_spy)
     heat_traces(model, cls, [0.1], quad, build_cutoff(model, "smooth"))
     return seen
@@ -325,8 +342,8 @@ def _smooth_bump_sizes(monkeypatch, model, label):
 def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
     # p4 r_center as `heat --t 0.1 --cutoff smooth` runs it: per row block,
     # 2 bumps for the numerator and 3 per coordinate per point part, each on
-    # at most one axis of n grid points, never on the rows x n block.  The
-    # grid is Gamma-invariant, so t = 0.1 takes 8 points per unit
+    # at most one axis of n grid points, never on the rows x n block; t = 0.1
+    # takes 8 points per unit
     seen = _smooth_bump_sizes(monkeypatch, P4, "r_center")
     assert [n for n, _ in seen] == [24, 48]
     for n, sizes in seen:
@@ -335,11 +352,12 @@ def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
         assert max(sizes) <= n
 
 
-def test_smooth_grid_on_sheared_p4_keeps_the_resolution(monkeypatch):
-    # the sheared quarter turn is no signed permutation, so its grid is not
-    # Gamma-invariant and the cut-off sets the error: n stays the resolution
+def test_smooth_grid_on_sheared_p4_is_sized_by_t(monkeypatch):
+    # the sheared quarter turn is no signed permutation, but it is integral
+    # and maps the grid anchored at its centre onto itself, so the sheared
+    # lattice takes the same small grid as the square one
     seen = _smooth_bump_sizes(monkeypatch, SHEARED_P4, "r_origin")
-    assert [n for n, _ in seen] == [3 * QUAD.resolution, 6 * QUAD.resolution]
+    assert [n for n, _ in seen] == [24, 48]
     for n, sizes in seen:
         assert len(sizes) == (2 + 4 * 2 * 3) * -(-n // (heat.HEAT_BLOCK // n))
 
@@ -351,7 +369,7 @@ def test_smooth_grid_follows_the_tolerance(t):
     # grid grows until that estimate is below tolerance / 10
     quad = QuadratureSpec.for_model(P4, t, 1e-12)
     smooth = build_cutoff(P4, "smooth")
-    n = heat._grid_size(P4, smooth, t, quad)
+    n = heat._grid_size(P4, t, quad.tolerance)
     assert math.exp(-(math.pi * n * math.sqrt(t)) ** 2) <= quad.tolerance / 10
     want = Scalars.to_complex(localized_index(P4, CLASSES["r2_edge"]))
     assert abs(g_heat_trace(P4, CLASSES["r2_edge"], t, quad, smooth) - want) < 1e-13
@@ -402,32 +420,26 @@ def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
 
 def _heat_traces_unpruned(model, cls, ts, quad, cutoff):
     """Reference heat traces: every member in the truncation ball, each over
-    the whole grid of both resolutions, Richardson as in heat_traces."""
+    the whole fine grid, S_2n on the anchored grid as in heat_traces."""
     g = model.group.gram
     gf = np.array(g, dtype=float)
     vol = math.sqrt(float(abs(mat_det(g))))
-    lo, hi = cutoff.support
     members = [(h, heat._supertrace_factor(model, h.point_part))
                for h in cls.members_in_ball(quad.truncation_radius)]
-
-    def midpoint_sums(n_per_unit):
-        n = int(round((hi - lo) * n_per_unit))
-        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    values = {}
+    for t in ts:
+        n = 2 * heat._grid_size(model, t, quad.tolerance)
+        gx, gy = np.meshgrid(*heat._grid_axes(cutoff, n), indexing="ij")
         c = cutoff.grid(gx, gy)
-        sums = np.zeros(len(ts), dtype=complex)
+        total = 0j
         for h, tau in members:
             a, b = h.point_part, h.translation
             dx = (a[0][0] - 1) * gx + a[0][1] * gy + float(b[0])
             dy = a[1][0] * gx + (a[1][1] - 1) * gy + float(b[1])
             d2 = gf[0, 0] * dx * dx + 2 * gf[0, 1] * dx * dy + gf[1, 1] * dy * dy
-            for k, t in enumerate(ts):
-                sums[k] += tau * np.sum(c * np.exp(-d2 / (4 * t)))
-        cell = ((hi - lo) / n) ** 2
-        return [v * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
-
-    coarse, fine = midpoint_sums(quad.resolution), midpoint_sums(2 * quad.resolution)
-    return {t: (4 * f - c) / 3 for t, c, f in zip(ts, coarse, fine)}
+            total += tau * np.sum(c * np.exp(-d2 / (4 * t)))
+        values[t] = total * vol / (n * n * 4 * math.pi * t)
+    return values
 
 
 THREE_T = [0.05, 0.1, 0.2]
@@ -462,13 +474,13 @@ def test_members_summed_per_t(monkeypatch, ts, kind, summed):
     # whose kernel reaches 2^-60 on the cut-off box, which is larger for the
     # smooth kind
     seen = []
-    real = heat._midpoint_sums
+    real = heat._grid_sums
 
     def spy(cutoff, coef, tau, kept, ts, n_per_unit):
         seen.append((len(coef), kept))
         return real(cutoff, coef, tau, kept, ts, n_per_unit)
 
-    monkeypatch.setattr(heat, "_midpoint_sums", spy)
+    monkeypatch.setattr(heat, "_grid_sums", spy)
     quad = QuadratureSpec.for_model(P4, max(ts), 1e-6)
     heat_traces(P4, CLASSES["r_center"], ts, quad, build_cutoff(P4, kind))
     assert seen == [summed, summed]
@@ -532,52 +544,59 @@ def test_orbital_integral_is_the_localized_index_at_every_t(name):
             assert abs(orbital_integral_euclidean(model, cls, t) - want) < 1e-15, (cls.label, t)
 
 
-# the p4 and p2 lattices of the benchmark's large-lattice heat jobs
-LARGE_P4_LATTICES = ([[2, 0], [0, 2]], [[3, 0], [0, 3]], [["5/2", 0], [0, "5/2"]],
-                     [[2, -1], [1, 2]], [[2, -2], [2, 2]])
-LARGE_P2_LATTICES = ([[2, 0], [0, 3]], [[3, 0], [0, 2]], [[3, 0], [0, 3]],
-                     [[2, 1], [0, 3]], [["5/2", 0], [0, 3]])
-
-
-def test_grid_invariance_of_the_catalogue():
-    # every plane fixture and large lattice acts on lattice coordinates by
-    # signed permutations with integral coset vectors; the sheared quarter
-    # turn [[-1, -2], [1, 1]] moves the midpoints off the grid
-    models = [load_model(FIXTURE_DIR / f"{name}.json") for name in ("p4", "p2", "p4_spinc")]
-    models += [make_p4(lat) for lat in LARGE_P4_LATTICES]
-    models += [make_p2(lat) for lat in LARGE_P2_LATTICES]
-    for model in models:
-        assert all(heat._grid_is_invariant(model.group, n) for n in heat.SMOOTH_GRID_SIZES)
-    assert not any(heat._grid_is_invariant(SHEARED_P4.group, n) for n in heat.SMOOTH_GRID_SIZES)
-
-
-def test_grid_invariance_needs_the_coset_vectors_on_the_grid():
-    # a half-turn screw by (1/3, 0) on p2 maps the grid onto itself only
-    # when n/3 is an integer
-    half_turn = AffineIsometry.of(((-1, 0), (0, -1)), (Fraction(1, 3), 0))
-    t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
-    t2 = AffineIsometry.of(((1, 0), (0, 1)), (0, 1))
-    group = CrystGroup([[1, 0], [0, 1]], [half_turn, t1, t2])
-    assert [n for n in heat.SMOOTH_GRID_SIZES if heat._grid_is_invariant(group, n)] == [12, 24, 48]
-
-
-SMOOTH_RULE_MODELS = {
-    "p4_lattice_3I": make_p4([[3, 0], [0, 3]]),
-    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+ANCHOR_MODELS = {
     "p4_sheared": SHEARED_P4,
+    "p4_shift_1d5_2d7": P4_SHIFT,
+    "p2_shift_1d3_1d5": P2_SHIFT,
 }
 
 
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
+@pytest.mark.parametrize("name", sorted(ANCHOR_MODELS))
+def test_anchored_grid_is_gamma_invariant(name, kind):
+    # exactly: at every listed n, each coset element (A, s_A) maps every
+    # point of the anchored grid onto x0 + (Z/n)^2, and the float axes are
+    # those points
+    model = ANCHOR_MODELS[name]
+    group, cutoff = model.group, build_cutoff(model, kind)
+    lo, hi = cutoff.support
+    x0 = heat._grid_anchor(group)
+    for n in heat.GRID_SIZES:
+        axes = [[lo + (x - lo) % Fraction(1, n) + Fraction(k, n) for k in range((hi - lo) * n)]
+                for x in x0]
+        for got, want in zip(heat._grid_axes(cutoff, n), axes):
+            assert np.max(np.abs(got - np.array(want, dtype=float))) <= 1e-15
+            assert lo <= min(want) and max(want) < hi
+        # the points as integers over a common denominator d
+        d = math.lcm(n, *(x.denominator for x in x0),
+                     *(x.denominator for s in group.coset_vectors.values() for x in s))
+        px, py = np.meshgrid(*([int(p * d) for p in axis] for axis in axes), indexing="ij")
+        for a, s in group.coset_vectors.items():
+            qx = a[0][0] * px + a[0][1] * py + int(s[0] * d) - int(x0[0] * d)
+            qy = a[1][0] * px + a[1][1] * py + int(s[1] * d) - int(x0[1] * d)
+            assert not np.any(qx % (d // n)) and not np.any(qy % (d // n)), (a, n)
+
+
+HEAT_RULE_MODELS = {
+    "p4_lattice_3I": make_p4([[3, 0], [0, 3]]),
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_sheared": SHEARED_P4,
+    "p4_shift_1d5_2d7": P4_SHIFT,
+    "p2_shift_1d3_1d5": P2_SHIFT,
+}
+
+
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
 @pytest.mark.parametrize("t_values", [pytest.param([0.005], id="t0.005"),
                                       pytest.param(THREE_T, id="three_t")])
-@pytest.mark.parametrize("name", ["p4", "p2", "p4_spinc"] + sorted(SMOOTH_RULE_MODELS))
-def test_smooth_heat_is_the_localized_index(name, t_values):
-    # the smooth kind's S_2n on a grid sized by t, as `heat --cutoff smooth`
-    # computes it, at a Gaussian far narrower than the cell and at the default
-    # times; the sheared grid is not Gamma-invariant and keeps the resolution
-    model = SMOOTH_RULE_MODELS.get(name) or load_model(FIXTURE_DIR / f"{name}.json")
+@pytest.mark.parametrize("name", ["p4", "p2", "p4_spinc"] + sorted(HEAT_RULE_MODELS))
+def test_heat_is_the_localized_index(name, t_values, kind):
+    # S_2n on the anchored grid sized by t, as `heat` computes it for either
+    # cut-off kind, at a Gaussian far narrower than the cell and at the
+    # default times
+    model = HEAT_RULE_MODELS.get(name) or load_model(FIXTURE_DIR / f"{name}.json")
     quad = QuadratureSpec.for_model(model, max(t_values))
-    cutoff = build_cutoff(model, "smooth")
+    cutoff = build_cutoff(model, kind)
     for comp in model.sectors:
         cls = comp.class_handle
         if cls.representative.is_identity:

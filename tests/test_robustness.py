@@ -203,7 +203,7 @@ class TestCliErrorBranches:
         assert code == 1
 
     def test_heat_failing_tolerance_exits_two(self, capsys):
-        # an absurd tolerance cannot be met by the fixed-resolution quadrature,
+        # an absurd tolerance cannot be met by the grid quadrature,
         # but the run itself is valid input: verification failure, not error
         code = run_command(["heat", str(FIXTURE_DIR / "p4.json"),
                             "--class", "r_origin", "--t", "0.05,0.2",
