@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Every angle in the model catalogue is a rational multiple of a full turn, so
-all index values live in some Q(zeta_N).  Elements are stored as polynomials
-in zeta_N reduced modulo the N-th cyclotomic polynomial, with Fraction
-coefficients; equality, inversion and conjugation are exact.  Order N = 4
-recovers the Gaussian rationals Q(i).
+all index values live in some Q(zeta_N).  An element is a polynomial in zeta_N
+reduced modulo the N-th cyclotomic polynomial Phi_N, stored as a tuple of
+integer numerators over one positive denominator, in lowest terms, so equal
+numbers of one order have equal tuples.  Phi_N is monic with integer
+coefficients, so the reduction tables are integer and every operation runs in
+Python ints; an inverse is the product of the other Galois conjugates over
+the rational norm.  Order N = 4 recovers the Gaussian rationals Q(i).
 """
 
 from __future__ import annotations
@@ -17,88 +20,58 @@ from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    r = _poly_trim(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        coeff = r[-1] * inv_lead
-        q[shift] = coeff
-        for j, bj in enumerate(b):
-            r[shift + j] -= coeff * bj
-        r = _poly_trim(r)
-    return _poly_trim(q), r
-
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial, exact."""
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num: list[Fraction] = [_ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den: list[Fraction] = [_ONE]
+    # x^n - 1 divided by the monic Phi_d of every proper divisor d of n
+    rem = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(q)
+        if n % d:
+            continue
+        phi = cyclotomic_polynomial(d)
+        deg = len(phi) - 1
+        quot = [0] * (len(rem) - deg)
+        for s in reversed(range(len(quot))):
+            c = quot[s] = rem[s + deg]
+            if c:
+                for j, p in enumerate(phi):
+                    rem[s + j] -= c * p
+        if any(rem):
+            raise ArithmeticError("cyclotomic division left a remainder")
+        rem = quot
+    return tuple(rem)
 
 
 class _Context:
-    """Reduction tables for Q[x]/Phi_N(x)."""
+    """Integer reduction tables for Z[x]/Phi_N(x)."""
 
     def __init__(self, order: int):
+        phi = cyclotomic_polynomial(order)
+        deg = self.degree = len(phi) - 1
         self.order = order
-        self.phi = list(cyclotomic_polynomial(order))
-        self.degree = len(self.phi) - 1
-        # reduced representations of zeta^k for k = 0 .. order-1
-        self.powers: list[tuple[Fraction, ...]] = []
-        cur = [_ONE]
+        # powers[k]: the nonzero (j, c) of zeta^k = sum c x^j mod Phi_N, k < N
+        self.powers: list[tuple[tuple[int, int], ...]] = []
+        cur = [1] + [0] * (deg - 1)
         for _ in range(order):
-            self.powers.append(self._pad(cur))
-            cur = self._reduce(_poly_mul(cur, [_ZERO, _ONE]))
+            self.powers.append(tuple((j, c) for j, c in enumerate(cur) if c))
+            top, cur = cur[-1], [0] + cur[:-1]
+            if top:
+                cur = [c - top * p for c, p in zip(cur, phi)]
+        # x^k for deg <= k < 2 deg - 1, the terms a product folds back
+        self.high = [self.powers[k % order] for k in range(deg, 2 * deg - 1)]
+        # the Galois automorphisms zeta -> zeta^k other than the identity
+        self.units = [k for k in range(2, order) if math.gcd(k, order) == 1]
+        # Tr(zeta^k) = deg * mu(n) / phi(n), n = N / gcd(N, k); the mean of
+        # the primitive n-th roots is minus Phi_n's next-to-leading coefficient
+        # over its degree, and phi(n) divides phi(N)
+        self.traces = []
+        for k in range(deg):
+            phi_n = cyclotomic_polynomial(order // math.gcd(order, k))
+            self.traces.append(-phi_n[-2] * (deg // (len(phi_n) - 1)))
         self.root = cmath.exp(2j * math.pi / order)
-
-    def _pad(self, c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = list(c) + [_ZERO] * (self.degree - len(c))
-        return tuple(out[: self.degree])
-
-    def _reduce(self, c: Sequence[Fraction]) -> list[Fraction]:
-        _, r = _poly_divmod(c, self.phi)
-        return r
 
 
 @lru_cache(maxsize=None)
@@ -106,29 +79,78 @@ def _context(order: int) -> _Context:
     return _Context(order)
 
 
+def _substitute(ctx: _Context, num: Sequence[int], mult: int, shift: int = 0) -> list[int]:
+    """sum_i num[i] zeta^(i * mult + shift), reduced; zeta of ctx's order."""
+    out = [0] * ctx.degree
+    powers, n = ctx.powers, ctx.order
+    for i, a in enumerate(num):
+        if a:
+            for j, c in powers[(i * mult + shift) % n]:
+                out[j] += a * c
+    return out
+
+
+def _mulmod(ctx: _Context, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two reduced integer polynomials, reduced mod Phi_N."""
+    deg = ctx.degree
+    prod = [0] * (2 * deg - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    out = prod[:deg]
+    for c, row in zip(prod[deg:], ctx.high):
+        if c:
+            for j, r in row:
+                out[j] += c * r
+    return out
+
+
+def _lowest(den: int, num: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    num = tuple(num)
+    g = math.gcd(den, *num)
+    if g == 1:
+        return den, num
+    return den // g, tuple(x // g for x in num)
+
+
+def _make(order: int, den: int, num: Iterable[int]) -> "Cyclo":
+    """sum_j num[j] zeta^j / den for a positive den, in lowest terms."""
+    out = Cyclo.__new__(Cyclo)
+    out.order = order
+    out.den, out.num = _lowest(den, num)
+    return out
+
+
 class Cyclo:
-    """An exact element of Q(zeta_N)."""
+    """An exact element of Q(zeta_N): sum_j num[j] zeta_N^j / den."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "den", "num")
 
-    def __init__(self, order: int, coeffs: Iterable[Fraction]):
+    def __init__(self, order: int, coeffs: Iterable[Rat]):
         ctx = _context(order)
         c = [Fraction(x) for x in coeffs]
-        if len(c) > ctx.degree:
-            c = ctx._reduce(c)
+        den = math.lcm(*(x.denominator for x in c))
+        num = _substitute(ctx, [x.numerator * (den // x.denominator) for x in c], 1)
         self.order = order
-        self.coeffs = ctx._pad(c)
+        self.den, self.num = _lowest(den, num)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta, ..., zeta^(deg - 1)."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_rational(value: Rat, order: int = 1) -> "Cyclo":
-        return Cyclo(order, [Fraction(value)])
+        f = Fraction(value)
+        return _make(order, f.denominator, (f.numerator,) + (0,) * (_context(order).degree - 1))
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclo":
-        ctx = _context(order)
-        return Cyclo(order, ctx.powers[k % order])
+        return _make(order, 1, _substitute(_context(order), (1,), 1, k))
 
     @staticmethod
     def unit(turns: Rat, order: int | None = None) -> "Cyclo":
@@ -149,83 +171,74 @@ class Cyclo:
             return self
         if order % self.order:
             raise ValueError(f"cannot promote from order {self.order} to {order}")
-        step = order // self.order
-        ctx = _context(order)
-        out = [_ZERO] * ctx.degree
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(ctx.powers[(i * step) % order]):
-                out[j] += a * b
-        return Cyclo(order, out)
+        return _make(order, self.den, _substitute(_context(order), self.num, order // self.order))
 
     def _match(self, other: "CycloLike") -> tuple["Cyclo", "Cyclo"]:
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.from_rational(other, 1)
+            return self, Cyclo.from_rational(other, self.order)
         if not isinstance(other, Cyclo):
             return NotImplemented, NotImplemented  # type: ignore[return-value]
+        if other.order == self.order:
+            return self, other
         n = math.lcm(self.order, other.order)
         return self.promote(n), other.promote(n)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "CycloLike") -> "Cyclo":
+    def _combine(self, other: "CycloLike", sign: int) -> "Cyclo":
         a, b = self._match(other)
         if a is NotImplemented:
             return NotImplemented
-        return Cyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.order, a.den, [x + sign * y for x, y in zip(a.num, b.num)])
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        return _make(a.order, a.den * fa, [x * fa + y * fb for x, y in zip(a.num, b.num)])
+
+    def __add__(self, other: "CycloLike") -> "Cyclo":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.order, [-x for x in self.coeffs])
+        return _make(self.order, self.den, [-x for x in self.num])
 
     def __sub__(self, other: "CycloLike") -> "Cyclo":
-        a, b = self._match(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return Cyclo(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other: "CycloLike") -> "Cyclo":
         return (-self).__add__(other)
 
     def __mul__(self, other: "CycloLike") -> "Cyclo":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclo(self.order, [x * f for x in self.coeffs])
+            return _make(self.order, self.den * other.denominator,
+                         [x * other.numerator for x in self.num])
         a, b = self._match(other)
         if a is NotImplemented:
             return NotImplemented
-        return Cyclo(a.order, _poly_mul(a.coeffs, b.coeffs))
+        return _make(a.order, a.den * b.den, _mulmod(_context(a.order), a.num, b.num))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        ctx = _context(self.order)
-        # extended Euclid in Q[x]; invariant r_i = s_i * self (mod Phi_N)
-        r0, r1 = list(ctx.phi), _poly_trim(list(self.coeffs))
-        if not r1:
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs = _poly_mul(q, s1)
-            width = max(len(s0), len(qs))
-            s_next = _poly_trim([(s0[i] if i < len(s0) else _ZERO) -
-                                 (qs[i] if i < len(qs) else _ZERO)
-                                 for i in range(width)])
-            r0, r1 = r1, r
-            s0, s1 = s1, s_next
-            if not r1:
-                raise ArithmeticError("element shares a factor with Phi_N")
-        scale = 1 / r1[0]
-        return Cyclo(self.order, [x * scale for x in s1])
+        ctx = _context(self.order)
+        # x * prod_{k != 1} sigma_k(x) = N(x), the rational norm of x
+        others = [1] + [0] * (ctx.degree - 1)
+        for k in ctx.units:
+            others = _mulmod(ctx, others, _substitute(ctx, self.num, k))
+        norm = _mulmod(ctx, self.num, others)[0]
+        scale = self.den if norm > 0 else -self.den
+        return _make(self.order, abs(norm), [x * scale for x in others])
 
     def __truediv__(self, other: "CycloLike") -> "Cyclo":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclo(self.order, [x / f for x in self.coeffs])
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic number by zero")
+            scale = other.denominator if other > 0 else -other.denominator
+            return _make(self.order, self.den * abs(other.numerator),
+                         [x * scale for x in self.num])
         a, b = self._match(other)
         if a is NotImplemented:
             return NotImplemented
@@ -249,28 +262,21 @@ class Cyclo:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "Cyclo":
-        ctx = _context(self.order)
-        out = [_ZERO] * ctx.degree
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(ctx.powers[(-i) % self.order]):
-                out[j] += a * b
-        return Cyclo(self.order, out)
+        return _make(self.order, self.den, _substitute(_context(self.order), self.num, -1))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.is_rational() and self.den == 1
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -278,18 +284,21 @@ class Cyclo:
     def real_imag_parts(self) -> tuple["Cyclo", "Cyclo"]:
         """(re, im) as exact real elements of Q(zeta_lcm(4, N))."""
         n = math.lcm(4, self.order)
-        z = self.promote(n)
-        conj = z.conjugate()
-        i = Cyclo.zeta(n, n // 4)
-        re = (z + conj) / 2
-        im = (z - conj) * i.conjugate() / 2  # division by i
+        ctx = _context(n)
+        z = _substitute(ctx, self.num, n // self.order)
+        conj = _substitute(ctx, z, -1)
+        re = _make(n, 2 * self.den, [x + y for x, y in zip(z, conj)])
+        # (z - conj) / 2i: times zeta^(3n/4) = -i
+        im = _make(n, 2 * self.den,
+                   _substitute(ctx, [x - y for x, y in zip(z, conj)], 1, 3 * n // 4))
         return re, im
 
     def to_complex(self) -> complex:
         re, im = self.real_imag_parts()
+        # int / int is correctly rounded, so it is float(rational_value())
         return complex(
-            float(re.rational_value()) if re.is_rational() else re._horner_eval().real,
-            float(im.rational_value()) if im.is_rational() else im._horner_eval().real)
+            re.num[0] / re.den if re.is_rational() else re._horner_eval().real,
+            im.num[0] / im.den if im.is_rational() else im._horner_eval().real)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -297,45 +306,41 @@ class Cyclo:
     def _horner_eval(self) -> complex:
         ctx = _context(self.order)
         acc = 0j
-        for a in reversed(self.coeffs):
-            acc = acc * ctx.root + complex(a)
+        for a in reversed(self.num):
+            acc = acc * ctx.root + complex(a / self.den)
         return acc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, Cyclo):
             a, b = self._match(other)
-            return a.coeffs == b.coeffs
+            return a.den == b.den and a.num == b.num
         return NotImplemented
 
     def __hash__(self) -> int:
         # equal numbers of different orders share their mean traces; a
         # rational hashes like its Fraction
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.rational_value())
         return hash((self._mean_trace(), (self * self.conjugate())._mean_trace()))
 
     def _mean_trace(self) -> Fraction:
         """Tr(x) / [Q(zeta_N) : Q], which does not depend on the order N.
 
         The trace of zeta_N^k is the sum of the primitive n-th roots of unity,
-        n = N / gcd(N, k), and their mean is minus the next-to-leading
-        coefficient of Phi_n over its degree.
+        n = N / gcd(N, k), counted [Q(zeta_N) : Q(zeta_n)] times.
         """
-        total = _ZERO
-        for k, a in enumerate(self.coeffs):
-            if a:
-                phi = cyclotomic_polynomial(self.order // math.gcd(self.order, k))
-                total += a * -phi[-2] / (len(phi) - 1)
-        return total
+        ctx = _context(self.order)
+        return Fraction(sum(a * t for a, t in zip(self.num, ctx.traces)), self.den * ctx.degree)
 
     def __repr__(self) -> str:
         terms = []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            terms.append(f"{a}" if i == 0 else f"{a}*z{self.order}^{i}")
+        for i, a in enumerate(self.num):
+            if a:
+                c = Fraction(a, self.den)
+                terms.append(f"{c}" if i == 0 else f"{c}*z{self.order}^{i}")
         return " + ".join(terms) if terms else "0"
 
 

@@ -146,19 +146,29 @@ class FiniteGroupTable:
     """A finite group presented by its multiplication table on 0..order-1."""
 
     def __init__(self, product: Sequence[Sequence[int]]):
-        self.order = len(product)
-        self.product = tuple(tuple(int(x) for x in row) for row in product)
-        self._validate()
-        self.identity = self._find_identity()
-        self.inverse = tuple(self._find_inverse(g) for g in range(self.order))
+        self._build(product)
+        self._check_associative()
 
-    def _validate(self) -> None:
-        n = self.order
+    @classmethod
+    def of_composition(cls, product: Sequence[Sequence[int]]) -> "FiniteGroupTable":
+        """A table read off the composition of maps, associative by construction."""
+        table = cls.__new__(cls)
+        table._build(product)
+        return table
+
+    def _build(self, product: Sequence[Sequence[int]]) -> None:
+        n = self.order = len(product)
+        self.product = tuple(tuple(int(x) for x in row) for row in product)
         if n == 0:
             raise StructuralError("empty group table")
         for row in self.product:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise StructuralError("group table is not closed")
+        self.identity = self._find_identity()
+        self.inverse = tuple(self._find_inverse(g) for g in range(self.order))
+
+    def _check_associative(self) -> None:
+        n = self.order
         if n <= 64:
             triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
         else:
@@ -198,7 +208,7 @@ class FiniteGroupTable:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupTable":
-        return FiniteGroupTable([[(a + b) % n for b in range(n)] for a in range(n)])
+        return FiniteGroupTable.of_composition([[(a + b) % n for b in range(n)] for a in range(n)])
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroupTable":
@@ -208,7 +218,7 @@ class FiniteGroupTable:
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-        return FiniteGroupTable(table)
+        return FiniteGroupTable.of_composition(table)
 
 
 # ---------------------------------------------------------------------------

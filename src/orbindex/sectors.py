@@ -68,8 +68,9 @@ class TorusAction:
         self.gram = gram
         self.isometries = close_mod_lattice(generators)
         index = {g: i for i, g in enumerate(self.isometries)}
-        self.table = FiniteGroupTable([[index[a.compose(b).mod_lattice()]
-                                        for b in self.isometries] for a in self.isometries])
+        self.table = FiniteGroupTable.of_composition(
+            [[index[a.compose(b).mod_lattice()] for b in self.isometries]
+             for a in self.isometries])
         self._turns = tuple(rotation_turns_for_gram(g.point_part, gram)
                             for g in self.isometries)
 

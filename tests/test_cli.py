@@ -237,6 +237,38 @@ class TestCommands:
         assert abs(complex(vi[0], vi[1]) - complex(vs[0], vs[1])) < 1e-8
 
 
+# S^2/Z_n with O(k): the sphere fields run from Q(i) to Q(zeta_28), and the
+# assembly and Lefschetz routes invert det(1 - g) there
+SPHERE_CASES = [(2, 3), (3, 7), (4, 0), (4, 5), (5, 9), (6, 13), (7, 4), (7, 12), (8, 17),
+                (5, -3), (5, -8)]
+
+
+@pytest.mark.parametrize("n, k", SPHERE_CASES)
+def test_sphere_quotient_index_by_every_method(tmp_path, n, k):
+    doc = json.loads((FIXTURE_DIR / "s2_z3_o7.json").read_text())
+    doc["group"]["order"], doc["bundle"]["twistDegree"] = n, k
+    path = tmp_path / f"s2_z{n}_o{k}.json"
+    path.write_text(json.dumps(doc))
+    values = []
+    for method in ("kawasaki", "assembly", "lefschetz"):
+        code, report, _ = run(["index", str(path), "--method", method])
+        assert code == 0
+        if method == "lefschetz":
+            rows = [complex(*map(float, r["value"])) for r in report["rows"]]
+            values.append(sum(rows) / len(rows))
+        else:
+            values += [complex(*map(float, v)) for v in report["totals"].values()]
+    # k >= 0: h^0(O(k))^{Z_n} = floor(k/n) + 1; k < 0: no closed form here,
+    # but every route must give one integer
+    want = k // n + 1 if k >= 0 else round(values[0].real)
+    assert len(values) == 4
+    assert all(abs(v - want) <= 1e-9 for v in values)
+    if k >= 0:
+        code, report, _ = run(["verify", str(path)])
+        assert code == 0 and report["mode"] == "exact"
+        assert all(report["verdicts"].values())
+
+
 class TestExitCodes:
     def test_unknown_class_lists_valid_labels(self, capsys):
         code, _, _ = run(["localized", str(FIXTURE_DIR / "p4.json"),

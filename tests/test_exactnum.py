@@ -1,8 +1,10 @@
 """Exact cyclotomic arithmetic."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,3 +118,168 @@ def test_promoted_root_is_one_set_element():
     assert hash(i) == hash(i.promote(12)) == hash(Cyclo.zeta(12, 3))
     assert len({i, i.promote(12), Cyclo.zeta(12, 3)}) == 1
     assert hash(Cyclo.from_rational(Fraction(2, 3), 12)) == hash(Fraction(2, 3))
+
+
+# -- the Fraction-polynomial arithmetic that Cyclo replaced, kept as a reference
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    b = _ref_trim(list(b))
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = _ref_trim(list(a))
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        coeff = r[-1] / b[-1]
+        q[shift] = coeff
+        for j, bj in enumerate(b):
+            r[shift + j] -= coeff * bj
+        r = _ref_trim(r)
+    return _ref_trim(q), r
+
+
+@lru_cache(maxsize=None)
+def _ref_phi(n):
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _ref_mul(den, list(_ref_phi(d)))
+    return tuple(_ref_divmod(num, den)[0])
+
+
+@lru_cache(maxsize=None)
+def _ref_powers(n):
+    """zeta^k reduced mod Phi_n, for k = 0 .. n-1."""
+    phi, out, cur = list(_ref_phi(n)), [], [Fraction(1)]
+    for _ in range(n):
+        out.append(cur + [Fraction(0)] * (len(phi) - 1 - len(cur)))
+        cur = _ref_divmod(_ref_mul(cur, [Fraction(0), Fraction(1)]), phi)[1]
+    return out
+
+
+class RefCyclo:
+    """Q(zeta_N) as Fraction coefficients reduced mod Phi_N, by polynomial divmod."""
+
+    def __init__(self, order, coeffs):
+        self.order, self.phi = order, list(_ref_phi(order))
+        c = [Fraction(x) for x in coeffs]
+        if len(c) >= len(self.phi):
+            c = _ref_divmod(c, self.phi)[1]
+        self.coeffs = tuple(c + [Fraction(0)] * (len(self.phi) - 1 - len(c)))
+
+    def _substitute(self, order, index):
+        out = [Fraction(0)] * (len(_ref_phi(order)) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(_ref_powers(order)[index(i) % order]):
+                out[j] += a * b
+        return RefCyclo(order, out)
+
+    def promote(self, order):
+        return self._substitute(order, lambda i: i * (order // self.order))
+
+    def _match(self, other):
+        if not isinstance(other, RefCyclo):
+            other = RefCyclo(1, [other])
+        n = math.lcm(self.order, other.order)
+        return self.promote(n), other.promote(n)
+
+    def __add__(self, other):
+        a, b = self._match(other)
+        return RefCyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __sub__(self, other):
+        a, b = self._match(other)
+        return RefCyclo(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __mul__(self, other):
+        if not isinstance(other, RefCyclo):
+            return RefCyclo(self.order, [x * other for x in self.coeffs])
+        a, b = self._match(other)
+        return RefCyclo(a.order, _ref_mul(list(a.coeffs), list(b.coeffs)))
+
+    def inverse(self):
+        # extended Euclid in Q[x]; invariant r_i = s_i * self (mod Phi_N)
+        r0, r1 = list(self.phi), _ref_trim(list(self.coeffs))
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _ref_divmod(r0, r1)
+            qs = _ref_mul(q, s1)
+            width = max(len(s0), len(qs))
+            s_next = _ref_trim([(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                                for i in range(width)])
+            r0, r1, s0, s1 = r1, r, s1, s_next
+        return RefCyclo(self.order, [x / r1[0] for x in s1])
+
+    def __truediv__(self, other):
+        if not isinstance(other, RefCyclo):
+            return RefCyclo(self.order, [x / other for x in self.coeffs])
+        a, b = self._match(other)
+        return a * b.inverse()
+
+    def conjugate(self):
+        return self._substitute(self.order, lambda i: -i)
+
+    def real_imag_parts(self):
+        n = math.lcm(4, self.order)
+        z = self.promote(n)
+        conj = z.conjugate()
+        return (z + conj) / 2, (z - conj) * RefCyclo(n, _ref_powers(n)[3 * n // 4]) / 2
+
+    def to_complex(self):
+        parts = []
+        for part in self.real_imag_parts():
+            if all(x == 0 for x in part.coeffs[1:]):
+                parts.append(float(part.coeffs[0]))
+            else:
+                root, acc = cmath.exp(2j * math.pi / part.order), 0j
+                for a in reversed(part.coeffs):
+                    acc = acc * root + complex(a)
+                parts.append(acc.real)
+        return complex(*parts)
+
+
+REFERENCE_ORDERS = (1, 2, 3, 4, 5, 6, 12, 20, 24, 28)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("order", REFERENCE_ORDERS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_arithmetic_matches_the_fraction_reference(order, data):
+    coeff = st.fractions(-5, 5, max_denominator=6)
+    sub = data.draw(st.sampled_from([d for d in REFERENCE_ORDERS if order % d == 0]))
+    up = data.draw(st.sampled_from([m for m in REFERENCE_ORDERS if m % order == 0]))
+    xs = data.draw(st.lists(coeff, max_size=len(_ref_phi(order)) - 1))
+    ys = data.draw(st.lists(coeff, max_size=len(_ref_phi(sub)) - 1))
+    r = data.draw(coeff)
+    x, rx = Cyclo(order, xs), RefCyclo(order, xs)
+    y, ry = Cyclo(sub, ys), RefCyclo(sub, ys)
+    pairs = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (x * r, rx * r),
+             (r + x, rx + r), (x.conjugate(), rx.conjugate()), (x.promote(up), rx.promote(up)),
+             *zip(x.real_imag_parts(), rx.real_imag_parts())]
+    if not y.is_zero():
+        pairs += [(x / y, rx / ry), (y.inverse(), ry.inverse())]
+    if r:
+        pairs.append((x / r, rx / r))
+    for got, want in pairs:
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+    for got, want in ((x, rx), (y, ry), (x * y, rx * ry)):
+        assert _bits(got.to_complex()) == _bits(want.to_complex())

@@ -68,6 +68,14 @@ class TestFiniteGroups:
         with pytest.raises(StructuralError):
             FiniteGroupTable([[0, 1], [0, 1]])  # no inverse row structure
 
+    def test_hand_given_non_associative_table_rejected(self):
+        # identity 0, every element its own inverse, but (2*1)*1 = 0 != 2 = 2*(1*1)
+        table = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        with pytest.raises(StructuralError, match="not associative"):
+            FiniteGroupTable(table)
+        # a table read off a composition is trusted, so only the hand path checks
+        assert FiniteGroupTable.of_composition(table).identity == 0
+
     def test_centralizer_abelian_is_whole_group(self):
         z4 = FiniteGroupTable.cyclic(4)
         assert len(centralizer(1, z4)) == 4

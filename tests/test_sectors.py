@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbindex.cli import FIXTURE_DIR, load_model
 from orbindex.errors import DomainError, StructuralError
 from orbindex.groups import (
     AffineIsometry,
@@ -253,6 +254,38 @@ def test_torus_action_table_comes_from_the_closure():
     assert action.table.product == FiniteGroupTable.cyclic(4).product
     assert [action.rotation_turns(g) for g in range(4)] == \
         [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+def _composed_tables() -> dict:
+    """Every table the library reads off a composition instead of checking:
+    the fixtures' torus actions, the torus models induced by the plane
+    fixtures, p4 mod (Z/4)^2, and the built-in cyclic and symmetric groups."""
+    tables = {f"cyclic{n}": FiniteGroupTable.cyclic(n) for n in range(1, 9)}
+    tables["symmetric3"] = FiniteGroupTable.symmetric(3)
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        model = load_model(path)
+        if isinstance(model.group, CrystGroup):
+            model = induced_torus_model(model)
+        tables[path.stem] = model.group.table
+    gram = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    quarter = [AffineIsometry.of(((1, 0), (0, 1)), v)
+               for v in ((Fraction(1, 4), 0), (0, Fraction(1, 4)))]
+    tables["p4_mod_4"] = TorusAction([AffineIsometry.of(ROT, (0, 0))] + quarter, gram).table
+    return tables
+
+
+COMPOSED_TABLES = _composed_tables()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_TABLES))
+def test_composed_tables_are_associative(name):
+    # the full n^3 check that FiniteGroupTable.of_composition skips
+    product = COMPOSED_TABLES[name].product
+    n = len(product)
+    assert all(product[product[a][b]][c] == product[a][product[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+    if name == "p4_mod_4":
+        assert n == 64
 
 
 HALF_TURN = ((-1, 0), (0, -1))
