@@ -481,61 +481,14 @@ class ConjugacyClassHandle:
         return hit
 
     def members(self):
-        """All class members of a finite table group; plane classes use
-        members_in_ball."""
+        """All class members of a finite table group; a plane class is infinite."""
         if not isinstance(self.group, FiniteGroupTable):
-            raise DomainError("a plane class has no member list; use members_in_ball")
+            raise DomainError("a plane class has no member list")
         if self._members is None:
             g = self.representative
             self._members = tuple(sorted({self.group.conjugate(k, g)
                                           for k in self.group.elements()}))
         return self._members
-
-    def members_in_ball(self, radius) -> list[AffineIsometry]:
-        """Class members with sup-norm of translation <= radius, in the order of
-        CrystGroup.elements_in_ball: the list
-        [h for h in group.elements_in_ball(radius) if self.contains(h)],
-        built from the conjugation formula instead of membership tests.
-
-        The point group is cyclic, so (B, w) (A, a) (B, w)^{-1} = (A, B a +
-        (I - A) w) with w = s_B + lambda, lambda in Z^2.  For a translation
-        class I - A = 0 and the members are the point-group orbit of a.  For a
-        rotation class I - A is invertible, so the members in the ball come
-        from the lambda with |lambda| <= |(I - A)^{-1}| (radius + |c_B|),
-        c_B = B a + (I - A) s_B.
-        """
-        group = self.group
-        if not isinstance(group, CrystGroup):
-            raise DomainError("members_in_ball needs a crystallographic group")
-        radius = Fraction(radius)
-        a, t = self.representative.point_part, self.representative.translation
-        if a == IDENTITY_MAT:
-            found = {mat_vec(b, t) for b in group.point_parts}
-            return sorted((AffineIsometry(a, tr) for tr in found if vec_supnorm(tr) <= radius),
-                          key=group._order_key)
-        m = mat_sub(IDENTITY_MAT, a)
-        minv = mat_inv(m)
-        minv_norm = max(abs(minv[0][0]) + abs(minv[0][1]),
-                        abs(minv[1][0]) + abs(minv[1][1]))
-        cs = [vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
-              for b in group.point_parts]
-        # the search, its dedupe and its sort run in integers over the common
-        # denominator of the c_B; only the members returned become Fractions
-        den = math.lcm(*(x.denominator for c in cs for x in c))
-        bound = math.floor(radius * den)
-        m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
-        found = set()
-        for c in cs:
-            box = math.floor(minv_norm * (radius + vec_supnorm(c)))
-            c0, c1 = int(c[0] * den), int(c[1] * den)
-            for l0 in range(-box, box + 1):
-                x0, y0 = c0 + m00 * l0, c1 + m10 * l0
-                for l1 in range(-box, box + 1):
-                    x, y = x0 + m01 * l1, y0 + m11 * l1
-                    if abs(x) <= bound and abs(y) <= bound:
-                        found.add((x, y))
-        return [AffineIsometry(a, (Fraction(x, den), Fraction(y, den)))
-                for x, y in sorted(found, key=lambda v: (max(abs(v[0]), abs(v[1])), v))]
 
     def coset_section(self) -> Iterator:
         """Lazily enumerate K with {k g k^{-1} : k in K} = (g), no repeats.

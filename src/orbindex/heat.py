@@ -3,20 +3,18 @@
 Only models whose action is a CrystGroup are heat-verified: on the plane the
 heat kernel is the exact Gaussian (4 pi t)^{-n/2} e^{-d^2/4t} with identity
 fiber transport, so quadrature checks the index identities without curved
-parametrices.  Class sums are truncated at a radius derived from the Gaussian
-tail estimate, never adaptively, so reports are reproducible bit for bit for a
-fixed spec.  At each t only the members whose kernel reaches 2^-60 somewhere
-on the cut-off box are summed; whether one does is decided from the exact
-minimum of |hx - x|^2 over the box, so the skip rests on a bound, not on
-sampling, and depends on the spec and t alone.  Both cut-off kinds take the
-finer of two sums on one grid, x0 + (Z/n)^2 with n sized by t, anchored at a
-rotation centre x0 so that the group maps it onto itself; the cut-off drops
-out of that sum, the spectrally convergent periodic rule of the Gamma-
-invariant class sum.  A t whose Gaussian is narrower than the finest grid's
-spacing, and two sums further apart than the tolerance, raise, whatever the
-size of the value.  The Euclidean orbital integral a class's trace is
-compared with needs no quadrature: for a rotation class it is the closed
-form tau(A) / (|Z_Gamma(g)| det(I - A)), the same at every t.
+parametrices.  One rule truncates a class sum: at each t exactly the members
+whose kernel reaches 2^-60 on the cut-off box, by the exact minimum of
+|hx - x|^2 over it, are summed.  They are enumerated by rotation centre out to
+that reach at the largest t, and one closed-form lattice Gaussian tail bound
+covers the rest.  Both cut-off kinds take the finer of two sums on one grid,
+x0 + (Z/n)^2 with n sized by t, anchored at a rotation centre x0 so that the
+group maps it onto itself; the cut-off drops out of that sum, the spectrally
+convergent periodic rule of the Gamma-invariant class sum.  A t whose
+Gaussian is narrower than the finest grid's spacing, and two sums further
+apart than the tolerance, raise, whatever the size of the value.  The
+Euclidean orbital integral needs no quadrature: for a rotation class it is
+tau(A) / (|Z_Gamma(g)| det(I - A)) at every t.
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ from .groups import (
     mat_inv,
     mat_sub,
     mat_vec,
+    vec_add,
+    vec_frac,
 )
 from .sectors import (
     CutoffFunction,
@@ -52,34 +52,40 @@ FLOAT = Scalars("float")
 
 
 # ---------------------------------------------------------------------------
-# Quadrature specification with tail-derived truncation
+# Quadrature specification: the kernel floor's reach and its tail bound
 # ---------------------------------------------------------------------------
+
+# A member is summed at time t only if its kernel exp(-|hx - x|^2 / 4t)
+# reaches this fraction of its peak somewhere on the cut-off box.
+KERNEL_FLOOR = 2.0 ** -60
+LOG_FLOOR = -math.log(KERNEL_FLOOR)
+
+# Rotation centres are searched at most this far from the box, in lattice units.
+MAX_REACH = 48
+
 
 @dataclass
 class QuadratureSpec:
-    truncation_radius: int
+    t_max: float
     tolerance: float
     tail_bound: float
 
     @staticmethod
     def for_model(model: QuotientModel, t_max: float,
                   tolerance: float = 1e-6) -> "QuadratureSpec":
-        """Pick the class-sum radius, 2 to 63, from the explicit Gaussian tail
-        estimate.  A bound of inf ends the search: every radius's series ends
-        at the same shell, so no larger radius's shells decay by it either."""
-        for radius in range(2, 64):
-            bound = class_sum_tail_bound(model, t_max, radius)
-            if bound < tolerance / 10:
-                return QuadratureSpec(radius, tolerance, bound)
-            if bound == math.inf:
-                break
-        raise ResolutionError("tail bound does not reach tolerance/10")
+        """The spec for times up to t_max: each class's members are enumerated
+        out to the kernel floor's reach at t_max, and truncation_bound, which
+        covers every time up to t_max, must be below tolerance/10."""
+        bound = truncation_bound(model, t_max)
+        if not bound < tolerance / 10:
+            raise ResolutionError("tail bound does not reach tolerance/10")
+        return QuadratureSpec(t_max, tolerance, bound)
 
 
-def _gram_eigs(model: QuotientModel) -> tuple[float, float]:
+def _gram_eigs(group: CrystGroup) -> tuple[float, float]:
     """Smallest and largest eigenvalue of the lattice Gram matrix, or a
     DomainError when they are not finite positive floats."""
-    g = model.group.gram
+    g = group.gram
     try:
         a, b, c = float(g[0][0]), float(g[0][1]), float(g[1][1])
     except OverflowError:
@@ -92,48 +98,56 @@ def _gram_eigs(model: QuotientModel) -> tuple[float, float]:
     return lo, hi
 
 
-def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
-    """Upper bound for the class-sum terms with translation sup-norm > radius.
+def _reach(group: CrystGroup, a, t: float) -> float:
+    """The largest sup-norm distance from the box of the centre q of a member h
+    that reaches the floor at t: |hx - x|^2_G = kappa |x - q|^2_G, kappa =
+    2 (1 - cos theta) for a turn by theta, and |v|_G >= sqrt(lambda_min) |v|_sup."""
+    kappa = 4 * math.sin(math.pi * group.rotation_turns(a)) ** 2
+    return math.sqrt(4 * t * LOG_FLOOR / (kappa * _gram_eigs(group)[0]))
 
-    For a rotation h by angle theta about center p, |hx - x| >= 2 sin(theta/2)
-    |x - p| and the center norm grows linearly with the translation norm, so
-    shell m, at most 8m translations of norm in (m - 1, m] per point part,
-    contributes at most (shell count) x sup of the Gaussian.  The translations
-    lie in s_A + Z^2, so shell m's smallest norm is nu + m - radius - 1, nu the
-    smallest above the radius: m when every s_A is integral.  The sum over
-    shells converges super-exponentially and is evaluated to negligible
-    remainder; when the terms have not decayed by shell 10,000 (t far above
-    the cell scale) the bound is inf.
-    """
+
+def truncation_bound(model: QuotientModel, t: float) -> float:
+    """Upper bound for the total |contribution| of the members the kernel floor
+    leaves out, for any class of the model, either cut-off kind and every time
+    up to t; inf when a rotation's reach at t exceeds MAX_REACH.
+
+    With 0 <= c <= 1 on the convex box K (the smooth kind's, which holds the
+    indicator's), a rotation member about q contributes at most
+    |tau| erfc(d sqrt(s)) / 2 kappa, its Gaussian's mass beyond a line at
+    d = dist_G(q, K), s = kappa / 4t.  The centres lie on at most |P| lattice
+    cosets, each with at most a0 + a1 r + a2 r^2 points within r of K
+    (Steiner: area(K + disc(r + rho)) / vol, rho a cell's circumradius).  The
+    members left out have d > R, s R^2 = ln(1/floor); integrating by parts
+    from R gives the closed form below, which grows with t.  A translation
+    member by b is left out only when u = |b|^2_G / 4t > ln(1/floor), and its
+    |tau| u e^-u vol / (pi |b|^2_G |P|) is below the identity term / |P|."""
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
     group: CrystGroup = model.group
-    sin_min = 1.0
-    opnorm_inv = 1.0
+    lam_min = _gram_eigs(group)[0]
+    g00, g01, g11 = (float(x) for x in (group.gram[0][0], group.gram[0][1], group.gram[1][1]))
+    vol = math.sqrt(float(abs(mat_det(group.gram))))
+    lo, hi = CutoffFunction("smooth", group).support
+    perimeter = 2 * (hi - lo) * (math.sqrt(g00) + math.sqrt(g11))
+    rho = math.sqrt(g00 + g11 + 2 * abs(g01)) / 2
+    a0 = ((hi - lo) ** 2 * vol + perimeter * rho + math.pi * rho ** 2) / vol
+    a1 = (perimeter + 2 * math.pi * rho) / vol
+    a2 = math.pi / vol
+    erfc_floor = math.erfc(math.sqrt(LOG_FLOOR))
+    bounds = []
     for a in group.point_parts:
+        tau = abs(_supertrace_factor(model, a))
         if a == IDENTITY_MAT:
+            bounds.append(tau * vol * KERNEL_FLOOR * LOG_FLOOR / (math.pi * lam_min))
             continue
-        turns = float(group.rotation_turns(a))
-        sin_min = min(sin_min, abs(math.sin(math.pi * turns)))
-        m = mat_sub(IDENTITY_MAT, a)
-        opnorm = max(abs(m[0][0]) + abs(m[0][1]), abs(m[1][0]) + abs(m[1][1]))
-        opnorm_inv = min(opnorm_inv, 1.0 / float(opnorm))
-    metric = math.sqrt(_gram_eigs(model)[0])
-    p = group.point_group_order
-    pref = (4 * math.pi * t) ** -1 * 2.0 * math.sqrt(float(abs(mat_det(group.gram))))
-    fracs = [x - math.floor(x) for s in group.coset_vectors.values() for x in s]
-    nu = radius + min([1] + [min(f, 1 - f) for f in fracs if f])
-    total = 0.0
-    for m in range(radius + 1, 10_001):
-        # center sup-norm >= norm * opnorm_inv; distance to the unit cell >= that - 2
-        norm = float(nu + m - radius - 1)
-        d = metric * 2 * sin_min * max(norm * opnorm_inv - 2.0, 0.0)
-        shell_count = (8 * m + 4) * p
-        term = shell_count * pref * math.exp(-d * d / (4 * t))
-        total += term
-        if term < 1e-300 and d > 0:
-            return total
-    return math.inf
+        reach = _reach(group, a, t)
+        if reach > MAX_REACH:
+            return math.inf
+        s = LOG_FLOOR / (lam_min * reach ** 2)  # kappa / 4t
+        tail = ((a0 + a2 / (2 * s)) * erfc_floor
+                + (a1 + a2 * math.sqrt(lam_min) * reach) * KERNEL_FLOOR / math.sqrt(math.pi * s))
+        bounds.append(tau * group.point_group_order * tail / (8 * t * s))
+    return max(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +157,6 @@ def class_sum_tail_bound(model: QuotientModel, t: float, radius: int) -> float:
 # Grid points per row block, and member x point entries per array, in the heat
 # pass; bounds its memory whatever the class size and grid size.
 HEAT_BLOCK = 1 << 15
-
-# A member is summed at time t only if its kernel exp(-|hx - x|^2 / 4t)
-# reaches this fraction of its peak somewhere on the cut-off box.
-KERNEL_FLOOR = 2.0 ** -60
 
 
 @dataclass
@@ -166,14 +176,13 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
                 quad: QuadratureSpec, cutoff: Optional[CutoffFunction] = None) -> dict:
     """Localized heat supertraces by quadrature, t -> value for every t in t_list.
 
-    Sums, over class members within the truncation radius, the integrals of
-    c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the supertrace
-    factors into the fiber eigen-character times the scalar Gaussian.
-    Members, supertrace factors and cut-off values do not depend on t and are
-    built once; the times that share a grid size are accumulated in one pass.
-    The members are sorted once by the minimum d2_min of |hx - x|^2 over the
-    cut-off box, and at time t only the prefix with
-    exp(-d2_min / 4t) >= KERNEL_FLOOR is summed.  Each t takes the grid sums
+    Sums, over the members of _members_in_reach for the spec's t_max, the
+    integrals of c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the
+    supertrace factors into the fiber eigen-character, one per class, times
+    the scalar Gaussian.  The members are built once; the times that share a
+    grid size are accumulated in one pass.  At time t the prefix of members
+    with exp(-d2_min / 4t) >= KERNEL_FLOOR is summed, so a t up to t_max sums
+    exactly the members that reach the floor.  Each t takes the grid sums
     S_n, S_2n at n = _grid_size per unit on the grid of _grid_axes, for either
     cut-off kind, and is valued S_2n.  A t below the grid raises before any
     sum, and |S_2n - S_n| above the tolerance after.
@@ -184,18 +193,12 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
         raise DomainError("heat time must be positive")
     cutoff = cutoff or build_cutoff(model, "indicator")
     ts = list(dict.fromkeys(t_list))
-    # the supertrace factor depends on the point part alone
-    factors = {a: _supertrace_factor(model, a) for a in model.group.point_parts}
-    members = [h for h in cls.members_in_ball(quad.truncation_radius)
-               if factors[h.point_part] != 0]
-    if not members:
+    tau = _supertrace_factor(model, cls.representative.point_part)
+    coef, d2_min = _members_in_reach(cls, cutoff, quad.t_max) if tau else ((), ())
+    if not len(coef):
         return {t: 0j for t in ts}
     sizes = {t: _grid_size(model, t, quad.tolerance) for t in ts}
-    coef = _d2_coefficients(cutoff, members)
-    d2_min = _box_min_d2(coef, *cutoff.support)
-    order = np.argsort(d2_min, kind="stable")
-    coef, d2_min = coef[order], d2_min[order]
-    tau = np.array([factors[h.point_part] for h in members], dtype=complex)[order]
+    taus = np.full(len(coef), tau, dtype=complex)
     # every grid point lies in the box, so one count per t serves every grid;
     # exp is monotone, so the kept members are a prefix
     kept = {t: int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
@@ -203,7 +206,7 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     sums = {}
     for n in dict.fromkeys(sizes.values()):
         batch = [t for t in ts if sizes[t] == n]
-        coarse, fine = (_grid_sums(cutoff, coef, tau, [kept[t] for t in batch], batch, m)
+        coarse, fine = (_grid_sums(cutoff, coef, taus, [kept[t] for t in batch], batch, m)
                         for m in (n, 2 * n))
         sums.update(zip(batch, zip(coarse, fine)))
     for t in ts:
@@ -211,6 +214,52 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
         if err > quad.tolerance:
             raise ResolutionError(f"quadrature error estimate {err:.3e} exceeds tolerance")
     return {t: sums[t][1] for t in ts}
+
+
+def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
+                      t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The class members h with exp(-d2_min(h) / 4 t_max) >= KERNEL_FLOOR,
+    d2_min(h) the minimum of |hx - x|^2_G over the cut-off box, as rows of
+    _d2_coefficients and their d2_min, sorted by d2_min, then by sup-norm of
+    the translation, then by the translation.
+
+    (B, s_B + lambda) conjugates (A, a) to (A, c_B + (I - A) lambda),
+    c_B = B a + (I - A) s_B: for a translation class the point-group orbit of
+    a.  A rotation member's centre is (I - A)^-1 c_B + lambda, so each coset
+    of centres is searched once, in integers over one denominator, over the
+    lambda that put the centre within _reach of the box.
+    """
+    group: CrystGroup = cls.group
+    a, t = cls.representative.point_part, cls.representative.translation
+    lo, hi = cutoff.support
+    m = mat_sub(IDENTITY_MAT, a)
+    if a == IDENTITY_MAT:
+        starts = {mat_vec(b, t): ((0, 0), (0, 0)) for b in group.point_parts}
+    else:
+        minv = mat_inv(m)
+        reach = _reach(group, a, t_max) + 1
+        starts, centres = {}, set()
+        for b in group.point_parts:
+            c = vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
+            p = mat_vec(minv, c)
+            if vec_frac(p) not in centres:
+                centres.add(vec_frac(p))
+                starts[c] = tuple((math.ceil(lo - reach - x), math.floor(hi + reach - x))
+                                  for x in p)
+    den = math.lcm(*(x.denominator for c in starts for x in c))
+    m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
+    xs, ys = [], []
+    for (c0, c1), ((l0, u0), (l1, u1)) in starts.items():
+        k0, k1 = np.meshgrid(np.arange(l0, u0 + 1), np.arange(l1, u1 + 1), indexing="ij")
+        xs.append((int(c0 * den) + m00 * k0 + m01 * k1).ravel())
+        ys.append((int(c1 * den) + m10 * k0 + m11 * k1).ravel())
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    coef = _d2_coefficients(group.gram, a, x / den, y / den)
+    d2_min = _box_min_d2(coef, lo, hi)
+    keep = np.exp(d2_min * (-1.0 / (4 * t_max))) >= KERNEL_FLOOR
+    x, y, coef, d2_min = x[keep], y[keep], coef[keep], d2_min[keep]
+    order = np.lexsort((y, x, np.maximum(np.abs(x), np.abs(y)), d2_min))
+    return coef[order], d2_min[order]
 
 
 # Grid sizes per unit, coarsest first.
@@ -226,7 +275,7 @@ def _grid_size(model: QuotientModel, t: float, tolerance: float) -> int:
     exp(-(pi n w)^2), and c drops out.  A w, the kernel's scale along the
     stiffest direction, below the finest spacing 1 / 128 could fall between
     the points of both grids and pass the error gate as 0, so it raises."""
-    width = math.sqrt(t / _gram_eigs(model)[1])
+    width = math.sqrt(t / _gram_eigs(model.group)[1])
     finest = 2 * GRID_SIZES[-1]
     if finest * width < 1:
         raise ResolutionError(
@@ -259,20 +308,17 @@ def _grid_axes(cutoff: CutoffFunction, n_per_unit: int) -> list[np.ndarray]:
             for x in _grid_anchor(cutoff.group)]
 
 
-def _d2_coefficients(cutoff: CutoffFunction, members: list) -> np.ndarray:
-    """Per member, the coefficients (S00, S11, S22, S01, S02, S12) of
-    |hx - x|^2_G = v^T S v, v = (x, y, 1).
+def _d2_coefficients(gram, a, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Per member (A, (bx, by)), the coefficients (S00, S11, S22, S01, S02, S12)
+    of |hx - x|^2_G = v^T S v, v = (x, y, 1).
 
     h x - x = p.v and q.v, so S = g00 p p^T + g01 (p q^T + q p^T) + g11 q q^T;
     one product with the monomials (x^2, y^2, 1, 2xy, 2x, 2y) of a block of
     points forms d^2 for a whole chunk of members.
     """
-    p = np.array([[float(h.point_part[0][0]) - 1, float(h.point_part[0][1]),
-                   float(h.translation[0])] for h in members])
-    q = np.array([[float(h.point_part[1][0]), float(h.point_part[1][1]) - 1,
-                   float(h.translation[1])] for h in members])
-    g = cutoff.group.gram
-    g00, g01, g11 = float(g[0][0]), float(g[0][1]), float(g[1][1])
+    p = np.stack([np.full_like(bx, a[0][0] - 1.0), np.full_like(bx, a[0][1]), bx], axis=1)
+    q = np.stack([np.full_like(by, a[1][0]), np.full_like(by, a[1][1] - 1.0), by], axis=1)
+    g00, g01, g11 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
     i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
     return (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
             + g11 * q[:, i] * q[:, j])
@@ -313,9 +359,7 @@ def _grid_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, kept: 
     size, one per t.
 
     The members come sorted by their box minimum of d^2, and at the k-th t only
-    the first kept[k] are summed; each omitted member's kernel is below
-    KERNEL_FLOOR on the whole box, so the omitted total is below
-    N max|tau| KERNEL_FLOOR vol sum(c) cell / (4 pi t) for N members.  The
+    the first kept[k] are summed; truncation_bound covers the rest.  The
     grid is walked in row blocks of at most HEAT_BLOCK points, with the
     cut-off evaluated once per block on its axis vectors (the rows as a
     column, the axis as a row), and the members in chunks so that no member

@@ -290,18 +290,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("t", ["100", "1e5", "1e8", "1e17", "1e20"])
     def test_heat_time_beyond_the_tail_bound_refused(self, capsys, t):
-        # at 100 every radius's bound is finite but too large; from 1e5 the
-        # shell terms have not started to decay within the shell cap, so there
-        # is no tail bound; either way no radius reaches tolerance/10
+        # the kernel floor's reach at each of these times would put the quarter
+        # turn's centres beyond MAX_REACH lattice units of the box: no tail
+        # bound, so the spec is refused before any member is built
         code, _, text = run(["heat", str(FIXTURE_DIR / "p4.json"), "--class", "r_center",
                              "--t", t])
         assert (code, text) == (2, "")
         assert "tail bound does not reach tolerance/10" in capsys.readouterr().err
 
     def test_heat_tail_counts_fractional_translations(self, tmp_path):
-        # p2 with its half turn translated by (1/3, 1/5): members of norm 13/3
-        # lie beyond radius 4, so the tail series starts at 21/5, not 5, and
-        # the radius grows until the report meets a tolerance of 1e-9
+        # p2 with its half turn translated by (1/3, 1/5): the rotation centres
+        # and the members' translations are fractional, and every member that
+        # reaches the kernel floor is still found, so the report meets a
+        # tolerance of 1e-9
         doc = json.loads((FIXTURE_DIR / "p2.json").read_text())
         doc["group"]["generators"][0]["translation"] = ["1/3", "1/5"]
         path = tmp_path / "p2_shift.json"

@@ -11,11 +11,13 @@ from orbindex.cli import FIXTURE_DIR, load_model
 from orbindex.errors import DomainError, ResolutionError, StructuralError
 from orbindex.exactnum import Scalars
 from orbindex.engine import localized_index
-from orbindex.groups import IDENTITY_MAT, AffineIsometry, CrystGroup, mat_det, mat_inv, mat_sub
+from orbindex.groups import (
+    IDENTITY_MAT, AffineIsometry, CrystGroup, mat_det, mat_inv, mat_sub, mat_vec,
+)
 from orbindex import heat, sectors
 from orbindex.heat import (
+    KERNEL_FLOOR,
     QuadratureSpec,
-    class_sum_tail_bound,
     g_heat_trace,
     heat_traces,
     mckean_singer_compare,
@@ -102,45 +104,34 @@ class TestQuadratureSpec:
     def test_tail_bound_below_tolerance_tenth(self):
         assert QUAD.tail_bound < 1e-6 / 10
 
-    def test_tail_bound_monotone(self):
-        b1 = class_sum_tail_bound(P4, 0.2, 4)
-        b2 = class_sum_tail_bound(P4, 0.2, 8)
-        assert b2 < b1
-
-    @pytest.mark.parametrize("t", [1e17, 1e20])
-    def test_no_bound_when_the_shells_do_not_decay_within_the_cap(self, t):
-        # the partial sum over the first 10,000 shells is tiny at such t, but
-        # the shells have not started to decay, so it bounds nothing
-        assert class_sum_tail_bound(P4, t, 2) == math.inf
-
-    def test_unbounded_time_refused_at_the_first_radius(self, monkeypatch):
-        # every radius's series ends at the same shell, so the first inf is
-        # the answer for all of them
-        calls = []
-        real = heat.class_sum_tail_bound
-
-        def spy(model, t, radius):
-            calls.append(radius)
-            return real(model, t, radius)
-
-        monkeypatch.setattr(heat, "class_sum_tail_bound", spy)
+    @pytest.mark.parametrize("t", [100, 1e20])
+    def test_time_beyond_the_reach_refused_before_enumeration(self, monkeypatch, t):
+        # the quarter turn's centres would be searched beyond MAX_REACH lattice
+        # units of the box: no tail bound, and no member is built
+        monkeypatch.setattr(heat, "_members_in_reach", lambda *args: pytest.fail("enumerated"))
+        assert heat._reach(P4.group, ROT, t) > heat.MAX_REACH
+        assert heat.truncation_bound(P4, t) == math.inf
         with pytest.raises(ResolutionError, match="tail bound does not reach tolerance/10"):
-            QuadratureSpec.for_model(P4, 1e17)
-        assert len(calls) <= 2
+            QuadratureSpec.for_model(P4, t)
 
     @pytest.mark.parametrize("model, label, t, kind", [
         (P4, "r_origin", 0.2, "indicator"),
-        # members of norm 13/3 lie beyond radius 4: the series starts there
+        # fractional centres and translations
         (P2_SHIFT, "r_pt0", 0.005, "smooth"),
     ])
     def test_bound_dominates_doubling_effect(self, model, label, t, kind):
+        # a spec for 4 t enumerates out to twice the floor's reach at t, yet
+        # t sums the same prefix of members in the same order, so the value
+        # does not move; the bound for 4 t covers t as well
         cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
         cutoff = build_cutoff(model, kind)
-        small = QuadratureSpec(4, 1e-6, class_sum_tail_bound(model, t, 4))
-        big = QuadratureSpec(8, 1e-6, class_sum_tail_bound(model, t, 8))
+        small = QuadratureSpec.for_model(model, t, 1e-6)
+        big = QuadratureSpec.for_model(model, 4 * t, 1e-6)
+        assert (len(heat._members_in_reach(cls, cutoff, 4 * t)[0])
+                > len(heat._members_in_reach(cls, cutoff, t)[0]))
         v_small = g_heat_trace(model, cls, t, small, cutoff)
-        v_big = g_heat_trace(model, cls, t, big, cutoff)
-        assert abs(v_small - v_big) <= small.tail_bound
+        assert g_heat_trace(model, cls, t, big, cutoff) == v_small
+        assert small.tail_bound <= big.tail_bound < 1e-7
 
 
 class TestHeatTrace:
@@ -169,10 +160,11 @@ class TestHeatTrace:
             assert rep.max_t_variation < 1e-6, label
 
     def test_truncated_radius_flagged_by_the_error_gate(self):
-        # a deliberately tiny radius loses tail mass, so the class sum is not
-        # periodic and the two grid sums part; the radius for_model picks passes
+        # a spec built for a t_max far below the largest t enumerates too few
+        # members for it: the lost tail leaves the class sum non-periodic and
+        # the two grid sums part; the spec for the largest t passes
         ts = [0.05, 0.4]
-        bad = QuadratureSpec(1, 1e-5, class_sum_tail_bound(P4, 0.4, 1))
+        bad = QuadratureSpec.for_model(P4, 0.01, 1e-5)
         with pytest.raises(ResolutionError, match="quadrature error estimate"):
             t_independence(P4, CLASSES["r_origin"], ts, bad)
         good = QuadratureSpec.for_model(P4, 0.4, 1e-5)
@@ -394,7 +386,7 @@ def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
         members.append(AffineIsometry.of(a, (s[0] + m, s[1] + k)))
     cutoff = build_cutoff(model, kind)
     lo, hi = cutoff.support
-    got = heat._box_min_d2(heat._d2_coefficients(cutoff, members), lo, hi)
+    got = heat._box_min_d2(_coefficients(group, members), lo, hi)
     g = group.gram
     gf = np.array(g, dtype=float)
     xs = np.linspace(lo, hi, 241)
@@ -418,24 +410,58 @@ def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
         assert 0.0 <= d2_min <= grid_min * (1 + 1e-12) + 1e-12
 
 
-def _heat_traces_unpruned(model, cls, ts, quad, cutoff):
-    """Reference heat traces: every member in the truncation ball, each over
-    the whole fine grid, S_2n on the anchored grid as in heat_traces."""
+def _coefficients(group, members):
+    """_d2_coefficients rows of a list of members, one member at a time."""
+    return np.concatenate([np.zeros((0, 6))] + [
+        heat._d2_coefficients(group.gram, h.point_part, np.array([float(h.translation[0])]),
+                              np.array([float(h.translation[1])]))
+        for h in members])
+
+
+def _members_around(cls, cutoff, t):
+    """Translations (N x 2, float) of every member of a rotation class whose
+    kernel reaches KERNEL_FLOOR on the cut-off box at t, and more: the
+    members (A, (I - A) q) for the centres q = B p0 + s_B + lambda of the
+    group's orbit of the representative's centre p0, over every lambda in a
+    box beyond the floor's reach, as integers over one denominator."""
+    group = cls.group
+    a, rep = cls.representative.point_part, cls.representative.translation
+    m = mat_sub(IDENTITY_MAT, a)
+    p0 = mat_vec(mat_inv(m), rep)
+    lo, hi = cutoff.support
+    reach = math.ceil(heat._reach(group, a, t)) + 2
+    starts = [tuple(x + y for x, y in zip(mat_vec(b, p0), s))
+              for b, s in group.coset_vectors.items()]
+    den = math.lcm(*(x.denominator for c in starts for x in c))
+    qs = []
+    for c in starts:
+        axes = [np.arange(math.floor(lo - reach - x), math.ceil(hi + reach - x) + 1) + x
+                for x in c]
+        qx, qy = (np.array([int(v * den) for v in axis]) for axis in axes)
+        qs.append(np.stack(np.broadcast_arrays(qx[:, None], qy[None, :]), axis=-1).reshape(-1, 2))
+    q = np.unique(np.concatenate(qs), axis=0)
+    return np.stack([m[0][0] * q[:, 0] + m[0][1] * q[:, 1],
+                     m[1][0] * q[:, 0] + m[1][1] * q[:, 1]], axis=1) / den
+
+
+def _heat_traces_unpruned(model, cls, ts, quad, cutoff, translations):
+    """Reference heat traces: every member (A, b) of the class for the rows b
+    of translations, each over the whole fine grid, S_2n on the anchored grid
+    as in heat_traces."""
     g = model.group.gram
     gf = np.array(g, dtype=float)
     vol = math.sqrt(float(abs(mat_det(g))))
-    members = [(h, heat._supertrace_factor(model, h.point_part))
-               for h in cls.members_in_ball(quad.truncation_radius)]
+    a = cls.representative.point_part
+    tau = heat._supertrace_factor(model, a)
     values = {}
     for t in ts:
         n = 2 * heat._grid_size(model, t, quad.tolerance)
         gx, gy = np.meshgrid(*heat._grid_axes(cutoff, n), indexing="ij")
         c = cutoff.grid(gx, gy)
         total = 0j
-        for h, tau in members:
-            a, b = h.point_part, h.translation
-            dx = (a[0][0] - 1) * gx + a[0][1] * gy + float(b[0])
-            dy = a[1][0] * gx + (a[1][1] - 1) * gy + float(b[1])
+        for b0, b1 in translations:
+            dx = (a[0][0] - 1) * gx + a[0][1] * gy + b0
+            dy = a[1][0] * gx + (a[1][1] - 1) * gy + b1
             d2 = gf[0, 0] * dx * dx + 2 * gf[0, 1] * dx * dy + gf[1, 1] * dy * dy
             total += tau * np.sum(c * np.exp(-d2 / (4 * t)))
         values[t] = total * vol / (n * n * 4 * math.pi * t)
@@ -459,20 +485,20 @@ def test_pruned_sum_matches_every_member(case):
     quad = QuadratureSpec.for_model(model, max(ts), 1e-6)
     cutoff = build_cutoff(model, kind)
     got = heat_traces(model, cls, ts, quad, cutoff)
-    want = _heat_traces_unpruned(model, cls, ts, quad, cutoff)
+    want = _heat_traces_unpruned(model, cls, ts, quad, cutoff,
+                                 _members_around(cls, cutoff, 2 * max(ts)))
     for t in ts:
         assert abs(got[t] - want[t]) < 1e-13, t
 
 
 @pytest.mark.parametrize("ts, kind, summed", [
-    (THREE_T, "indicator", (180, [21, 37, 69])),
-    ([0.1], "smooth", (144, [69])),
+    (THREE_T, "indicator", (69, [21, 37, 69])),
+    ([0.1], "smooth", (69, [69])),
 ])
 def test_members_summed_per_t(monkeypatch, ts, kind, summed):
-    # p4 r_center as the CLI runs it: the truncation ball holds 180 members
-    # for t_max = 0.2 and 144 for t_max = 0.1; each t sums only the members
-    # whose kernel reaches 2^-60 on the cut-off box, which is larger for the
-    # smooth kind
+    # p4 r_center as the CLI runs it: the members that reach 2^-60 on the
+    # cut-off box at t_max are all built, and each t sums the prefix that
+    # reaches it; the smooth kind's box is larger
     seen = []
     real = heat._grid_sums
 
@@ -484,6 +510,99 @@ def test_members_summed_per_t(monkeypatch, ts, kind, summed):
     quad = QuadratureSpec.for_model(P4, max(ts), 1e-6)
     heat_traces(P4, CLASSES["r_center"], ts, quad, build_cutoff(P4, kind))
     assert seen == [summed, summed]
+
+
+P2 = make_p2()
+
+
+@pytest.mark.parametrize("label", ["r_center", "r_edge", "r_edge2", "r_origin"])
+def test_summed_members_are_those_that_reach_the_floor(monkeypatch, label):
+    # p2 as `heat --cutoff smooth --t 0.1` runs it: the members summed are,
+    # in order, the class members of a large group ball (by membership
+    # tests) with d2_min <= 4 t ln(1/KERNEL_FLOOR), sorted by d2_min and then
+    # in the fixed element order
+    t, radius = 0.1, 12
+    cls = {c.label: c for c in cryst_fixed_classes(P2.group)}[label]
+    cutoff = build_cutoff(P2, "smooth")
+    ball = [h for h in P2.group.elements_in_ball(Fraction(radius)) if cls.contains(h)]
+    d2_min = heat._box_min_d2(_coefficients(P2.group, ball), *cutoff.support)
+    reach = [(d2, h) for d2, h in zip(d2_min, ball) if d2 <= 4 * t * math.log(1 / KERNEL_FLOOR)]
+    want = [h for _, h in sorted(reach, key=lambda pair: pair[0])]
+    assert max(max(abs(x) for x in h.translation) for h in want) < radius - 2
+    seen = []
+    real = heat._grid_sums
+
+    def spy(cutoff, coef, tau, kept, ts, n_per_unit):
+        seen.append(coef[:kept[0]])
+        return real(cutoff, coef, tau, kept, ts, n_per_unit)
+
+    monkeypatch.setattr(heat, "_grid_sums", spy)
+    heat_traces(P2, cls, [t], QuadratureSpec.for_model(P2, t), cutoff)
+    assert len(seen) == 2
+    for got in seen:
+        assert np.array_equal(got, _coefficients(P2.group, want))
+
+
+# p4 with a fiber whose identity supertrace is 1: translation members count
+P4_RANK_ONE = sectors.QuotientModel(P4.group, sectors.BundleSpec(
+    fiber_weights={Fraction(0): ((Fraction(0),), ())}), "p4_rank_one")
+
+
+@pytest.mark.parametrize("t", [0.005, 0.1])
+def test_translation_class_sums_its_orbit_by_the_same_rule(t):
+    # (I, (1, 0)) has the four members (I, B (1, 0)), each with d2_min =
+    # |b|^2 = 1 on any box, so all or none reach the floor; each contributes
+    # e^{-1/4t} / (4 pi t) times the integral 1/|P| of the cut-off
+    cls = translation_class(P4.group, (Fraction(1), Fraction(0)))
+    cutoff = build_cutoff(P4, "indicator")
+    coef, d2_min = heat._members_in_reach(cls, cutoff, t)
+    orbit = [AffineIsometry(IDENTITY_MAT, (Fraction(x), Fraction(y)))
+             for x, y in ((-1, 0), (0, -1), (0, 1), (1, 0))]
+    reaches = math.exp(-1 / (4 * t)) >= KERNEL_FLOOR
+    assert np.array_equal(coef, _coefficients(P4.group, orbit if reaches else []))
+    quad = QuadratureSpec.for_model(P4_RANK_ONE, t, 1e-9)
+    want = 4 * math.exp(-1 / (4 * t)) / (4 * math.pi * t) / 4 if reaches else 0
+    assert abs(g_heat_trace(P4_RANK_ONE, cls, t, quad) - want) < 1e-13
+    assert quad.tail_bound > heat.truncation_bound(P4, t)
+
+
+TAIL_MODELS = {
+    "p2_shift_1d3_1d5": P2_SHIFT,
+    "p4_sheared": SHEARED_P4,
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_lattice_3I": make_p4([[3, 0], [0, 3]]),
+}
+
+
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
+@pytest.mark.parametrize("name", sorted(TAIL_MODELS))
+def test_truncation_bound_bounds_every_omitted_member(name, kind):
+    # sum, per rotation class, |contribution| on the fine grid of every
+    # member the floor leaves out at t, out to sqrt 2 times its reach
+    # (beyond, each term is below 2^-120); the spec's one bound for t covers
+    # it.  Far from the box on a large lattice the terms underflow to 0
+    model = TAIL_MODELS[name]
+    cutoff = build_cutoff(model, kind)
+    rotations = [c.class_handle for c in model.sectors
+                 if not c.class_handle.representative.is_translation]
+    seen_positive = False
+    for t in (0.005, 0.2, 1.0):
+        quad = QuadratureSpec.for_model(model, t, 1e-6)
+        n = 2 * heat._grid_size(model, t, quad.tolerance)
+        for cls in rotations:
+            a = cls.representative.point_part
+            around = _members_around(cls, cutoff, 2 * t)
+            coef = heat._d2_coefficients(model.group.gram, a, around[:, 0], around[:, 1])
+            d2_min = heat._box_min_d2(coef, *cutoff.support)
+            kept = np.exp(d2_min / (-4 * t)) >= KERNEL_FLOOR
+            assert kept.sum() == len(heat._members_in_reach(cls, cutoff, t)[0])
+            omitted = ~kept & (d2_min <= 8 * t * math.log(1 / KERNEL_FLOOR))
+            tau = abs(heat._supertrace_factor(model, a))
+            taus = np.full(int(omitted.sum()), tau, dtype=complex)
+            total = heat._grid_sums(cutoff, coef[omitted], taus, [len(taus)], [t], n)[0].real
+            assert total <= quad.tail_bound, (cls.label, t)
+            seen_positive |= total > 0
+    assert seen_positive
 
 
 class TestMcKeanSinger:

@@ -202,14 +202,20 @@ class TestCliErrorBranches:
         code = run_command(["classes", str(FIXTURE_DIR / "p4.json")], BrokenSink())
         assert code == 1
 
-    def test_heat_failing_tolerance_exits_two(self, capsys):
-        # an absurd tolerance cannot be met by the grid quadrature,
-        # but the run itself is valid input: verification failure, not error
+    @pytest.mark.parametrize("t, tol, message", [
+        # the members under the kernel floor alone may add more than 1e-19
+        ("0.05,0.2", "1e-18", "tail bound does not reach tolerance/10"),
+        # a Gaussian between the two grid spacings: the coarse sum misses it
+        ("1e-4", "1e-6", "quadrature error estimate"),
+    ])
+    def test_heat_failing_tolerance_exits_two(self, capsys, t, tol, message):
+        # a tolerance the quadrature cannot meet is valid input:
+        # verification failure, not error
         code = run_command(["heat", str(FIXTURE_DIR / "p4.json"),
-                            "--class", "r_origin", "--t", "0.05,0.2",
-                            "--tol", "1e-18"], io.StringIO())
+                            "--class", "r_origin", "--t", t,
+                            "--tol", tol], io.StringIO())
         assert code == 2
-        assert "error: quadrature error estimate" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_heat_time_below_grid_exits_two(self, capsys):
         # the Gaussian falls between the midpoints of both grids: refused
