@@ -3,18 +3,18 @@
 Only models whose action is a CrystGroup are heat-verified: on the plane the
 heat kernel is the exact Gaussian (4 pi t)^{-n/2} e^{-d^2/4t} with identity
 fiber transport, so quadrature checks the index identities without curved
-parametrices.  One rule truncates a class sum: at each t exactly the members
-whose kernel reaches 2^-60 on the cut-off box, by the exact minimum of
-|hx - x|^2 over it, are summed.  They are enumerated by rotation centre out to
-that reach at the largest t, and one closed-form lattice Gaussian tail bound
-covers the rest.  Both cut-off kinds take the finer of two sums on one grid,
-x0 + (Z/n)^2 with n sized by t, anchored at a rotation centre x0 so that the
-group maps it onto itself; the cut-off drops out of that sum, the spectrally
-convergent periodic rule of the Gamma-invariant class sum.  A t whose
-Gaussian is narrower than the finest grid's spacing, and two sums further
-apart than the tolerance, raise, whatever the size of the value.  The
-Euclidean orbital integral needs no quadrature: for a rotation class it is
-tau(A) / (|Z_Gamma(g)| det(I - A)) at every t.
+parametrices.  A rotation member h = (A, (I - A) q) is the Gaussian about its
+centre q, |hx - x|^2_G = kappa |x - q|^2_G with kappa = det(I - A).  At each
+t exactly the members whose kernel reaches 2^-60 on the cut-off box are
+summed; their centres are enumerated out to that reach at the largest t, and
+one closed-form lattice Gaussian tail bound covers the rest.  Both cut-off
+kinds take the finer of two sums on one grid, x0 + (Z/n)^2 with n sized by t,
+anchored at a rotation centre x0 so that the group maps it onto itself; the
+cut-off drops out of that sum, the spectrally convergent periodic rule of the
+Gamma-invariant class sum.  A t whose Gaussian is narrower than the finest
+grid's spacing, and two sums further apart than the tolerance, raise.  A
+translation's kernel is a constant, so its class needs no grid, and neither
+does the Euclidean orbital integral, tau(A) / (|Z_Gamma(g)| kappa) at every t.
 """
 
 from __future__ import annotations
@@ -98,12 +98,22 @@ def _gram_eigs(group: CrystGroup) -> tuple[float, float]:
     return lo, hi
 
 
+def _kappa(a) -> int:
+    """det(I - A), 1 to 4 for a rotation and 0 for A = I: a member h = (A, (I -
+    A) q) has |hx - x|^2_G = kappa |x - q|^2_G, as A is a G-isometry."""
+    return int(mat_det(mat_sub(IDENTITY_MAT, a)))
+
+
+def _covolume(group: CrystGroup) -> float:
+    """The area of a lattice cell, sqrt(det G)."""
+    return math.sqrt(float(abs(mat_det(group.gram))))
+
+
 def _reach(group: CrystGroup, a, t: float) -> float:
     """The largest sup-norm distance from the box of the centre q of a member h
-    that reaches the floor at t: |hx - x|^2_G = kappa |x - q|^2_G, kappa =
-    2 (1 - cos theta) for a turn by theta, and |v|_G >= sqrt(lambda_min) |v|_sup."""
-    kappa = 4 * math.sin(math.pi * group.rotation_turns(a)) ** 2
-    return math.sqrt(4 * t * LOG_FLOOR / (kappa * _gram_eigs(group)[0]))
+    that reaches the floor at t: kappa |x - q|^2_G <= 4 t ln(1/floor), and
+    |v|_G >= sqrt(lambda_min) |v|_sup."""
+    return math.sqrt(4 * t * LOG_FLOOR / (_kappa(a) * _gram_eigs(group)[0]))
 
 
 def truncation_bound(model: QuotientModel, t: float) -> float:
@@ -126,7 +136,7 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
     group: CrystGroup = model.group
     lam_min = _gram_eigs(group)[0]
     g00, g01, g11 = (float(x) for x in (group.gram[0][0], group.gram[0][1], group.gram[1][1]))
-    vol = math.sqrt(float(abs(mat_det(group.gram))))
+    vol = _covolume(group)
     lo, hi = CutoffFunction("smooth", group).support
     perimeter = 2 * (hi - lo) * (math.sqrt(g00) + math.sqrt(g11))
     rho = math.sqrt(g00 + g11 + 2 * abs(g01)) / 2
@@ -143,7 +153,7 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
         reach = _reach(group, a, t)
         if reach > MAX_REACH:
             return math.inf
-        s = LOG_FLOOR / (lam_min * reach ** 2)  # kappa / 4t
+        s = _kappa(a) / (4 * t)
         tail = ((a0 + a2 / (2 * s)) * erfc_floor
                 + (a1 + a2 * math.sqrt(lam_min) * reach) * KERNEL_FLOOR / math.sqrt(math.pi * s))
         bounds.append(tau * group.point_group_order * tail / (8 * t * s))
@@ -176,29 +186,42 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
                 quad: QuadratureSpec, cutoff: Optional[CutoffFunction] = None) -> dict:
     """Localized heat supertraces by quadrature, t -> value for every t in t_list.
 
-    Sums, over the members of _members_in_reach for the spec's t_max, the
-    integrals of c(x) Tr_s[h^{-1} K_t(hx, x)]; with identity transport the
-    supertrace factors into the fiber eigen-character, one per class, times
-    the scalar Gaussian.  The members are built once; the times that share a
-    grid size are accumulated in one pass.  At time t the prefix of members
-    with exp(-d2_min / 4t) >= KERNEL_FLOOR is summed, so a t up to t_max sums
-    exactly the members that reach the floor.  Each t takes the grid sums
-    S_n, S_2n at n = _grid_size per unit on the grid of _grid_axes, for either
-    cut-off kind, and is valued S_2n.  A t below the grid raises before any
-    sum, and |S_2n - S_n| above the tolerance after.
+    Sums, over the members of the class, the integrals of c(x) Tr_s[h^{-1}
+    K_t(hx, x)]; with identity transport the supertrace factors into the fiber
+    eigen-character tau, one per class, times the scalar Gaussian.  A rotation
+    class's centres are those of _members_in_reach for the spec's t_max, built
+    once; at time t the prefix with exp(-d2_min / 4t) >= KERNEL_FLOOR, exactly
+    the members that reach the floor, is summed.  The times that share a grid
+    size are accumulated in one pass: each t takes the grid sums S_n, S_2n at
+    n = _grid_size per unit on the grid of _grid_axes, for either cut-off
+    kind, and is valued S_2n.  A t above t_max, whose members were not all
+    enumerated, or below the grid raises before any sum, and |S_2n - S_n|
+    above the tolerance after.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
     if any(t <= 0 for t in t_list):
         raise DomainError("heat time must be positive")
+    if any(t > quad.t_max for t in t_list):
+        raise DomainError(f"heat time {max(t_list):.3e} exceeds the quadrature spec's "
+                          f"t_max {quad.t_max:.3e}")
     cutoff = cutoff or build_cutoff(model, "indicator")
     ts = list(dict.fromkeys(t_list))
-    tau = _supertrace_factor(model, cls.representative.point_part)
-    coef, d2_min = _members_in_reach(cls, cutoff, quad.t_max) if tau else ((), ())
-    if not len(coef):
+    a = cls.representative.point_part
+    tau = _supertrace_factor(model, a)
+    if not tau:
         return {t: 0j for t in ts}
+    if a == IDENTITY_MAT:
+        # the members (I, B b), B in P, have the constant kernel e^{-|Bb|^2_G / 4t}
+        # / 4 pi t, and c integrates to 1/|P|: no grid
+        g, b = model.group.gram, cls.representative.translation
+        d2 = [float(sum(v[i] * g[i][j] * v[j] for i in range(2) for j in range(2)))
+              for v in {mat_vec(p, b) for p in model.group.point_parts}]
+        scale = tau * _covolume(model.group) / model.group.point_group_order
+        return {t: scale * math.fsum(k for k in (math.exp(-d / (4 * t)) for d in d2)
+                                     if k >= KERNEL_FLOOR) / (4 * math.pi * t) for t in ts}
+    centres, d2_min = _members_in_reach(cls, cutoff, quad.t_max)
     sizes = {t: _grid_size(model, t, quad.tolerance) for t in ts}
-    taus = np.full(len(coef), tau, dtype=complex)
     # every grid point lies in the box, so one count per t serves every grid;
     # exp is monotone, so the kept members are a prefix
     kept = {t: int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
@@ -206,7 +229,8 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     sums = {}
     for n in dict.fromkeys(sizes.values()):
         batch = [t for t in ts if sizes[t] == n]
-        coarse, fine = (_grid_sums(cutoff, coef, taus, [kept[t] for t in batch], batch, m)
+        coarse, fine = (_grid_sums(cutoff, tau, _kappa(a), centres, [kept[t] for t in batch],
+                                   batch, m)
                         for m in (n, 2 * n))
         sums.update(zip(batch, zip(coarse, fine)))
     for t in ts:
@@ -218,48 +242,38 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
 
 def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
                       t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """The class members h with exp(-d2_min(h) / 4 t_max) >= KERNEL_FLOOR,
-    d2_min(h) the minimum of |hx - x|^2_G over the cut-off box, as rows of
-    _d2_coefficients and their d2_min, sorted by d2_min, then by sup-norm of
-    the translation, then by the translation.
+    """The centres q, as rows (N x 2), of the members h = (A, (I - A) q) of a
+    rotation class with exp(-d2_min(h) / 4 t_max) >= KERNEL_FLOOR, and their
+    d2_min = kappa dist_G(q, box)^2, the minimum of |hx - x|^2_G over the
+    cut-off box; sorted by d2_min, then by the centre.
 
-    (B, s_B + lambda) conjugates (A, a) to (A, c_B + (I - A) lambda),
-    c_B = B a + (I - A) s_B: for a translation class the point-group orbit of
-    a.  A rotation member's centre is (I - A)^-1 c_B + lambda, so each coset
-    of centres is searched once, in integers over one denominator, over the
-    lambda that put the centre within _reach of the box.
+    Conjugation by (B, s_B + lambda) moves the centre p0 of the representative
+    to B p0 + s_B + lambda, so each coset of centres mod Z^2 is searched once,
+    in integers over one denominator, over the lambda that put the centre
+    within _reach of the box.
     """
     group: CrystGroup = cls.group
     a, t = cls.representative.point_part, cls.representative.translation
+    p0 = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), t)
     lo, hi = cutoff.support
-    m = mat_sub(IDENTITY_MAT, a)
-    if a == IDENTITY_MAT:
-        starts = {mat_vec(b, t): ((0, 0), (0, 0)) for b in group.point_parts}
-    else:
-        minv = mat_inv(m)
-        reach = _reach(group, a, t_max) + 1
-        starts, centres = {}, set()
-        for b in group.point_parts:
-            c = vec_add(mat_vec(b, t), mat_vec(m, group.coset_vectors[b]))
-            p = mat_vec(minv, c)
-            if vec_frac(p) not in centres:
-                centres.add(vec_frac(p))
-                starts[c] = tuple((math.ceil(lo - reach - x), math.floor(hi + reach - x))
-                                  for x in p)
-    den = math.lcm(*(x.denominator for c in starts for x in c))
-    m00, m01, m10, m11 = (den * int(x) for row in m for x in row)
-    xs, ys = [], []
-    for (c0, c1), ((l0, u0), (l1, u1)) in starts.items():
-        k0, k1 = np.meshgrid(np.arange(l0, u0 + 1), np.arange(l1, u1 + 1), indexing="ij")
-        xs.append((int(c0 * den) + m00 * k0 + m01 * k1).ravel())
-        ys.append((int(c1 * den) + m10 * k0 + m11 * k1).ravel())
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    coef = _d2_coefficients(group.gram, a, x / den, y / den)
-    d2_min = _box_min_d2(coef, lo, hi)
+    reach = _reach(group, a, t_max) + 1
+    cosets = {}
+    for b, s in group.coset_vectors.items():
+        p = vec_add(mat_vec(b, p0), s)
+        cosets.setdefault(vec_frac(p), p)
+    den = math.lcm(*(x.denominator for p in cosets.values() for x in p))
+    qs = []
+    for p in cosets.values():
+        axes = [int(x * den) + den * np.arange(math.ceil(lo - reach - x),
+                                               math.floor(hi + reach - x) + 1)
+                for x in p]
+        qs.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2))
+    q = np.concatenate(qs)
+    d2_min = _kappa(a) * _box_dist2(group.gram, q / den, lo, hi)
     keep = np.exp(d2_min * (-1.0 / (4 * t_max))) >= KERNEL_FLOOR
-    x, y, coef, d2_min = x[keep], y[keep], coef[keep], d2_min[keep]
-    order = np.lexsort((y, x, np.maximum(np.abs(x), np.abs(y)), d2_min))
-    return coef[order], d2_min[order]
+    q, d2_min = q[keep], d2_min[keep]
+    order = np.lexsort((q[:, 1], q[:, 0], d2_min))
+    return q[order] / den, d2_min[order]
 
 
 # Grid sizes per unit, coarsest first.
@@ -308,84 +322,68 @@ def _grid_axes(cutoff: CutoffFunction, n_per_unit: int) -> list[np.ndarray]:
             for x in _grid_anchor(cutoff.group)]
 
 
-def _d2_coefficients(gram, a, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Per member (A, (bx, by)), the coefficients (S00, S11, S22, S01, S02, S12)
-    of |hx - x|^2_G = v^T S v, v = (x, y, 1).
-
-    h x - x = p.v and q.v, so S = g00 p p^T + g01 (p q^T + q p^T) + g11 q q^T;
-    one product with the monomials (x^2, y^2, 1, 2xy, 2x, 2y) of a block of
-    points forms d^2 for a whole chunk of members.
-    """
-    p = np.stack([np.full_like(bx, a[0][0] - 1.0), np.full_like(bx, a[0][1]), bx], axis=1)
-    q = np.stack([np.full_like(by, a[1][0]), np.full_like(by, a[1][1] - 1.0), by], axis=1)
-    g00, g01, g11 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
-    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-    return (g00 * p[:, i] * p[:, j] + g01 * (p[:, i] * q[:, j] + q[:, i] * p[:, j])
-            + g11 * q[:, i] * q[:, j])
-
-
-def _box_min_d2(coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per member, the exact minimum of d^2 = v^T S v over the closed box
-    [lo, hi]^2, for rows of coefficients as made by _d2_coefficients.
-
-    A translation's d^2 is the constant |b|^2_G = S22.  A rotation's d^2 is a
-    positive definite quadratic that vanishes at the rotation centre: the
-    minimum is 0 when the centre is in the box, and otherwise lies on an
-    edge, where d^2 is a parabola minimised at its vertex clamped to the edge.
-    """
-    d2_min = coef[:, 2].copy()
-    s00, s11, s22, s01, s02, s12 = coef.T
-    det = s00 * s11 - s01 * s01
-    rot = det > 0
-    s00, s11, s22, s01, s02, s12, det = (a[rot] for a in (s00, s11, s22, s01, s02, s12, det))
+def _box_dist2(gram, q: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per row q, dist_G(q, box)^2, the minimum of |x - q|^2_G over the closed
+    box [lo, hi]^2: 0 when q lies in the box, and otherwise on an edge, where
+    |x - q|^2_G is a parabola minimised at its vertex clamped to the edge."""
+    g00, g01, g11 = (float(x) for x in (gram[0][0], gram[0][1], gram[1][1]))
+    qx, qy = q.T
 
     def d2(x, y):
-        return s00 * x * x + s11 * y * y + s22 + 2 * (s01 * x * y + s02 * x + s12 * y)
+        dx, dy = x - qx, y - qy
+        return g00 * dx * dx + 2 * g01 * dx * dy + g11 * dy * dy
 
-    cx = (s01 * s12 - s11 * s02) / det
-    cy = (s01 * s02 - s00 * s12) / det
-    inside = (lo <= cx) & (cx <= hi) & (lo <= cy) & (cy <= hi)
     edges = []
     for e in (lo, hi):
-        edges.append(d2(e, np.clip(-(s01 * e + s12) / s11, lo, hi)))
-        edges.append(d2(np.clip(-(s01 * e + s02) / s00, lo, hi), e))
-    d2_min[rot] = np.where(inside, 0.0, np.min(edges, axis=0))
-    return d2_min
+        edges.append(d2(e, np.clip(qy - g01 * (e - qx) / g11, lo, hi)))
+        edges.append(d2(np.clip(qx - g01 * (e - qy) / g00, lo, hi), e))
+    inside = (lo <= qx) & (qx <= hi) & (lo <= qy) & (qy <= hi)
+    return np.where(inside, 0.0, np.min(edges, axis=0))
 
 
-def _grid_sums(cutoff: CutoffFunction, coef: np.ndarray, tau: np.ndarray, kept: list,
-               ts: list, n_per_unit: int) -> list[complex]:
-    """Sums of sum_h tau_h c(x) k_t(hx, x) over the grid of _grid_axes at one
-    size, one per t.
+def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.ndarray,
+               kept: list, ts: list, n_per_unit: int) -> list[complex]:
+    """Sums of tau sum_h c(x) k_t(hx, x) over the grid of _grid_axes at one
+    size, one per t, for the members about the rows of centres.
 
     The members come sorted by their box minimum of d^2, and at the k-th t only
-    the first kept[k] are summed; truncation_bound covers the rest.  The
-    grid is walked in row blocks of at most HEAT_BLOCK points, with the
-    cut-off evaluated once per block on its axis vectors (the rows as a
-    column, the axis as a row), and the members in chunks so that no member
-    x point array exceeds HEAT_BLOCK entries; a chunk's d^2 is formed
-    only while some t still needs it, once, and shared by every such t.
+    the first kept[k] are summed; truncation_bound covers the rest.  d^2 =
+    kappa (|x|^2_G - 2 <x, q>_G + |q|^2_G) is one product of the member rows
+    kappa (1, -2 G q, |q|^2_G) with the monomials (|x|^2_G, x, y, 1) of a
+    block of points, both taken about the box's middle to keep the
+    cancellation small.  The grid is walked in row blocks of at most
+    HEAT_BLOCK points, with the cut-off evaluated once per block on its axis
+    vectors (the rows as a column, the axis as a row), and the members in
+    chunks so that no member x point array exceeds HEAT_BLOCK entries; a
+    chunk's d^2 is formed only while some t still needs it, once, and shared
+    by every such t.
     """
+    gram = cutoff.group.gram
+    g00, g01, g11 = (float(x) for x in (gram[0][0], gram[0][1], gram[1][1]))
+    lo, hi = cutoff.support
+    mid = (lo + hi) / 2
+    qx, qy = (centres - mid).T
+    wx, wy = g00 * qx + g01 * qy, g01 * qx + g11 * qy
+    coef = kappa * np.stack([np.ones_like(qx), -2 * wx, -2 * wy, qx * wx + qy * wy], axis=1)
     xs, ys = _grid_axes(cutoff, n_per_unit)
     scales = [-1.0 / (4 * t) for t in ts]
-    sums = np.zeros(len(ts), dtype=complex)
+    sums = np.zeros(len(ts))
     rows = max(1, HEAT_BLOCK // ys.size)
     for r0 in range(0, xs.size, rows):
         col, row = xs[r0:r0 + rows, None], ys[None, :]
         cvals = cutoff.grid(col, row).ravel()
-        gx, gy = (g.ravel() for g in np.broadcast_arrays(col, row))
-        monomials = np.stack([gx * gx, gy * gy, np.ones_like(gx),
-                              2 * gx * gy, 2 * gx, 2 * gy])
+        gx, gy = (g.ravel() - mid for g in np.broadcast_arrays(col, row))
+        monomials = np.stack([g00 * gx * gx + 2 * g01 * gx * gy + g11 * gy * gy,
+                              gx, gy, np.ones_like(gx)])
         chunk = max(1, HEAT_BLOCK // gx.size)
         for k0 in range(0, max(kept), chunk):
             d2 = coef[k0:k0 + chunk] @ monomials
             for k, (scale, m) in enumerate(zip(scales, kept)):
                 c = min(chunk, m - k0)
                 if c > 0:
-                    sums[k] += tau[k0:k0 + c] @ (np.exp(d2[:c] * scale) @ cvals)
-    vol = math.sqrt(float(abs(mat_det(cutoff.group.gram))))
-    cell = n_per_unit ** -2
-    return [complex(v) * vol * cell / (4 * math.pi * t) for v, t in zip(sums, ts)]
+                    sums[k] += np.sum(np.exp(d2[:c] * scale) @ cvals)
+    weight = tau * _covolume(cutoff.group) * n_per_unit ** -2
+    return [weight * float(v) / (4 * math.pi * t) for v, t in zip(sums, ts)]
 
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
@@ -444,7 +442,7 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
     g = cls.representative
 
     if g.is_identity:
-        vol = math.sqrt(float(abs(mat_det(group.gram)))) / group.point_group_order
+        vol = _covolume(group) / group.point_group_order
         return vol * _supertrace_factor(model, g.point_part) / (4 * math.pi * t)
 
     if g.is_translation:
@@ -454,7 +452,6 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
         return 0j
 
     # rotation class: weight 1/|Z_Gamma(g)|, the local group order of the
-    # class's sector component; det(I - A) is an integer, 1 to 4
+    # class's sector component
     zq = class_components(model, cls)[0].local_group_order
-    det = mat_det(mat_sub(IDENTITY_MAT, g.point_part))
-    return _supertrace_factor(model, g.point_part) / (zq * det)
+    return _supertrace_factor(model, g.point_part) / (zq * _kappa(g.point_part))

@@ -159,16 +159,20 @@ class TestHeatTrace:
             rep = t_independence(P4, CLASSES[label], [0.05, 0.15, 0.5], quad)
             assert rep.max_t_variation < 1e-6, label
 
-    def test_truncated_radius_flagged_by_the_error_gate(self):
-        # a spec built for a t_max far below the largest t enumerates too few
-        # members for it: the lost tail leaves the class sum non-periodic and
-        # the two grid sums part; the spec for the largest t passes
-        ts = [0.05, 0.4]
-        bad = QuadratureSpec.for_model(P4, 0.01, 1e-5)
-        with pytest.raises(ResolutionError, match="quadrature error estimate"):
-            t_independence(P4, CLASSES["r_origin"], ts, bad)
+    def test_truncated_radius_flagged_by_the_error_gate(self, monkeypatch):
+        # a spec built for a t_max below the largest t enumerates too few
+        # members for it, and its bound does not cover t: refused before any
+        # member is built, whether the lost tail would part the two grid sums
+        # (0.01 -> 0.4) or only move the value by 8e-7 (0.02 -> 0.1); the
+        # spec for the largest t passes
+        monkeypatch.setattr(heat, "_members_in_reach", lambda *args: pytest.fail("enumerated"))
+        for t_max, ts, label in ((0.01, [0.05, 0.4], "r_origin"), (0.02, [0.1], "r_center")):
+            bad = QuadratureSpec.for_model(P4, t_max, 1e-5)
+            with pytest.raises(DomainError, match="exceeds the quadrature spec's t_max"):
+                t_independence(P4, CLASSES[label], ts, bad)
+        monkeypatch.undo()
         good = QuadratureSpec.for_model(P4, 0.4, 1e-5)
-        assert t_independence(P4, CLASSES["r_origin"], ts, good).max_t_variation < 1e-6
+        assert t_independence(P4, CLASSES["r_origin"], [0.05, 0.4], good).max_t_variation < 1e-6
 
     def test_cutoff_kind_independence(self):
         smooth = build_cutoff(P4, "smooth")
@@ -317,9 +321,9 @@ def _smooth_bump_sizes(monkeypatch, model, label):
     seen = []
     real_sums, real_bump = heat._grid_sums, sectors._bump_np
 
-    def sums_spy(cutoff, coef, tau, kept, ts, n_per_unit):
-        seen.append((3 * n_per_unit, []))
-        return real_sums(cutoff, coef, tau, kept, ts, n_per_unit)
+    def sums_spy(*args):
+        seen.append((3 * args[-1], []))
+        return real_sums(*args)
 
     def bump_spy(u):
         seen[-1][1].append(u.size)
@@ -377,30 +381,28 @@ BOX_MODELS = (P4, make_p4([[2, -2], [2, 2]]), make_p2(), make_p2([[2, 1], [0, 3]
 @given(model=st.sampled_from(BOX_MODELS), kind=st.sampled_from(["indicator", "smooth"]),
        data=st.data())
 def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
+    # kappa dist_G(q, box)^2 for the centre q against the minimum of
+    # |hx - x|^2_G over a fine grid of the box, formed from the affine map
     group = model.group
+    rotations = [a for a in group.point_parts if a != IDENTITY_MAT]
     shift = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
     members = []
-    for a, (m, k) in data.draw(st.lists(st.tuples(st.sampled_from(group.point_parts), shift),
+    for a, (m, k) in data.draw(st.lists(st.tuples(st.sampled_from(rotations), shift),
                                         min_size=1, max_size=6)):
         s = group.coset_vectors[a]
         members.append(AffineIsometry.of(a, (s[0] + m, s[1] + k)))
     cutoff = build_cutoff(model, kind)
     lo, hi = cutoff.support
-    got = heat._box_min_d2(_coefficients(group, members), lo, hi)
-    g = group.gram
-    gf = np.array(g, dtype=float)
+    # the rotation centres (I - A)^{-1} b, exactly
+    centres = [mat_vec(mat_inv(mat_sub(IDENTITY_MAT, h.point_part)), h.translation)
+               for h in members]
+    dist2 = heat._box_dist2(group.gram, np.array(centres, dtype=float), lo, hi)
+    gf = np.array(group.gram, dtype=float)
     xs = np.linspace(lo, hi, 241)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    for h, d2_min in zip(members, got):
+    for h, centre, d2 in zip(members, centres, dist2):
         a, b = h.point_part, h.translation
-        if a == IDENTITY_MAT:
-            # a translation's d^2 is the constant |b|^2_G
-            exact = sum(b[i] * g[i][j] * b[j] for i in range(2) for j in range(2))
-            assert d2_min == float(exact)
-            continue
-        # the rotation centre (I - A)^{-1} b, exactly
-        m = mat_inv(mat_sub(IDENTITY_MAT, a))
-        centre = [m[i][0] * b[0] + m[i][1] * b[1] for i in range(2)]
+        d2_min = heat._kappa(a) * d2
         if all(lo <= c <= hi for c in centre):
             assert d2_min == 0.0
         dx = (a[0][0] - 1) * gx + a[0][1] * gy + float(b[0])
@@ -410,16 +412,8 @@ def test_box_min_d2_is_the_minimum_over_the_box(model, kind, data):
         assert 0.0 <= d2_min <= grid_min * (1 + 1e-12) + 1e-12
 
 
-def _coefficients(group, members):
-    """_d2_coefficients rows of a list of members, one member at a time."""
-    return np.concatenate([np.zeros((0, 6))] + [
-        heat._d2_coefficients(group.gram, h.point_part, np.array([float(h.translation[0])]),
-                              np.array([float(h.translation[1])]))
-        for h in members])
-
-
 def _members_around(cls, cutoff, t):
-    """Translations (N x 2, float) of every member of a rotation class whose
+    """Centres (N x 2, float) of every member of a rotation class whose
     kernel reaches KERNEL_FLOOR on the cut-off box at t, and more: the
     members (A, (I - A) q) for the centres q = B p0 + s_B + lambda of the
     group's orbit of the representative's centre p0, over every lambda in a
@@ -439,20 +433,20 @@ def _members_around(cls, cutoff, t):
                 for x in c]
         qx, qy = (np.array([int(v * den) for v in axis]) for axis in axes)
         qs.append(np.stack(np.broadcast_arrays(qx[:, None], qy[None, :]), axis=-1).reshape(-1, 2))
-    q = np.unique(np.concatenate(qs), axis=0)
-    return np.stack([m[0][0] * q[:, 0] + m[0][1] * q[:, 1],
-                     m[1][0] * q[:, 0] + m[1][1] * q[:, 1]], axis=1) / den
+    return np.unique(np.concatenate(qs), axis=0) / den
 
 
-def _heat_traces_unpruned(model, cls, ts, quad, cutoff, translations):
-    """Reference heat traces: every member (A, b) of the class for the rows b
-    of translations, each over the whole fine grid, S_2n on the anchored grid
-    as in heat_traces."""
+def _heat_traces_unpruned(model, cls, ts, quad, cutoff, centres):
+    """Reference heat traces: every member (A, b = (I - A) q) of the class for
+    the rows q of centres, each over the whole fine grid by its affine map
+    hx - x = (A - I) x + b, S_2n on the anchored grid as in heat_traces."""
     g = model.group.gram
     gf = np.array(g, dtype=float)
     vol = math.sqrt(float(abs(mat_det(g))))
     a = cls.representative.point_part
     tau = heat._supertrace_factor(model, a)
+    m = np.array(mat_sub(IDENTITY_MAT, a), dtype=float)
+    translations = centres @ m.T
     values = {}
     for t in ts:
         n = 2 * heat._grid_size(model, t, quad.tolerance)
@@ -502,9 +496,9 @@ def test_members_summed_per_t(monkeypatch, ts, kind, summed):
     seen = []
     real = heat._grid_sums
 
-    def spy(cutoff, coef, tau, kept, ts, n_per_unit):
-        seen.append((len(coef), kept))
-        return real(cutoff, coef, tau, kept, ts, n_per_unit)
+    def spy(cutoff, tau, kappa, centres, kept, ts, n_per_unit):
+        seen.append((len(centres), kept))
+        return real(cutoff, tau, kappa, centres, kept, ts, n_per_unit)
 
     monkeypatch.setattr(heat, "_grid_sums", spy)
     quad = QuadratureSpec.for_model(P4, max(ts), 1e-6)
@@ -519,28 +513,33 @@ P2 = make_p2()
 def test_summed_members_are_those_that_reach_the_floor(monkeypatch, label):
     # p2 as `heat --cutoff smooth --t 0.1` runs it: the members summed are,
     # in order, the class members of a large group ball (by membership
-    # tests) with d2_min <= 4 t ln(1/KERNEL_FLOOR), sorted by d2_min and then
-    # in the fixed element order
+    # tests) with d2_min <= 4 t ln(1/KERNEL_FLOOR), by their centres sorted
+    # by d2_min and then by the centre
     t, radius = 0.1, 12
     cls = {c.label: c for c in cryst_fixed_classes(P2.group)}[label]
     cutoff = build_cutoff(P2, "smooth")
     ball = [h for h in P2.group.elements_in_ball(Fraction(radius)) if cls.contains(h)]
-    d2_min = heat._box_min_d2(_coefficients(P2.group, ball), *cutoff.support)
-    reach = [(d2, h) for d2, h in zip(d2_min, ball) if d2 <= 4 * t * math.log(1 / KERNEL_FLOOR)]
-    want = [h for _, h in sorted(reach, key=lambda pair: pair[0])]
-    assert max(max(abs(x) for x in h.translation) for h in want) < radius - 2
+    assert all(h.point_part == ((-1, 0), (0, -1)) for h in ball)
+    centres = np.array([[x / 2 for x in h.translation] for h in ball], dtype=float)
+    # kappa = det(2 I) = 4 for the half turn
+    d2_min = 4 * heat._box_dist2(P2.group.gram, centres, *cutoff.support)
+    reach = [(d2, tuple(q)) for d2, q in zip(d2_min, centres)
+             if d2 <= 4 * t * math.log(1 / KERNEL_FLOOR)]
+    want = np.array([q for _, q in sorted(reach)])
+    # the translations 2 q of the members wanted lie well inside the ball
+    assert 2 * np.max(np.abs(want)) < radius - 2
     seen = []
     real = heat._grid_sums
 
-    def spy(cutoff, coef, tau, kept, ts, n_per_unit):
-        seen.append(coef[:kept[0]])
-        return real(cutoff, coef, tau, kept, ts, n_per_unit)
+    def spy(cutoff, tau, kappa, centres, kept, ts, n_per_unit):
+        seen.append(centres[:kept[0]])
+        return real(cutoff, tau, kappa, centres, kept, ts, n_per_unit)
 
     monkeypatch.setattr(heat, "_grid_sums", spy)
     heat_traces(P2, cls, [t], QuadratureSpec.for_model(P2, t), cutoff)
     assert len(seen) == 2
     for got in seen:
-        assert np.array_equal(got, _coefficients(P2.group, want))
+        assert np.array_equal(got, want)
 
 
 # p4 with a fiber whose identity supertrace is 1: translation members count
@@ -549,20 +548,18 @@ P4_RANK_ONE = sectors.QuotientModel(P4.group, sectors.BundleSpec(
 
 
 @pytest.mark.parametrize("t", [0.005, 0.1])
-def test_translation_class_sums_its_orbit_by_the_same_rule(t):
-    # (I, (1, 0)) has the four members (I, B (1, 0)), each with d2_min =
-    # |b|^2 = 1 on any box, so all or none reach the floor; each contributes
-    # e^{-1/4t} / (4 pi t) times the integral 1/|P| of the cut-off
+def test_translation_class_sums_its_orbit_by_the_same_rule(monkeypatch, t):
+    # (I, (1, 0)) has the four members (I, B (1, 0)), each with the constant
+    # kernel e^{-|b|^2 / 4t} = e^{-1/4t}, so all or none reach the floor; each
+    # contributes e^{-1/4t} / (4 pi t) times the integral 1/|P| of the
+    # cut-off, in closed form, with no member enumeration and no grid
+    monkeypatch.setattr(heat, "_members_in_reach", lambda *args: pytest.fail("enumerated"))
+    monkeypatch.setattr(heat, "_grid_sums", lambda *args: pytest.fail("summed"))
     cls = translation_class(P4.group, (Fraction(1), Fraction(0)))
-    cutoff = build_cutoff(P4, "indicator")
-    coef, d2_min = heat._members_in_reach(cls, cutoff, t)
-    orbit = [AffineIsometry(IDENTITY_MAT, (Fraction(x), Fraction(y)))
-             for x, y in ((-1, 0), (0, -1), (0, 1), (1, 0))]
     reaches = math.exp(-1 / (4 * t)) >= KERNEL_FLOOR
-    assert np.array_equal(coef, _coefficients(P4.group, orbit if reaches else []))
     quad = QuadratureSpec.for_model(P4_RANK_ONE, t, 1e-9)
     want = 4 * math.exp(-1 / (4 * t)) / (4 * math.pi * t) / 4 if reaches else 0
-    assert abs(g_heat_trace(P4_RANK_ONE, cls, t, quad) - want) < 1e-13
+    assert abs(g_heat_trace(P4_RANK_ONE, cls, t, quad) - want) < 1e-15
     assert quad.tail_bound > heat.truncation_bound(P4, t)
 
 
@@ -591,15 +588,15 @@ def test_truncation_bound_bounds_every_omitted_member(name, kind):
         n = 2 * heat._grid_size(model, t, quad.tolerance)
         for cls in rotations:
             a = cls.representative.point_part
+            kappa = heat._kappa(a)
             around = _members_around(cls, cutoff, 2 * t)
-            coef = heat._d2_coefficients(model.group.gram, a, around[:, 0], around[:, 1])
-            d2_min = heat._box_min_d2(coef, *cutoff.support)
+            d2_min = kappa * heat._box_dist2(model.group.gram, around, *cutoff.support)
             kept = np.exp(d2_min / (-4 * t)) >= KERNEL_FLOOR
             assert kept.sum() == len(heat._members_in_reach(cls, cutoff, t)[0])
             omitted = ~kept & (d2_min <= 8 * t * math.log(1 / KERNEL_FLOOR))
             tau = abs(heat._supertrace_factor(model, a))
-            taus = np.full(int(omitted.sum()), tau, dtype=complex)
-            total = heat._grid_sums(cutoff, coef[omitted], taus, [len(taus)], [t], n)[0].real
+            total = heat._grid_sums(cutoff, tau, kappa, around[omitted], [int(omitted.sum())],
+                                    [t], n)[0].real
             assert total <= quad.tail_bound, (cls.label, t)
             seen_positive |= total > 0
     assert seen_positive
