@@ -249,11 +249,7 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     scalars = scalars_for_model(model)
     comps = model.sectors
     values = [component_value(c, model) for c in comps]
-    handles = {}
-    per_class = {}
-    for c in comps:
-        handles.setdefault(c.label, c.class_handle)
-        per_class[c.label] = scalars.zero()
+    per_class = {c.label: scalars.zero() for c in comps}
     # the same additions, in the same order, as the per-class and the
     # kawasaki_index sums, so float reports stay bit-identical
     kawasaki_total = scalars.zero()
@@ -274,7 +270,7 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
                                            - Scalars.to_complex(oracle_value))
 
     pair_reality = {}
-    inverse_label = _inverse_class_labels(model, handles)
+    inverse_label = _inverse_class_labels(model)
     for label, value in per_class.items():
         partner = inverse_label.get(label)
         if partner is None or partner not in per_class:
@@ -296,18 +292,27 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     return report
 
 
-def _inverse_class_labels(model: QuotientModel, handles: dict) -> dict:
-    """label -> label of the class of the inverse representative."""
-    out = {}
-    for label, handle in handles.items():
-        rep = handle.representative
-        inv = rep.inverse() if isinstance(model.group, CrystGroup) \
-            else model.group.table.inv(rep)
-        for lab2, h2 in handles.items():
-            if h2.contains(inv):
-                out[label] = lab2
-                break
-    return out
+def _inverse_class_labels(model: QuotientModel) -> dict:
+    """label -> label of the class of the inverse representative, by lookup.
+
+    On a finite group the inverse is read off the table and its class off the
+    class members.  A plane class is a point part A with one P-orbit of
+    centres mod Z^2, stored by its least centre q.  The rotation
+    (A, (I - A) q) and its inverse (A^-1, (I - A^-1) q) fix the same points
+    mod Z^2, which split into the same orbits, so the inverse's class is the
+    one of A^-1 with the same least centre.
+    """
+    group = model.group
+    if not isinstance(group, CrystGroup):
+        class_of = {m: c.label for c in model.sectors for m in c.class_handle.members()}
+        return {c.label: class_of[group.table.inv(c.class_handle.representative)]
+                for c in model.sectors}
+    keys = {c.label: (c.class_handle.representative.point_part,
+                      None if c.is_full else c.geometry.representative) for c in model.sectors}
+    label_of = {key: label for label, key in keys.items()}
+    # det A = 1, so A^-1 is the adjugate
+    return {label: label_of[((a[1][1], -a[0][1]), (-a[1][0], a[0][0])), q]
+            for label, (a, q) in keys.items()}
 
 
 def psc_flag(report: IndexReport, model: QuotientModel) -> tuple[Optional[bool], str]:

@@ -2,8 +2,10 @@
 
 Point parts are integer matrices in lattice coordinates, so every wallpaper
 point group acts by exact integer arithmetic; orthogonality is checked against
-the lattice Gram matrix and translations are exact rationals.  All values are
-immutable after construction.
+the lattice Gram matrix.  Translations are stored as exact rationals, and the
+closure of a group mod the lattice and the fixed points on the torus are
+computed in integers over one common denominator (`over_denominator`).  All
+values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ def vec(v: Sequence) -> Vec:
 
 
 def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
 
 
 def mat_vec(a, v) -> Vec:
@@ -88,6 +88,18 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 def vec_frac(v: Vec) -> Vec:
     return (v[0] - math.floor(v[0]), v[1] - math.floor(v[1]))
+
+
+def vec_mod(v: tuple[int, int], den: int) -> tuple[int, int]:
+    return (v[0] % den, v[1] % den)
+
+
+def over_denominator(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, int]]]:
+    """The least common denominator D of rational vectors, and each vector
+    times D as a pair of ints."""
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, [(v[0].numerator * (den // v[0].denominator),
+                  v[1].numerator * (den // v[1].denominator)) for v in vectors]
 
 
 def vec_floor(v: Vec) -> tuple[int, int]:
@@ -259,9 +271,6 @@ class AffineIsometry:
     def apply(self, x: Vec) -> Vec:
         return vec_add(mat_vec(self.point_part, x), self.translation)
 
-    def mod_lattice(self) -> "AffineIsometry":
-        return AffineIsometry(self.point_part, vec_frac(self.translation))
-
     @property
     def frac_part(self) -> Vec:
         return vec_frac(self.translation)
@@ -290,20 +299,25 @@ def close_mod_lattice(generators: Sequence[AffineIsometry]) -> tuple[AffineIsome
     Translations are reduced to [0, 1)^2.  The identity comes first and the
     other elements follow in breadth-first order of left multiplication by
     the generators, so the order depends only on the generator order.  More
-    than 256 elements is refused.
+    than 256 elements is refused.  The closure runs on pairs (A, u) with u
+    the translation times D mod D, D the generators' common denominator:
+    point parts are integral, so every product stays over D.
     """
-    elems = [AffineIsometry.identity()]
-    seen = set(elems)
-    for cur in elems:
-        for g in generators:
-            nxt = g.compose(cur).mod_lattice()
+    den, shifts = over_denominator([g.translation for g in generators])
+    gens = [(g.point_part, u) for g, u in zip(generators, shifts)]
+    pairs = [(IDENTITY_MAT, (0, 0))]
+    seen = set(pairs)
+    for a, u in pairs:
+        for b, v in gens:
+            nxt = (mat_mul(b, a), vec_mod(vec_add(v, mat_vec(b, u)), den))
             if nxt not in seen:
-                if len(elems) >= 256:
+                if len(pairs) >= 256:
                     raise StructuralError(
                         "group closure modulo the lattice exceeds the finite cap")
                 seen.add(nxt)
-                elems.append(nxt)
-    return tuple(elems)
+                pairs.append(nxt)
+    return tuple(AffineIsometry(a, (Fraction(u[0], den), Fraction(u[1], den)))
+                 for a, u in pairs)
 
 
 @dataclass(frozen=True)
@@ -549,7 +563,9 @@ def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
     """Fixed locus of an orientation-preserving g on the plane or, when
     `torus`, on the torus of lattice coordinates mod Z^2.
 
-    On the torus the point count equals |det(I - A)| for A != I.
+    On the torus the point count equals |det(I - A)| for A != I: the points
+    x = (I - A)^{-1} (t + k), k in Z^2, are solved in integers over
+    D |det(I - A)|, D the denominator of t, with the adjugate of I - A.
     """
     a, t = g.point_part, g.translation
     m = mat_sub(IDENTITY_MAT, a)
@@ -562,17 +578,18 @@ def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
     if d == 0:
         raise StructuralError("orientation-reversing isometries have no isolated fixed points")
 
-    minv = mat_inv(m)
     if not torus:
-        return FixedSetDescriptor("points", (mat_vec(minv, t),))
-    pts = set()
+        return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))
+    # (I - A)^{-1} = adj / d; adj k is integral for k in d Z^2, so the k in
+    # [0, |d|)^2 reach every point mod Z^2
     n = abs(int(d))
-    for p in range(n):
-        for q in range(n):
-            x = mat_vec(minv, vec_add(t, (Fraction(p), Fraction(q))))
-            pts.add(vec_frac(x))
-    pts_list = tuple(sorted(pts))
-    if len(pts_list) != n:
+    sign = 1 if d > 0 else -1
+    adj = ((sign * m[1][1], -sign * m[0][1]), (-sign * m[1][0], sign * m[0][0]))
+    den, (u,) = over_denominator([t])
+    pts = sorted({vec_mod(mat_vec(adj, (u[0] + den * p, u[1] + den * q)), den * n)
+                  for p in range(n) for q in range(n)})
+    if len(pts) != n:
         raise StructuralError("torus fixed-point count disagrees with |det(I-A)|")
-    return FixedSetDescriptor("points", pts_list)
+    return FixedSetDescriptor("points", tuple((Fraction(x, den * n), Fraction(y, den * n))
+                                              for x, y in pts))
 

@@ -36,8 +36,9 @@ from .groups import (
     mat_inv,
     mat_sub,
     mat_vec,
+    over_denominator,
     vec_add,
-    vec_frac,
+    vec_mod,
 )
 from .sectors import (
     CutoffFunction,
@@ -257,15 +258,15 @@ def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
     p0 = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), t)
     lo, hi = cutoff.support
     reach = _reach(group, a, t_max) + 1
+    den, (x0, *shifts) = over_denominator([p0, *group.coset_vectors.values()])
     cosets = {}
-    for b, s in group.coset_vectors.items():
-        p = vec_add(mat_vec(b, p0), s)
-        cosets.setdefault(vec_frac(p), p)
-    den = math.lcm(*(x.denominator for p in cosets.values() for x in p))
+    for b, s in zip(group.coset_vectors, shifts):
+        p = vec_add(mat_vec(b, x0), s)
+        cosets.setdefault(vec_mod(p, den), p)
     qs = []
     for p in cosets.values():
-        axes = [int(x * den) + den * np.arange(math.ceil(lo - reach - x),
-                                               math.floor(hi + reach - x) + 1)
+        axes = [x + den * np.arange(math.ceil(lo - reach - x / den),
+                                    math.floor(hi + reach - x / den) + 1)
                 for x in p]
         qs.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2))
     q = np.concatenate(qs)

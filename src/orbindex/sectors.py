@@ -43,12 +43,15 @@ from .groups import (
     mat,
     mat_det,
     mat_inv,
+    mat_mul,
     mat_sub,
     mat_vec,
     matrix_order,
+    over_denominator,
     rotation_turns_for_gram,
     vec_add,
     vec_frac,
+    vec_mod,
 )
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,9 @@ class TorusAction:
     """A finite group acting on a flat torus by affine isometries mod the lattice.
 
     The group is the closure of `generators` modulo the lattice: element i of
-    `table` acts by `isometries[i]`, and element 0 is the identity.
+    `table` acts by `isometries[i]`, and element 0 is the identity.  The table
+    composes the pairs (A, u) of the isometries' translations over their
+    common denominator D, mod D.
     """
 
     def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
@@ -67,10 +72,12 @@ class TorusAction:
             check_point_part(g.point_part, gram)
         self.gram = gram
         self.isometries = close_mod_lattice(generators)
-        index = {g: i for i, g in enumerate(self.isometries)}
+        den, shifts = over_denominator([g.translation for g in self.isometries])
+        pairs = [(g.point_part, u) for g, u in zip(self.isometries, shifts)]
+        index = {p: i for i, p in enumerate(pairs)}
         self.table = FiniteGroupTable.of_composition(
-            [[index[a.compose(b).mod_lattice()] for b in self.isometries]
-             for a in self.isometries])
+            [[index[mat_mul(a, b), vec_mod(vec_add(u, mat_vec(a, v)), den)] for b, v in pairs]
+             for a, u in pairs])
         self._turns = tuple(rotation_turns_for_gram(g.point_part, gram)
                             for g in self.isometries)
 
@@ -141,11 +148,13 @@ class QuotientModel:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if isinstance(self.group, (TorusAction, CrystGroup)) and self.twist_nontrivial:
-            if isinstance(self.group, CrystGroup) or _has_rotation(self.group):
-                if self.bundle.fiber_weights is None:
-                    raise StructuralError(
-                        "twisted flat models with rotations need explicit fiber weights")
+        # flat fixed points carry no twist character yet, and the todd route
+        # reads no fiber weights, so such a model would print untwisted terms
+        if isinstance(self.group, (TorusAction, CrystGroup)) and self.twist_nontrivial \
+                and _has_rotation(self.group):
+            raise StructuralError(
+                "$.bundle.twistDegree: a flat model with a rotation takes no twist, "
+                "as its fixed points carry no twist data")
 
     @cached_property
     def sectors(self) -> tuple[SectorComponent, ...]:
@@ -170,8 +179,10 @@ class QuotientModel:
         return math.lcm(*orders)
 
 
-def _has_rotation(action: TorusAction) -> bool:
-    return any(g.point_part != IDENTITY_MAT for g in action.isometries)
+def _has_rotation(action: Union[TorusAction, CrystGroup]) -> bool:
+    parts = action.point_parts if isinstance(action, CrystGroup) \
+        else (g.point_part for g in action.isometries)
+    return any(a != IDENTITY_MAT for a in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +491,19 @@ def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
 def _orbit_decompose(points: Sequence[Vec], elems: Sequence[AffineIsometry]) \
         -> list[tuple[Vec, Fraction, int]]:
     """Split a finite set of points mod the lattice into orbits of the group
-    `elems`: (least point, 1 / |stabilizer|, orbit size) per orbit."""
-    remaining = list(points)
+    `elems`: (least point, 1 / |stabilizer|, orbit size) per orbit.  Points
+    and translations are taken over their common denominator D, and the
+    images A x + t mod D are compared as ints."""
+    den, ints = over_denominator([*points, *(z.translation for z in elems)])
+    moves = [(z.point_part, s) for z, s in zip(elems, ints[len(points):])]
+    remaining = list(zip(points, ints))
     out = []
     while remaining:
-        p = remaining[0]
-        images = [vec_frac(z.apply(p)) for z in elems]
+        p, x = remaining[0]
+        images = [vec_mod(vec_add(mat_vec(a, x), s), den) for a, s in moves]
         orbit = set(images)
-        out.append((p, Fraction(1, images.count(p)), len(orbit)))
-        remaining = [q for q in remaining if q not in orbit]
+        out.append((p, Fraction(1, images.count(x)), len(orbit)))
+        remaining = [r for r in remaining if r[1] not in orbit]
     return out
 
 

@@ -269,6 +269,40 @@ def test_sphere_quotient_index_by_every_method(tmp_path, n, k):
         assert all(report["verdicts"].values())
 
 
+# the Dolbeault rule of every rotation in the catalogue, written out
+DOLBEAULT_WEIGHTS = [{"angle": a, "plus": ["0"], "minus": [f"-{a}"]}
+                     for a in ("1/4", "1/2", "3/4")]
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("e_z4", DOLBEAULT_WEIGHTS), ("e_z4", None), ("t2_z2", DOLBEAULT_WEIGHTS),
+    ("p4", DOLBEAULT_WEIGHTS), ("p2", None),
+])
+def test_twisted_flat_model_with_a_rotation_is_refused(tmp_path, capsys, name, weights):
+    # its fixed points carry no twist data: e_z4 at twist 2 would print 1.5,
+    # where the index is 1
+    doc = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    doc["bundle"]["twistDegree"] = 2
+    if weights is not None:
+        doc["bundle"]["fiberWeights"] = weights
+    path = tmp_path / f"{name}_twisted.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(["index", str(path), "--method", "kawasaki"])
+    assert code == 1
+    assert "$.bundle.twistDegree" in capsys.readouterr().err
+
+
+def test_twisted_rotation_free_torus_still_runs(tmp_path):
+    # the free torus has no fixed points, so its index is the twist degree
+    doc = json.loads((FIXTURE_DIR / "torus_free.json").read_text())
+    doc["bundle"]["twistDegree"] = 2
+    path = tmp_path / "torus_free_twisted.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(["index", str(path), "--method", "kawasaki"])
+    assert code == 0
+    assert report["totals"]["kawasaki"] == ["2", "0"]
+
+
 class TestExitCodes:
     def test_unknown_class_lists_valid_labels(self, capsys):
         code, _, _ = run(["localized", str(FIXTURE_DIR / "p4.json"),
