@@ -19,12 +19,12 @@ from pathlib import Path
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
-from .groups import AffineIsometry, CrystGroup, mat, mat_det, mat_mul, mat_transpose
+from .groups import (AffineIsometry, CrystGroup, TorusAction, mat, mat_det, mat_mul,
+                     mat_transpose)
 from .sectors import (
     BundleSpec,
     QuotientModel,
     SphereRotationAction,
-    TorusAction,
     build_cutoff,
     class_components,
     induced_torus_model,
@@ -162,10 +162,14 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     if mode not in ("exact", "float"):
         errors.append(f"$.options.mode: expected 'exact' or 'float', got {mode!r}")
         mode = "exact"
-    try:
-        tolerance = float(options.get("tolerance", 1e-8))
-    except (TypeError, ValueError):
-        errors.append(f"$.options.tolerance: expected a number, got {options['tolerance']!r}")
+    # a JSON number that is a positive float: not a bool, a string, NaN or inf
+    tolerance = options.get("tolerance", 1e-8)
+    if (isinstance(tolerance, float) or _is_int(tolerance)) \
+            and 0 < tolerance <= sys.float_info.max:
+        tolerance = float(tolerance)
+    else:
+        errors.append(f"$.options.tolerance: expected a finite number above 0, "
+                      f"got {tolerance!r}")
         tolerance = 1e-8
 
     _check_fields(bundle_block, {"operatorKind", "twistDegree", "fiberWeights"},
@@ -444,12 +448,9 @@ def _oracle_value(model: QuotientModel):
     if isinstance(model.group, SphereRotationAction):
         return oracle.sphere_invariant_monomial_count(
             model.bundle.twist_degree, model.group.order).value
-    if isinstance(model.group, TorusAction):
-        if model.bundle.twist_degree == 0 and model.bundle.operator_kind == "dolbeault":
-            return oracle.torus_invariant_index(model).value
-        return None
     if model.bundle.twist_degree == 0 and model.bundle.operator_kind == "dolbeault":
-        return oracle.torus_invariant_index(induced_torus_model(model)).value
+        torus = model if isinstance(model.group, TorusAction) else induced_torus_model(model)
+        return oracle.torus_invariant_index(torus).value
     return None
 
 

@@ -2,10 +2,15 @@
 
 Point parts are integer matrices in lattice coordinates, so every wallpaper
 point group acts by exact integer arithmetic; orthogonality is checked against
-the lattice Gram matrix.  Translations are stored as exact rationals, and the
-closure of a group mod the lattice and the fixed points on the torus are
-computed in integers over one common denominator (`over_denominator`).  All
-values are immutable after construction.
+the lattice Gram matrix.  Translations are stored as exact rationals.  A
+TorusAction is a finite group of affine isometries mod the lattice Z^2: it
+checks its generators, closes them, and holds its point parts and their
+rotation angles.  A CrystGroup is such an action plus a lattice basis, since
+the plane mod Z^2 is a torus on which its point group acts by the pairs
+(B, s_B).  The closure mod the lattice, the orbits of points mod Z^2 and the
+fixed points on the torus are computed in integers over one common
+denominator (`over_denominator`), which no other module builds.  All values
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -320,6 +326,33 @@ def close_mod_lattice(generators: Sequence[AffineIsometry]) -> tuple[AffineIsome
                  for a, u in pairs)
 
 
+def orbits_mod_lattice(points: Sequence[Vec], elems: Sequence[AffineIsometry]) \
+        -> tuple[int, list[tuple[Vec, list[tuple[int, int]]]]]:
+    """Split points mod the lattice into orbits of the finite group `elems`.
+
+    Points and translations are taken over their common denominator D, and
+    the images A x + t are compared mod D as ints.  Returns D and, per orbit,
+    its first point in the order of `points` with the orbit's points times D:
+    the first image A x + t, unreduced, of each point mod Z^2, in the order
+    of `elems`.  By orbit-stabilizer the stabilizer of the first point has
+    |elems| / |orbit| elements.
+    """
+    den, ints = over_denominator([*points, *(z.translation for z in elems)])
+    moves = [(z.point_part, s) for z, s in zip(elems, ints[len(points):])]
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for p, x in zip(points, ints):
+        if vec_mod(x, den) in seen:
+            continue
+        orbit: dict[tuple[int, int], tuple[int, int]] = {}
+        for a, s in moves:
+            y = vec_add(mat_vec(a, x), s)
+            orbit.setdefault(vec_mod(y, den), y)
+        seen.update(orbit)
+        out.append((p, list(orbit.values())))
+    return den, out
+
+
 @dataclass(frozen=True)
 class FixedSetDescriptor:
     """Fixed locus of an orientation-preserving affine isometry: empty,
@@ -329,11 +362,51 @@ class FixedSetDescriptor:
     points: tuple[Vec, ...] = ()
 
 
+class TorusAction:
+    """A finite group acting on a flat torus by affine isometries mod the lattice.
+
+    The group is the closure of `generators` modulo the lattice, after every
+    generator's point part is checked: element i of `table` acts by
+    `isometries[i]`, and element 0 is the identity.  `point_parts` lists the
+    distinct point parts in closure order, and `turns` maps each to its
+    rotation angle.  The table, built on first use, composes the pairs (A, u)
+    of the isometries' translations over their common denominator D, mod D.
+    """
+
+    def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
+        for g in generators:
+            check_point_part(g.point_part, gram)
+        self.gram = gram
+        self.isometries = close_mod_lattice(generators)
+        self.point_parts: tuple[IMat, ...] = tuple(dict.fromkeys(
+            g.point_part for g in self.isometries))
+        self.turns = {a: rotation_turns_for_gram(a, gram) for a in self.point_parts}
+
+    @cached_property
+    def table(self) -> FiniteGroupTable:
+        den, shifts = over_denominator([g.translation for g in self.isometries])
+        pairs = [(g.point_part, u) for g, u in zip(self.isometries, shifts)]
+        index = {p: i for i, p in enumerate(pairs)}
+        return FiniteGroupTable.of_composition(
+            [[index[mat_mul(a, b), vec_mod(vec_add(u, mat_vec(a, v)), den)] for b, v in pairs]
+             for a, u in pairs])
+
+    @property
+    def area(self) -> float:
+        return math.sqrt(float(mat_det(self.gram)))
+
+    def rotation_turns(self, g: int) -> Fraction:
+        return self.turns[self.isometries[g].point_part]
+
+
 class CrystGroup:
-    """A 2D crystallographic group: lattice plus finite point group with coset vectors.
+    """A 2D crystallographic group: its point group acting on the torus
+    plane/lattice, plus the lattice basis.
 
     Elements are AffineIsometry values in lattice coordinates; the translation
-    lattice is Z^2 in those coordinates.
+    lattice is Z^2 in those coordinates, so the group mod Z^2 is the
+    TorusAction `torus` of the generators, with one coset vector per point
+    part.
     """
 
     def __init__(self, lattice_basis, generators: Sequence[AffineIsometry]):
@@ -342,18 +415,17 @@ class CrystGroup:
             raise StructuralError("lattice basis is singular")
         self.gram: Mat = mat_mul(mat_transpose(self.lattice_basis), self.lattice_basis)
         self.generators = tuple(generators)
-        for g in self.generators:
-            check_point_part(g.point_part, self.gram)
-        # the closure mod the lattice holds one coset vector per point part
-        self.coset_vectors: dict[IMat, Vec] = {}
         gens = sorted(self.generators, key=lambda g: (g.point_part, g.translation))
-        for g in close_mod_lattice(gens):
-            if self.coset_vectors.setdefault(g.point_part, g.translation) != g.translation:
-                raise StructuralError(
-                    "translation lattice is not normal: conflicting coset vectors")
-        self.point_parts: tuple[IMat, ...] = tuple(self.coset_vectors)
+        self.torus = TorusAction(gens, self.gram)
+        # Z^2 is the whole translation subgroup exactly when the closure
+        # holds one coset vector per point part
+        self.coset_vectors: dict[IMat, Vec] = {g.point_part: g.translation
+                                               for g in self.torus.isometries}
+        if len(self.coset_vectors) != len(self.torus.isometries):
+            raise StructuralError(
+                "translation lattice is not normal: conflicting coset vectors")
+        self.point_parts = self.torus.point_parts
         self._pp_index = {a: i for i, a in enumerate(self.point_parts)}
-        self._turns = {a: rotation_turns_for_gram(a, self.gram) for a in self.point_parts}
 
     # -- structure ----------------------------------------------------------
 
@@ -377,7 +449,7 @@ class CrystGroup:
 
     def rotation_turns(self, a: IMat) -> Fraction:
         """Rotation angle of a point part as a fraction of a full turn."""
-        return self._turns[a]
+        return self.torus.turns[a]
 
     # -- element enumeration -------------------------------------------------
 

@@ -36,9 +36,7 @@ from .groups import (
     mat_inv,
     mat_sub,
     mat_vec,
-    over_denominator,
-    vec_add,
-    vec_mod,
+    orbits_mod_lattice,
 )
 from .sectors import (
     CutoffFunction,
@@ -249,22 +247,18 @@ def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
     cut-off box; sorted by d2_min, then by the centre.
 
     Conjugation by (B, s_B + lambda) moves the centre p0 of the representative
-    to B p0 + s_B + lambda, so each coset of centres mod Z^2 is searched once,
-    in integers over one denominator, over the lambda that put the centre
-    within _reach of the box.
+    to B p0 + s_B + lambda, so each point of the P-orbit of p0 mod Z^2 is
+    searched once, in integers over one denominator, over the lambda that put
+    the centre within _reach of the box.
     """
     group: CrystGroup = cls.group
     a, t = cls.representative.point_part, cls.representative.translation
     p0 = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), t)
     lo, hi = cutoff.support
     reach = _reach(group, a, t_max) + 1
-    den, (x0, *shifts) = over_denominator([p0, *group.coset_vectors.values()])
-    cosets = {}
-    for b, s in zip(group.coset_vectors, shifts):
-        p = vec_add(mat_vec(b, x0), s)
-        cosets.setdefault(vec_mod(p, den), p)
+    den, [(_, cosets)] = orbits_mod_lattice([p0], group.torus.isometries)
     qs = []
-    for p in cosets.values():
+    for p in cosets:
         axes = [x + den * np.arange(math.ceil(lo - reach - x / den),
                                     math.floor(hi + reach - x / den) + 1)
                 for x in p]
@@ -388,11 +382,7 @@ def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.nda
 
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
-    if point_part == IDENTITY_MAT:
-        turns = Fraction(0)
-    else:
-        turns = model.group.rotation_turns(point_part)
-    data = fiber_eigendata(turns, model.bundle)
+    data = fiber_eigendata(model.group.rotation_turns(point_part), model.bundle)
     return Scalars.to_complex(supertrace_turns(data, FLOAT))
 
 

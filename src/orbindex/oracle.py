@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import Scalars
-from .groups import IDENTITY_MAT
-from .sectors import QuotientModel, TorusAction
+from .groups import IDENTITY_MAT, TorusAction
+from .sectors import QuotientModel
 
 MAX_TWIST = 100
 MAX_ORDER = 24
@@ -98,6 +98,5 @@ def torus_invariant_index(model: QuotientModel) -> OracleResult:
         raise DomainError("oracle supports untwisted dolbeault only")
     action = model.group
     h0 = 1  # constants are invariant under any affine isometry
-    all_trivial_rotation = all(g.point_part == IDENTITY_MAT for g in action.isometries)
-    h01 = 1 if all_trivial_rotation else 0
+    h01 = 1 if action.point_parts == (IDENTITY_MAT,) else 0
     return OracleResult(h0 - h01, "fourier-invariants", "constants and {dzbar}")

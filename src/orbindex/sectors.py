@@ -4,7 +4,10 @@ A QuotientModel is an isometric group action and an equivariant bundle
 specification.  Each action type fixes its space: a CrystGroup acts on the
 plane, a TorusAction on the flat torus of its Gram matrix and a
 SphereRotationAction on the round sphere of its radius, so every scene-kind
-decision is one isinstance check on the action.  Sectors are enumerated per
+decision is one isinstance check on the action.  Both flat actions come from
+`groups`: a CrystGroup carries its point group's action on the torus
+plane/lattice as a TorusAction, and that action is the spectral oracle's
+induced torus model.  Sectors are enumerated per
 connected component: each fixed-point-bearing conjugacy class contributes one
 component per centralizer-orbit of isolated fixed points, or one full
 component.
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,59 +38,24 @@ from .groups import (
     FiniteGroupTable,
     IDENTITY_MAT,
     Mat,
+    TorusAction,
     Vec,
     centralizer,
-    check_point_part,
-    close_mod_lattice,
+    enumerate_classes_finite,
     fixed_set,
     mat,
-    mat_det,
     mat_inv,
-    mat_mul,
     mat_sub,
     mat_vec,
     matrix_order,
-    over_denominator,
-    rotation_turns_for_gram,
+    orbits_mod_lattice,
     vec_add,
     vec_frac,
-    vec_mod,
 )
 
 # ---------------------------------------------------------------------------
 # Group actions on compact spaces
 # ---------------------------------------------------------------------------
-
-class TorusAction:
-    """A finite group acting on a flat torus by affine isometries mod the lattice.
-
-    The group is the closure of `generators` modulo the lattice: element i of
-    `table` acts by `isometries[i]`, and element 0 is the identity.  The table
-    composes the pairs (A, u) of the isometries' translations over their
-    common denominator D, mod D.
-    """
-
-    def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
-        for g in generators:
-            check_point_part(g.point_part, gram)
-        self.gram = gram
-        self.isometries = close_mod_lattice(generators)
-        den, shifts = over_denominator([g.translation for g in self.isometries])
-        pairs = [(g.point_part, u) for g, u in zip(self.isometries, shifts)]
-        index = {p: i for i, p in enumerate(pairs)}
-        self.table = FiniteGroupTable.of_composition(
-            [[index[mat_mul(a, b), vec_mod(vec_add(u, mat_vec(a, v)), den)] for b, v in pairs]
-             for a, u in pairs])
-        self._turns = tuple(rotation_turns_for_gram(g.point_part, gram)
-                            for g in self.isometries)
-
-    @property
-    def area(self) -> float:
-        return math.sqrt(float(mat_det(self.gram)))
-
-    def rotation_turns(self, g: int) -> Fraction:
-        return self._turns[g]
-
 
 class SphereRotationAction:
     """Z_n acting on the round sphere of `radius` by rotations about the
@@ -151,7 +119,7 @@ class QuotientModel:
         # flat fixed points carry no twist character yet, and the todd route
         # reads no fiber weights, so such a model would print untwisted terms
         if isinstance(self.group, (TorusAction, CrystGroup)) and self.twist_nontrivial \
-                and _has_rotation(self.group):
+                and self.group.point_parts != (IDENTITY_MAT,):
             raise StructuralError(
                 "$.bundle.twistDegree: a flat model with a rotation takes no twist, "
                 "as its fixed points carry no twist data")
@@ -169,20 +137,9 @@ class QuotientModel:
     @cached_property
     def root_order(self) -> int:
         """Smallest N with every model angle in (1/N) turns, including 1/4."""
-        orders = [4]
-        if isinstance(self.group, CrystGroup):
-            orders += [matrix_order(a) for a in self.group.point_parts]
-        elif isinstance(self.group, TorusAction):
-            orders += [matrix_order(g.point_part) for g in self.group.isometries]
-        else:
-            orders.append(self.group.order)
-        return math.lcm(*orders)
-
-
-def _has_rotation(action: Union[TorusAction, CrystGroup]) -> bool:
-    parts = action.point_parts if isinstance(action, CrystGroup) \
-        else (g.point_part for g in action.isometries)
-    return any(a != IDENTITY_MAT for a in parts)
+        if isinstance(self.group, SphereRotationAction):
+            return math.lcm(4, self.group.order)
+        return math.lcm(4, *(matrix_order(a) for a in self.group.point_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +445,6 @@ def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
                            normal, stab, data)
 
 
-def _orbit_decompose(points: Sequence[Vec], elems: Sequence[AffineIsometry]) \
-        -> list[tuple[Vec, Fraction, int]]:
-    """Split a finite set of points mod the lattice into orbits of the group
-    `elems`: (least point, 1 / |stabilizer|, orbit size) per orbit.  Points
-    and translations are taken over their common denominator D, and the
-    images A x + t mod D are compared as ints."""
-    den, ints = over_denominator([*points, *(z.translation for z in elems)])
-    moves = [(z.point_part, s) for z, s in zip(elems, ints[len(points):])]
-    remaining = list(zip(points, ints))
-    out = []
-    while remaining:
-        p, x = remaining[0]
-        images = [vec_mod(vec_add(mat_vec(a, x), s), den) for a, s in moves]
-        orbit = set(images)
-        out.append((p, Fraction(1, images.count(x)), len(orbit)))
-        remaining = [r for r in remaining if r[1] not in orbit]
-    return out
-
-
 def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
     action: TorusAction = model.group
     table = action.table
@@ -524,9 +462,9 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
             continue
         zc = [action.isometries[z] for z in centralizer(g, table)]
         rot = action.rotation_turns(g)
-        for i, (p, w, size) in enumerate(_orbit_decompose(fs.points, zc)):
-            comps.append(_point_component(model, handle, _center_tag(p, i), p, w,
-                                          size, rot))
+        for i, (p, orbit) in enumerate(orbits_mod_lattice(fs.points, zc)[1]):
+            comps.append(_point_component(model, handle, _center_tag(p, i), p,
+                                          Fraction(len(orbit), len(zc)), len(orbit), rot))
     return comps
 
 
@@ -580,8 +518,6 @@ def _center_tag(p: Vec, ordinal: int) -> str:
 
 
 def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
-    from .groups import enumerate_classes_finite
-
     table = action.table
     handles = enumerate_classes_finite(table)
     out = []
@@ -613,8 +549,8 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
 
 
 def _min_rotation_unit(action: TorusAction) -> Fraction:
-    return min(action.rotation_turns(g) for g in action.table.elements()
-               if action.isometries[g].point_part != IDENTITY_MAT)
+    """The smallest positive rotation angle of a flat action, or 1 if it has none."""
+    return min((t for t in action.turns.values() if t), default=Fraction(1))
 
 
 def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHandle]:
@@ -648,18 +584,19 @@ def _cryst_classes(group: CrystGroup) \
     identity = ConjugacyClassHandle(group=group, representative=AffineIsometry.identity(),
                                     kind_tag="infinite-class", label="e")
     out = [(identity, None, None)]
-    point_group = [AffineIsometry(a, s) for a, s in group.coset_vectors.items()]
+    point_group = group.torus.isometries
     rotations = [g for g in point_group if g.point_part != IDENTITY_MAT]
     # the rotation parts form a cyclic group, so every angle is a multiple
     # of the smallest one
-    unit = min((group.rotation_turns(g.point_part) for g in rotations), default=1)
+    unit = _min_rotation_unit(group.torus)
     for g in rotations:
         a = g.point_part
         power = int(group.rotation_turns(a) / unit)
         part_name = f"r{power}" if power > 1 else "r"
         used_tags: dict[str, int] = {}
         centers = fixed_set(g, torus=True).points
-        for ordinal, (center, weight, _) in enumerate(_orbit_decompose(centers, point_group)):
+        for ordinal, (center, orbit) in enumerate(orbits_mod_lattice(centers, point_group)[1]):
+            weight = Fraction(len(orbit), len(point_group))
             tag = _center_tag(center, ordinal)
             if tag in used_tags:
                 used_tags[tag] += 1
@@ -709,7 +646,8 @@ def wallpaper_model(group: CrystGroup, name: str, mode: str = "exact",
 
 
 def induced_torus_model(model: QuotientModel) -> QuotientModel:
-    """The finite model P acting on lattice\\plane induced by a plane model.
+    """The finite model P acting on lattice\\plane induced by a plane model,
+    whose action is the plane group's own `torus`.
 
     The quotient of the plane by the wallpaper group equals the quotient of
     this torus by the induced point-group action, which is what the spectral
@@ -717,8 +655,5 @@ def induced_torus_model(model: QuotientModel) -> QuotientModel:
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("induced torus model needs a crystallographic group")
-    group = model.group
-    action = TorusAction([AffineIsometry(a, s) for a, s in group.coset_vectors.items()],
-                         group.gram)
-    return QuotientModel(action, model.bundle, name=model.name + "_torus", mode=model.mode,
-                         tolerance=model.tolerance)
+    return QuotientModel(model.group.torus, model.bundle, name=model.name + "_torus",
+                         mode=model.mode, tolerance=model.tolerance)

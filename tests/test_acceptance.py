@@ -9,6 +9,7 @@ per-criterion lines.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -306,3 +307,13 @@ def test_acceptance_7_series_engine():
     ahat_e = a_hat_form(ComponentCurvature(dimension=2), sx)
     flat_ok = ahat_e.coeffs == {(): sx.one()}
     _report(7, "series engine vs symbolic expansion", ahat_ok and td_ok and flat_ok)
+
+
+def test_readme_library_use_runs_as_written():
+    # the README's "Library use" block, executed as printed: it builds p4,
+    # checks the sum identity and reaches the r2_edge heat trace, ~ 0.25
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    scope: dict = {}
+    exec(block.split("```", 1)[0], scope)
+    assert abs(scope["value"] - 0.25) < 1e-6

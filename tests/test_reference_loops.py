@@ -29,6 +29,7 @@ from orbindex.groups import (
     mat_mul,
     mat_sub,
     mat_vec,
+    orbits_mod_lattice,
     vec_add,
     vec_frac,
 )
@@ -36,7 +37,6 @@ from orbindex.sectors import (
     BundleSpec,
     QuotientModel,
     TorusAction,
-    _orbit_decompose,
     wallpaper_model,
 )
 
@@ -119,6 +119,20 @@ def ref_inverse_class_labels(model):
     return out
 
 
+def _orbit_decompose(points, elems):
+    """The integer orbit split in the reference's shape: (first point,
+    1 / |stabilizer|, orbit size) per orbit, the weight by orbit-stabilizer."""
+    return [(p, Fraction(len(orbit), len(elems)), len(orbit))
+            for p, orbit in orbits_mod_lattice(points, elems)[1]]
+
+
+def _orbit_points(points, elems):
+    """Each orbit's points mod Z^2, from the integer images over D."""
+    den, orbits = orbits_mod_lattice(points, elems)
+    return [{vec_frac((Fraction(x, den), Fraction(y, den))) for x, y in orbit}
+            for _, orbit in orbits]
+
+
 # -- generated groups --------------------------------------------------------
 
 # translations with denominators 1 to 12 and entries of either sign
@@ -177,6 +191,9 @@ def test_orbits_and_table_match_the_fraction_reference(case):
         if g.point_part != IDENTITY_MAT:
             points = fixed_set(g, torus=True).points
             assert _orbit_decompose(points, elems) == ref_orbit_decompose(points, elems)
+            assert _orbit_points(points, elems) == [
+                {vec_frac(z.apply(p)) for z in elems}
+                for p, _, _ in ref_orbit_decompose(points, elems)]
     model = QuotientModel(action, BundleSpec())
     assert _inverse_class_labels(model) == ref_inverse_class_labels(model)
 

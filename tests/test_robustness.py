@@ -240,6 +240,12 @@ class TestCliErrorBranches:
 
     @pytest.mark.parametrize("block, key, value, path", [
         ("options", "tolerance", "abc", "$.options.tolerance"),
+        # a tolerance is a finite number above 0, never a bool or a string
+        ("options", "tolerance", float("nan"), "$.options.tolerance"),
+        ("options", "tolerance", -1, "$.options.tolerance"),
+        ("options", "tolerance", 0, "$.options.tolerance"),
+        ("options", "tolerance", "inf", "$.options.tolerance"),
+        ("options", "tolerance", True, "$.options.tolerance"),
         ("group", "lattice", [[1]], "$.group.lattice"),
         ("bundle", "fiberWeights", 5, "$.bundle.fiberWeights"),
         (None, "ambient", 5, "$.ambient"),
@@ -313,6 +319,21 @@ class TestCliErrorBranches:
         model.write_text(json.dumps(doc))
         assert run_command(["verify", str(model)], io.StringIO()) == 1
         assert "orientation-reversing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("translation, message", [
+        # a translation off the lattice gives the identity a second coset vector
+        (["1/2", "0"], "translation lattice is not normal: conflicting coset vectors"),
+        (["1/17", "0"], "group closure modulo the lattice exceeds the finite cap"),
+    ])
+    def test_extra_translation_generator_exits_one(self, tmp_path, capsys,
+                                                     translation, message):
+        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
+        doc["group"]["generators"].append({"matrix": [[1, 0], [0, 1]],
+                                           "translation": translation})
+        model = tmp_path / "p4_extra.json"
+        model.write_text(json.dumps(doc))
+        assert run_command(["verify", str(model)], io.StringIO()) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
 
     def test_verify_output_parses_for_every_fixture(self):
         for name in ("e_z4", "t2_z2", "s2_z3_o7", "p4", "p2", "torus_free",

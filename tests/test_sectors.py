@@ -246,6 +246,12 @@ def test_induced_torus_model_matches_point_group():
     assert torus.group.table.order == 4
     comps = enumerate_sectors(torus)
     assert {c.label for c in comps} == {"e", "r1", "r2", "r3"}
+    # the oracle's model is each plane group's own action on the torus
+    planes = [m for m in map(load_model, sorted(FIXTURE_DIR.glob("*.json")))
+              if isinstance(m.group, CrystGroup)]
+    assert {m.name for m in planes} >= {"p4", "p2", "p4_spinc"}
+    for plane in planes:
+        assert induced_torus_model(plane).group is plane.group.torus, plane.name
 
 
 def test_torus_action_table_comes_from_the_closure():
