@@ -28,8 +28,8 @@ class ComponentCurvature:
 
     `tangent_roots` are the Chern-root generators of the tangent bundle (empty
     for flat components), `integrals` maps each degree-2 generator to its
-    integral over the component.  Flat components carry all-zero integrals;
-    the sphere carries the Gauss-Bonnet value 2 for its tangent root.
+    integral over the component: the sphere carries the Gauss-Bonnet value 2
+    for its tangent root.
     """
 
     dimension: int
@@ -211,26 +211,28 @@ def deloc_chern(data: FiberEigenData, trunc: int, scalars: Scalars) -> TruncForm
 # Orbifold integration
 # ---------------------------------------------------------------------------
 
-def orbifold_integrate(form: TruncForm, component: SectorComponent,
-                       curv: ComponentCurvature, scalars: Scalars):
-    """Integrate a bound form over one full sector component: the degree-2
-    coefficients pair with the generators' integrals, times the orbit weight
-    1/localGroupOrder.
-    """
+def surface_integral(form: TruncForm, curv: ComponentCurvature, scalars: Scalars):
+    """Integral of a bound form over a surface: its degree-2 coefficients
+    paired with the generators' integrals."""
     total = scalars.zero()
     for mono, c in form.degree_part(2).items():
-        integral = curv.integrals.get(mono[0], Fraction(0))
-        total = total + c * scalars.from_rational(integral)
-    return total * scalars.from_rational(Fraction(1, component.geometry.local_group_order))
+        total = total + c * scalars.from_rational(curv.integrals.get(mono[0], Fraction(0)))
+    return total
 
 
-def component_curvature(component: SectorComponent, twist_chern: int) -> ComponentCurvature:
-    """Curvature data for a full catalogue component."""
-    geo = component.geometry
-    if geo.curvature_kind == "sphere":
-        return ComponentCurvature(
-            dimension=2, tangent_roots=("t",), twist_line="w",
-            integrals={"t": Fraction(geo.tangent_chern), "w": Fraction(twist_chern)})
-    return ComponentCurvature(
-        dimension=2, tangent_roots=(), twist_line="w",
-        integrals={"w": Fraction(twist_chern)})
+def orbifold_integrate(form: TruncForm, component: SectorComponent,
+                       curv: ComponentCurvature, scalars: Scalars):
+    """Integrate a bound form over one full sector component: the surface
+    integral times the orbit weight 1/localGroupOrder.
+    """
+    return surface_integral(form, curv, scalars) * \
+        scalars.from_rational(Fraction(1, component.local_group_order))
+
+
+def component_curvature(tangent_chern: int, twist: int) -> ComponentCurvature:
+    """Curvature of a full component from the two numbers that fix its
+    integral: the tangent line's Chern number, whose root `t` is taken only
+    when it is nonzero, and the twist degree of the line `w`."""
+    return ComponentCurvature(dimension=2, tangent_roots=("t",) if tangent_chern else (),
+                              twist_line="w",
+                              integrals={"t": Fraction(tangent_chern), "w": Fraction(twist)})

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -158,7 +157,6 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     options = _block(doc, "options", errors)
     _check_fields(options, {"mode", "tolerance"}, "$.options", errors)
     mode = options.get("mode", "exact")
-    mode = os.environ.get("ORBINDEX_MODE", mode)
     if mode not in ("exact", "float"):
         errors.append(f"$.options.mode: expected 'exact' or 'float', got {mode!r}")
         mode = "exact"
@@ -379,7 +377,7 @@ def cmd_sectors(model: QuotientModel) -> tuple[dict, int]:
 
 def _assembly_agrees(model: QuotientModel, asm, kawasaki_total) -> bool:
     """The averaged Lefschetz numbers equal the sum over sector components."""
-    return engine.scalars_for_model(model).is_zero(asm.average_total - kawasaki_total, 1e-10)
+    return model.scalars.is_zero(asm.average_total - kawasaki_total, 1e-10)
 
 
 def cmd_index(model: QuotientModel, method: str) -> tuple[dict, int]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import StructuralError
-from .exactnum import Scalars, scalars_for_order
+from .exactnum import Scalars
 from .char import (
     ComponentCurvature,
     TruncForm,
@@ -30,6 +30,7 @@ from .char import (
     deloc_chern,
     exp_line,
     orbifold_integrate,
+    surface_integral,
     todd_form,
 )
 from .groups import (
@@ -47,11 +48,8 @@ from .sectors import (
     TorusAction,
     class_components,
     fiber_eigendata,
+    full_geometry,
 )
-
-
-def scalars_for_model(model: QuotientModel) -> Scalars:
-    return scalars_for_order(model.root_order, model.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +81,13 @@ def _route_for(model: QuotientModel) -> str:
 
 def component_value(component: SectorComponent, model: QuotientModel):
     """Orbifold integral of the delocalized index density over one component."""
-    scalars, route = scalars_for_model(model), _route_for(model)
+    scalars, route = model.scalars, _route_for(model)
     if isinstance(component.geometry, PointOrbit):
         term = point_term(component.normal_angle_turns,
                           component.geometry.twist_turns,
                           component.fiber_data, scalars, route)
         return term * scalars.from_rational(component.geometry.weight)
-    curv = component_curvature(component, model.bundle.twist_degree)
+    curv = component_curvature(component.geometry.tangent_chern, model.bundle.twist_degree)
     form = _full_component_form(curv, scalars, route)
     return orbifold_integrate(form, component, curv, scalars)
 
@@ -121,7 +119,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
     """
     if isinstance(model.group, CrystGroup):
         raise StructuralError("Lefschetz evaluator requires a compact model")
-    scalars, route = scalars_for_model(model), _route_for(model)
+    scalars, route = model.scalars, _route_for(model)
 
     if isinstance(model.group, SphereRotationAction):
         n = model.group.order
@@ -150,19 +148,9 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
 
 
 def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
-    if isinstance(model.group, SphereRotationAction):
-        curv = ComponentCurvature(
-            dimension=2, tangent_roots=("t",), twist_line="w",
-            integrals={"t": Fraction(2), "w": Fraction(model.bundle.twist_degree)})
-    else:
-        curv = ComponentCurvature(
-            dimension=2, tangent_roots=(), twist_line="w",
-            integrals={"w": Fraction(model.bundle.twist_degree)})
-    form = _full_component_form(curv, scalars, route)
-    total = scalars.zero()
-    for mono, c in form.degree_part(2).items():
-        total = total + c * scalars.from_rational(curv.integrals.get(mono[0], Fraction(0)))
-    return total
+    curv = component_curvature(full_geometry(model.group).tangent_chern,
+                               model.bundle.twist_degree)
+    return surface_integral(_full_component_form(curv, scalars, route), curv, scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +159,7 @@ def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
 
 def kawasaki_index(model: QuotientModel):
     """Index of the quotient operator: sum of sector integrals."""
-    total = scalars_for_model(model).zero()
+    total = model.scalars.zero()
     for comp in model.sectors:
         total = total + component_value(comp, model)
     return total
@@ -188,7 +176,7 @@ def finite_assembly(model: QuotientModel) -> AssemblyResult:
     """Both groupings of the finite averaging identity, asserted equal."""
     if isinstance(model.group, CrystGroup):
         raise StructuralError("finite assembly requires a finite acting group")
-    scalars = scalars_for_model(model)
+    scalars = model.scalars
     table = model.group.table
     per_element = {g: equivariant_lefschetz(model, g) for g in table.elements()}
     avg = scalars.zero()
@@ -218,7 +206,7 @@ def localized_index(model: QuotientModel, cls: ConjugacyClassHandle):
     terms; the identity class gives the cut-off-weighted characteristic
     integral over the quotient.
     """
-    total = scalars_for_model(model).zero()
+    total = model.scalars.zero()
     for comp in class_components(model, cls):
         total = total + component_value(comp, model)
     return total
@@ -239,14 +227,11 @@ class IndexReport:
     integrality_verdict: bool = False
     pair_reality: dict = field(default_factory=dict)
 
-    def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
 
 def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     """Per-class localized indices, their sum against the quotient index, and
     the conjugate-pair reality checks."""
-    scalars = scalars_for_model(model)
+    scalars = model.scalars
     comps = model.sectors
     values = [component_value(c, model) for c in comps]
     per_class = {c.label: scalars.zero() for c in comps}

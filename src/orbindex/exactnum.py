@@ -350,8 +350,8 @@ CycloLike = Union[Cyclo, int, Fraction]
 class Scalars:
     """Arithmetic context: exact cyclotomic values or floating complex.
 
-    `order` is the root-of-unity order every angle of the model divides into;
-    it is ignored in float mode.
+    `order` is the root-of-unity order every angle divides into; it is
+    ignored in float mode.  A model's context is `QuotientModel.scalars`.
     """
 
     def __init__(self, mode: str = "exact", order: int = 4):
@@ -393,8 +393,3 @@ class Scalars:
             return x.is_integer()
         z = complex(x)
         return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
-
-
-def scalars_for_order(order: int, mode: str = "exact") -> Scalars:
-    """Context whose exact field contains i and all order-th roots of unity."""
-    return Scalars(mode, math.lcm(4, order))

@@ -108,10 +108,6 @@ def over_denominator(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, int]]
                   v[1].numerator * (den // v[1].denominator)) for v in vectors]
 
 
-def vec_floor(v: Vec) -> tuple[int, int]:
-    return (math.floor(v[0]), math.floor(v[1]))
-
-
 def vec_supnorm(v: Vec) -> Fraction:
     return max(abs(v[0]), abs(v[1]))
 
@@ -276,14 +272,6 @@ class AffineIsometry:
 
     def apply(self, x: Vec) -> Vec:
         return vec_add(mat_vec(self.point_part, x), self.translation)
-
-    @property
-    def frac_part(self) -> Vec:
-        return vec_frac(self.translation)
-
-    @property
-    def lattice_offset(self) -> tuple[int, int]:
-        return vec_floor(self.translation)
 
     @property
     def is_identity(self) -> bool:

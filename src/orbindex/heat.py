@@ -103,11 +103,6 @@ def _kappa(a) -> int:
     return int(mat_det(mat_sub(IDENTITY_MAT, a)))
 
 
-def _covolume(group: CrystGroup) -> float:
-    """The area of a lattice cell, sqrt(det G)."""
-    return math.sqrt(float(abs(mat_det(group.gram))))
-
-
 def _reach(group: CrystGroup, a, t: float) -> float:
     """The largest sup-norm distance from the box of the centre q of a member h
     that reaches the floor at t: kappa |x - q|^2_G <= 4 t ln(1/floor), and
@@ -135,7 +130,7 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
     group: CrystGroup = model.group
     lam_min = _gram_eigs(group)[0]
     g00, g01, g11 = (float(x) for x in (group.gram[0][0], group.gram[0][1], group.gram[1][1]))
-    vol = _covolume(group)
+    vol = group.torus.area
     lo, hi = CutoffFunction("smooth", group).support
     perimeter = 2 * (hi - lo) * (math.sqrt(g00) + math.sqrt(g11))
     rho = math.sqrt(g00 + g11 + 2 * abs(g01)) / 2
@@ -216,7 +211,7 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
         g, b = model.group.gram, cls.representative.translation
         d2 = [float(sum(v[i] * g[i][j] * v[j] for i in range(2) for j in range(2)))
               for v in {mat_vec(p, b) for p in model.group.point_parts}]
-        scale = tau * _covolume(model.group) / model.group.point_group_order
+        scale = tau * model.group.torus.area / model.group.point_group_order
         return {t: scale * math.fsum(k for k in (math.exp(-d / (4 * t)) for d in d2)
                                      if k >= KERNEL_FLOOR) / (4 * math.pi * t) for t in ts}
     centres, d2_min = _members_in_reach(cls, cutoff, quad.t_max)
@@ -377,7 +372,7 @@ def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.nda
                 c = min(chunk, m - k0)
                 if c > 0:
                     sums[k] += np.sum(np.exp(d2[:c] * scale) @ cvals)
-    weight = tau * _covolume(cutoff.group) * n_per_unit ** -2
+    weight = tau * cutoff.group.torus.area * n_per_unit ** -2
     return [weight * float(v) / (4 * math.pi * t) for v, t in zip(sums, ts)]
 
 
@@ -433,7 +428,7 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
     g = cls.representative
 
     if g.is_identity:
-        vol = _covolume(group) / group.point_group_order
+        vol = group.torus.area / group.point_group_order
         return vol * _supertrace_factor(model, g.point_part) / (4 * math.pi * t)
 
     if g.is_translation:

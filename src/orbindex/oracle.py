@@ -25,9 +25,6 @@ class OracleResult:
     method: str
     basis: str
 
-    def to_complex(self) -> complex:
-        return Scalars.to_complex(self.value)
-
 
 def _sphere_basis(k: int) -> tuple[int, range]:
     """(sign, exponents m) of the monomial basis z^m of the cohomology of O(k).
@@ -51,7 +48,7 @@ def sphere_equivariant_character(k: int, n: int, j: int, mode: str = "exact") ->
     if n < 1 or not (0 <= j < n):
         raise DomainError("rotation power outside the group")
     sign, exponents = _sphere_basis(k)
-    sc = Scalars(mode, n if mode == "exact" else 0)
+    sc = Scalars(mode, n)
     total = sc.zero()
     for m in exponents:
         total = total + sc.unit(Fraction(j * m, n))
@@ -79,7 +76,7 @@ def elliptic_pullback_character(turns: Fraction, mode: str = "exact") -> OracleR
     t = Fraction(turns) % 1
     if t.denominator not in (1, 2, 3, 4, 6):
         raise DomainError("rotation does not preserve any plane lattice")
-    sc = Scalars(mode, t.denominator if mode == "exact" else 0)
+    sc = Scalars(mode, t.denominator)
     value = sc.one() - sc.unit(-t)
     return OracleResult(value, "pullback-character", "{1} and {dzbar}")
 

@@ -1,16 +1,18 @@
 """Scene models, twisted-sector enumeration and cut-off functions.
 
 A QuotientModel is an isometric group action and an equivariant bundle
-specification.  Each action type fixes its space: a CrystGroup acts on the
-plane, a TorusAction on the flat torus of its Gram matrix and a
-SphereRotationAction on the round sphere of its radius, so every scene-kind
-decision is one isinstance check on the action.  Both flat actions come from
-`groups`: a CrystGroup carries its point group's action on the torus
-plane/lattice as a TorusAction, and that action is the spectral oracle's
-induced torus model.  Sectors are enumerated per
-connected component: each fixed-point-bearing conjugacy class contributes one
-component per centralizer-orbit of isolated fixed points, or one full
-component.
+specification, and it fixes its own arithmetic: `scalars` is the model's
+mode over the field of the N-th roots of unity, N = lcm(4, every rotation
+order), and every value of the model is computed in it.  Each action type
+fixes its space: a CrystGroup acts on the plane, a TorusAction on the flat
+torus of its Gram matrix and a SphereRotationAction on the round sphere of
+its radius, so every scene-kind decision is one isinstance check on the
+action.  Both flat actions come from `groups`: a CrystGroup carries its
+point group's action on the torus plane/lattice as a TorusAction, and that
+action is the spectral oracle's induced torus model.  Sectors are enumerated
+per connected component: each fixed-point-bearing conjugacy class
+contributes one component per centralizer-orbit of isolated fixed points, or
+one full component.
 
 Angle convention used throughout: `normal_angle_turns` of a component is the
 rotation angle of the *inverse* of the class representative on the normal
@@ -31,6 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError
+from .exactnum import Scalars
 from .groups import (
     AffineIsometry,
     ConjugacyClassHandle,
@@ -71,9 +74,6 @@ class SphereRotationAction:
     @property
     def area(self) -> float:
         return 4 * math.pi * float(self.radius) ** 2
-
-    def rotation_turns(self, j: int) -> Fraction:
-        return Fraction(j % self.order, self.order)
 
 
 GroupAction = Union[CrystGroup, TorusAction, SphereRotationAction]
@@ -118,7 +118,7 @@ class QuotientModel:
     def __post_init__(self):
         # flat fixed points carry no twist character yet, and the todd route
         # reads no fiber weights, so such a model would print untwisted terms
-        if isinstance(self.group, (TorusAction, CrystGroup)) and self.twist_nontrivial \
+        if isinstance(self.group, (TorusAction, CrystGroup)) and self.bundle.twist_degree \
                 and self.group.point_parts != (IDENTITY_MAT,):
             raise StructuralError(
                 "$.bundle.twistDegree: a flat model with a rotation takes no twist, "
@@ -130,16 +130,13 @@ class QuotientModel:
         command reads."""
         return tuple(enumerate_sectors(self))
 
-    @property
-    def twist_nontrivial(self) -> bool:
-        return self.bundle.twist_degree != 0
-
     @cached_property
-    def root_order(self) -> int:
-        """Smallest N with every model angle in (1/N) turns, including 1/4."""
+    def scalars(self) -> Scalars:
+        """The model's arithmetic: its mode over Q(zeta_N), N = lcm(4, every
+        rotation order), so that every model angle is a multiple of 1/N turns."""
         if isinstance(self.group, SphereRotationAction):
-            return math.lcm(4, self.group.order)
-        return math.lcm(4, *(matrix_order(a) for a in self.group.point_parts))
+            return Scalars(self.mode, math.lcm(4, self.group.order))
+        return Scalars(self.mode, math.lcm(4, *map(matrix_order, self.group.point_parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +155,17 @@ class PointOrbit:
 
 @dataclass(frozen=True)
 class FullComponentGeometry:
-    dimension: int
+    """A whole surface as a sector component: its area and the integral of
+    c1 of its tangent line, 2 on the sphere and 0 on a flat space."""
+
     area: float
-    curvature_kind: str        # "flat" | "sphere"
-    tangent_chern: int = 0     # integral of c1 of the tangent line over the component
-    local_group_order: int = 1
+    tangent_chern: int = 0
+
+
+def full_geometry(group: GroupAction) -> FullComponentGeometry:
+    """The space the action acts on, as a full component."""
+    return FullComponentGeometry(group.area,
+                                 2 if isinstance(group, SphereRotationAction) else 0)
 
 
 @dataclass(frozen=True)
@@ -425,14 +428,8 @@ def class_components(model: QuotientModel,
 
 def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
                     order: int) -> SectorComponent:
-    group = model.group
-    if isinstance(group, SphereRotationAction):
-        geo = FullComponentGeometry(2, group.area, "sphere", tangent_chern=2,
-                                    local_group_order=order)
-    else:
-        geo = FullComponentGeometry(2, group.area, "flat", local_group_order=order)
     data = fiber_eigendata(Fraction(0), model.bundle)
-    return SectorComponent(handle, "full", geo, None, order, data)
+    return SectorComponent(handle, "full", full_geometry(model.group), None, order, data)
 
 
 def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
@@ -519,24 +516,18 @@ def _center_tag(p: Vec, ordinal: int) -> str:
 
 def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
     table = action.table
-    handles = enumerate_classes_finite(table)
-    out = []
-    for h in handles:
+    out = enumerate_classes_finite(table)
+    for h in out:
         g = h.representative
-        if g == table.identity:
-            label = "e"
-        else:
+        if g != table.identity:
             iso = action.isometries[g]
             if iso.point_part == IDENTITY_MAT:
                 t = vec_frac(iso.translation)
-                label = f"t{t[0]}_{t[1]}".replace("/", "d")
+                h.label = f"t{t[0]}_{t[1]}".replace("/", "d")
             else:
                 # power of the smallest positive rotation present in the group;
                 # the rotation parts form a cyclic group, so it is an integer
-                label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
-        out.append(ConjugacyClassHandle(group=table, representative=g,
-                                        kind_tag="finite-class", label=label,
-                                        _members=h._members))
+                h.label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
     # disambiguate duplicate labels deterministically
     seen: dict[str, int] = {}
     for h in out:

@@ -176,7 +176,7 @@ class TestOrbifoldIntegrate:
                                       representative=0, kind_tag="finite-class",
                                       label="e")
         comp = SectorComponent(
-            handle, "full", FullComponentGeometry(2, 1.0, "flat", 0, 1),
+            handle, "full", FullComponentGeometry(1.0, 0),
             None, 1, FED((Fraction(0),), (Fraction(0),)))
         curv = ComponentCurvature(dimension=2, twist_line="w",
                                   integrals={"w": Fraction(d)})
@@ -195,7 +195,7 @@ class TestOrbifoldIntegrate:
                                       representative=0, kind_tag="finite-class",
                                       label="e")
         comp = SectorComponent(
-            handle, "full", FullComponentGeometry(2, 12.566, "sphere", 2, n),
+            handle, "full", FullComponentGeometry(12.566, 2),
             None, n, FED((Fraction(0),), (Fraction(0),)))
         curv = ComponentCurvature(dimension=2, tangent_roots=("t",),
                                   integrals={"t": Fraction(2)})

@@ -1,16 +1,19 @@
 """CLI: model ingestion, commands, exit codes, deterministic reports."""
 
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbindex import heat
+from orbindex import cli, engine, heat, oracle
+from orbindex.exactnum import Scalars
 from orbindex.cli import (
     FIXTURE_DIR,
     ModelValidationError,
@@ -115,18 +118,13 @@ class TestLoading:
         }
         model = parse_model(doc, "shift")
         assert model.group.table.order == 3
-        from fractions import Fraction
         assert model.group.isometries[1].translation in \
             ((Fraction(1, 3), Fraction(0)), (Fraction(2, 3), Fraction(0)))
 
-    def test_mode_env_override(self):
-        doc = json.loads((FIXTURE_DIR / "p4.json").read_text())
-        os.environ["ORBINDEX_MODE"] = "float"
-        try:
-            model = parse_model(doc)
-            assert model.mode == "float"
-        finally:
-            del os.environ["ORBINDEX_MODE"]
+    def test_mode_comes_from_the_document_alone(self, monkeypatch):
+        monkeypatch.setenv("ORBINDEX_MODE", "float")
+        model = parse_model(json.loads((FIXTURE_DIR / "p4.json").read_text()))
+        assert model.mode == "exact"
 
 
 class TestCommands:
@@ -301,6 +299,74 @@ def test_twisted_rotation_free_torus_still_runs(tmp_path):
     code, report, _ = run(["index", str(path), "--method", "kawasaki"])
     assert code == 0
     assert report["totals"]["kawasaki"] == ["2", "0"]
+
+
+MICRO = Fraction(1, 10 ** 6)
+
+
+def _shift_oracle(monkeypatch):
+    exact = cli._oracle_value
+    monkeypatch.setattr(cli, "_oracle_value",
+                        lambda model: exact(model) + model.scalars.from_rational(MICRO))
+
+
+def _shift_assembly_average(monkeypatch):
+    exact = engine.finite_assembly
+
+    def shifted(model):
+        asm = exact(model)
+        return dataclasses.replace(
+            asm, average_total=asm.average_total + model.scalars.from_rational(MICRO))
+    monkeypatch.setattr(engine, "finite_assembly", shifted)
+
+
+def _shift_pair_imaginary_parts(monkeypatch):
+    # +i/1000 on one class and -i/1000 on another: the total stays 1
+    exact = engine.component_value
+    signs = {"r_center": 1, "r_origin": -1}
+
+    def shifted(component, model):
+        value = exact(component, model)
+        if component.label in signs:
+            sc = model.scalars
+            value = value + sc.unit(Fraction(1, 4)) * \
+                sc.from_rational(Fraction(signs[component.label], 1000))
+        return value
+    monkeypatch.setattr(engine, "component_value", shifted)
+
+
+def _shift_sphere_character(monkeypatch):
+    exact = oracle.sphere_equivariant_character
+
+    def shifted(k, n, j, mode="exact"):
+        result = exact(k, n, j, mode)
+        if j != 1:
+            return result
+        shift = Scalars(mode, n).from_rational(MICRO)
+        return dataclasses.replace(result, value=result.value + shift)
+    monkeypatch.setattr(oracle, "sphere_equivariant_character", shifted)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("fixture, verdict, inject", [
+    ("p4", "oracleAgreement", _shift_oracle),
+    ("e_z4", "assemblyGroupings", _shift_assembly_average),
+    ("p4", "pairReality", _shift_pair_imaginary_parts),
+    ("s2_z3_o7", "perClassCharacters", _shift_sphere_character),
+])
+def test_a_fault_in_one_route_fails_its_verdict_alone(tmp_path, monkeypatch, mode,
+                                                       fixture, verdict, inject):
+    # each fault is far above the tolerance of its comparison, and far
+    # below any looser one; exact zero tests ignore the tolerance, so the
+    # float runs pin the assembly tolerance
+    doc = json.loads((FIXTURE_DIR / f"{fixture}.json").read_text())
+    doc["options"]["mode"] = mode
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(json.dumps(doc))
+    inject(monkeypatch)
+    code, report, _ = run(["verify", str(path)])
+    assert code == 2
+    assert {key for key, ok in report["verdicts"].items() if not ok} == {verdict}
 
 
 class TestExitCodes:

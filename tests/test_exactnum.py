@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbindex.exactnum import Cyclo, Scalars, cyclotomic_polynomial, scalars_for_order
+from orbindex.exactnum import Cyclo, Scalars, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials():
@@ -76,7 +76,7 @@ def test_integrality_detection():
 
 
 def test_scalars_contexts():
-    ex = scalars_for_order(3)
+    ex = Scalars("exact", 12)
     assert ex.order == 12
     v = ex.unit(Fraction(1, 3))
     assert v == Cyclo.zeta(3).promote(12)

@@ -1,6 +1,8 @@
 """Non-heat fixture reports against reports recorded before the sector table
 and orientation rule were consolidated: exit code and stdout, byte for byte,
-in the fixtures' own mode and with ORBINDEX_MODE=float.
+in the fixtures' own mode and in float mode.  A float job runs on a copy of
+the fixture document with `options.mode` set to "float", written under the
+fixture's own file name, so the report names the same model.
 
 Record again (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -8,8 +10,8 @@ Record again (only when a report is meant to change) with
 
 import io
 import json
-import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -36,9 +38,17 @@ def _key(mode, argv: list[str]) -> str:
     return " ".join([mode or "fixture", argv[0], fixture] + argv[2:])
 
 
-def _argv(key: str) -> list[str]:
-    _, command, fixture, *rest = key.split(" ")
-    return [command, str(FIXTURE_DIR / f"{fixture}.json")] + rest
+def _write_float_copies(directory: Path) -> None:
+    for path in FIXTURE_DIR.glob("*.json"):
+        doc = json.loads(path.read_text())
+        doc.setdefault("options", {})["mode"] = "float"
+        (directory / path.name).write_text(json.dumps(doc))
+
+
+def _argv(key: str, float_dir: Path) -> list[str]:
+    mode, command, fixture, *rest = key.split(" ")
+    directory = FIXTURE_DIR if mode == "fixture" else float_dir
+    return [command, str(directory / f"{fixture}.json")] + rest
 
 
 def _run(argv: list[str]) -> dict:
@@ -51,18 +61,19 @@ def _run(argv: list[str]) -> dict:
 REPORTS = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
 
+@pytest.fixture(scope="module")
+def float_dir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("float_fixtures")
+    _write_float_copies(directory)
+    return directory
+
+
 @pytest.mark.parametrize("key", sorted(REPORTS))
-def test_report_matches_golden(key, monkeypatch):
-    mode = key.split(" ")[0]
-    if mode == "fixture":
-        monkeypatch.delenv("ORBINDEX_MODE", raising=False)
-    else:
-        monkeypatch.setenv("ORBINDEX_MODE", mode)
-    assert _run(_argv(key)) == REPORTS[key]
+def test_report_matches_golden(key, float_dir):
+    assert _run(_argv(key, float_dir)) == REPORTS[key]
 
 
-def test_golden_covers_every_fixture_job(monkeypatch):
-    monkeypatch.delenv("ORBINDEX_MODE", raising=False)
+def test_golden_covers_every_fixture_job():
     keys = {_key(mode, argv)
             for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
             for argv in _jobs(fixture) for mode in MODES}
@@ -70,16 +81,12 @@ def test_golden_covers_every_fixture_job(monkeypatch):
 
 
 def _record() -> None:
-    jobs = [argv for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
-            for argv in _jobs(fixture)]
-    out = {}
-    for mode in MODES:
-        if mode is None:
-            os.environ.pop("ORBINDEX_MODE", None)
-        else:
-            os.environ["ORBINDEX_MODE"] = mode
-        for argv in jobs:
-            out[_key(mode, argv)] = _run(argv)
+    keys = sorted(_key(mode, argv)
+                  for fixture in sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
+                  for argv in _jobs(fixture) for mode in MODES)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_float_copies(Path(tmp))
+        out = {key: _run(_argv(key, Path(tmp))) for key in keys}
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(out)} reports to {GOLDEN}", file=sys.stderr)
 

@@ -25,6 +25,7 @@ from orbindex.groups import (
     mat_transpose,
     matrix_order,
     rotation_turns_for_gram,
+    vec_frac,
     IDENTITY_MAT,
 )
 
@@ -174,7 +175,7 @@ class TestCrystGroup:
         p4 = make_p4()
         g = AffineIsometry.of(ROT, (3, -2))
         assert p4.contains(g)
-        assert g.frac_part == (0, 0) and g.lattice_offset == (3, -2)
+        assert g.translation == (3, -2)
         assert not p4.contains(AffineIsometry.of(ROT, (Fraction(1, 2), 0)))
 
     def test_element_enumeration_deterministic(self):
@@ -227,7 +228,7 @@ class TestConjugacy:
         z = centralizer(p4.element(ROT, (0, 0)), p4)
         assert len(z) == 4
         for e in z:
-            assert e.frac_part == (0, 0)
+            assert vec_frac(e.translation) == (0, 0)
 
     def test_centralizer_edge_midpoint_r2(self):
         p4 = make_p4()

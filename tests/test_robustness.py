@@ -21,7 +21,6 @@ from orbindex.engine import (
     finite_assembly,
     kawasaki_index,
     localized_index,
-    scalars_for_model,
     sum_identity,
 )
 from orbindex.groups import AffineIsometry, CrystGroup
@@ -144,7 +143,7 @@ class TestLargerCyclotomicFields:
         from orbindex import oracle
 
         model = sphere_model(8, 11, "s2_z8")
-        order = scalars_for_model(model).order
+        order = model.scalars.order
         for j in range(8):
             lef = equivariant_lefschetz(model, j)
             want = oracle.sphere_equivariant_character(11, 8, j).value

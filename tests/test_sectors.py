@@ -92,7 +92,7 @@ class TestEnumeration:
         assert comps["r_origin"].geometry.weight == Fraction(1, 4)
         assert comps["r2_edge"].geometry.weight == Fraction(1, 2)
         assert comps["r2_origin"].geometry.weight == Fraction(1, 4)
-        assert comps["e"].geometry.local_group_order == 4
+        assert comps["e"].local_group_order == 4
 
     def test_normal_angles_are_inverse_rotation(self):
         model = make_p4_model()
