@@ -62,13 +62,6 @@ def _rational(value, path: str, errors: list[str]) -> Fraction:
     return Fraction(0)
 
 
-def _rational_list(value, path: str, errors: list[str]) -> list[Fraction]:
-    if not isinstance(value, list):
-        errors.append(f"{path}: expected a list of exact rationals, got {value!r}")
-        return []
-    return [_rational(x, path, errors) for x in value]
-
-
 def _lattice(value, path: str, errors: list[str]) -> list[list[Fraction]]:
     if (not isinstance(value, list) or len(value) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in value)):
@@ -170,8 +163,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
                       f"got {tolerance!r}")
         tolerance = 1e-8
 
-    _check_fields(bundle_block, {"operatorKind", "twistDegree", "fiberWeights"},
-                  "$.bundle", errors)
+    _check_fields(bundle_block, {"operatorKind", "twistDegree"}, "$.bundle", errors)
     kind = bundle_block.get("operatorKind", "dolbeault")
     if kind not in ("dolbeault", "spinc_dirac"):
         errors.append(f"$.bundle.operatorKind: unknown kind {kind!r}")
@@ -180,22 +172,6 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     if not _is_int(twist):
         errors.append("$.bundle.twistDegree: expected an integer")
         twist = 0
-    fiber_weights = None
-    if "fiberWeights" in bundle_block:
-        fiber_weights = {}
-        entries = bundle_block["fiberWeights"]
-        if not isinstance(entries, list) or any(not isinstance(e, dict) for e in entries):
-            errors.append(f"$.bundle.fiberWeights: expected a list of objects, got {entries!r}")
-            entries = []
-        for i, entry in enumerate(entries):
-            path = f"$.bundle.fiberWeights[{i}]"
-            _check_fields(entry, {"angle", "plus", "minus"}, path, errors)
-            angle = _rational(entry.get("angle", "0"), f"{path}.angle", errors) % 1
-            plus = tuple(a % 1 for a in _rational_list(entry.get("plus", []),
-                                                       f"{path}.plus", errors))
-            minus = tuple(a % 1 for a in _rational_list(entry.get("minus", []),
-                                                        f"{path}.minus", errors))
-            fiber_weights[angle] = (plus, minus)
 
     akind = ambient_block.get("kind")
     gkind = group_block.get("kind")
@@ -248,8 +224,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
         else:
             errors.append(f"$.ambient.kind: unknown ambient {akind!r}")
             raise ModelValidationError(errors)
-        return QuotientModel(action, BundleSpec(kind, twist, fiber_weights),
-                             name, mode, tolerance)
+        return QuotientModel(action, BundleSpec(kind, twist), name, mode, tolerance)
     except StructuralError as exc:
         errors.append(str(exc))
         raise ModelValidationError(errors) from exc

@@ -40,7 +40,6 @@ from .groups import (
     fixed_set,
 )
 from .sectors import (
-    FiberEigenData,
     PointOrbit,
     QuotientModel,
     SectorComponent,
@@ -56,13 +55,14 @@ from .sectors import (
 # Pointwise Lefschetz terms
 # ---------------------------------------------------------------------------
 
-def point_term(normal_turns: Fraction, twist_turns: Fraction, data: FiberEigenData,
-               scalars: Scalars, route: str):
+def point_term(normal_turns: Fraction, twist_turns: Fraction, scalars: Scalars, route: str):
     """Contribution of one isolated fixed point, before orbit weights; the
     package's one implementation of the fixed-point divisor.
 
     `route` = "todd": twist character over the complex divisor 1 - e^{-i theta_N}.
-    `route` = "a_hat": fiber supertrace over the real determinant of 1 - R.
+    `route` = "a_hat": fiber supertrace over the real determinant of 1 - R, the
+    fiber data being fiber_eigendata of the point's rotation, -theta_N, and
+    its twist.
     """
     if route == "todd":
         divisor = scalars.one() - scalars.unit(-normal_turns)
@@ -70,6 +70,7 @@ def point_term(normal_turns: Fraction, twist_turns: Fraction, data: FiberEigenDa
     if route == "a_hat":
         det_r = (scalars.one() - scalars.unit(normal_turns)) * \
                 (scalars.one() - scalars.unit(-normal_turns))
+        data = fiber_eigendata((-normal_turns) % 1, twist_turns)
         numerator = deloc_chern(data, 0, scalars).coefficient(()) or scalars.zero()
         return numerator / det_r
     raise StructuralError(f"unknown Lefschetz route {route!r}")
@@ -83,9 +84,8 @@ def component_value(component: SectorComponent, model: QuotientModel):
     """Orbifold integral of the delocalized index density over one component."""
     scalars, route = model.scalars, _route_for(model)
     if isinstance(component.geometry, PointOrbit):
-        term = point_term(component.normal_angle_turns,
-                          component.geometry.twist_turns,
-                          component.fiber_data, scalars, route)
+        term = point_term(component.normal_angle_turns, component.geometry.twist_turns,
+                          scalars, route)
         return term * scalars.from_rational(component.geometry.weight)
     curv = component_curvature(component.geometry.tangent_chern, model.bundle.twist_degree)
     form = _full_component_form(curv, scalars, route)
@@ -128,11 +128,8 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
         if j == 0:
             return _ordinary_index(model, scalars, route)
         rot = Fraction(j, n)
-        north = point_term((-rot) % 1, Fraction(0),
-                           fiber_eigendata(rot, model.bundle), scalars, route)
-        south = point_term(rot, Fraction(j * k, n) % 1,
-                           fiber_eigendata((-rot) % 1, model.bundle,
-                                           Fraction(j * k, n) % 1), scalars, route)
+        north = point_term((-rot) % 1, Fraction(0), scalars, route)
+        south = point_term(rot, Fraction(j * k, n) % 1, scalars, route)
         return north + south
 
     action: TorusAction = model.group
@@ -141,9 +138,7 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
         return scalars.zero()
     if fs.kind == "full":
         return _ordinary_index(model, scalars, route)
-    rot = action.rotation_turns(g)
-    data = fiber_eigendata(rot, model.bundle)
-    term = point_term((-rot) % 1, Fraction(0), data, scalars, route)
+    term = point_term((-action.rotation_turns(g)) % 1, Fraction(0), scalars, route)
     return term * scalars.from_rational(Fraction(len(fs.points)))
 
 

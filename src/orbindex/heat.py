@@ -13,8 +13,9 @@ anchored at a rotation centre x0 so that the group maps it onto itself; the
 cut-off drops out of that sum, the spectrally convergent periodic rule of the
 Gamma-invariant class sum.  A t whose Gaussian is narrower than the finest
 grid's spacing, and two sums further apart than the tolerance, raise.  A
-translation's kernel is a constant, so its class needs no grid, and neither
-does the Euclidean orbital integral, tau(A) / (|Z_Gamma(g)| kappa) at every t.
+class with no rotation has fiber supertrace 0, so it needs no grid, and
+neither does the Euclidean orbital integral, tau(A) / (|Z_Gamma(g)| kappa) at
+every t.  The kernel is untwisted, so a model with a twist is refused.
 """
 
 from __future__ import annotations
@@ -122,11 +123,14 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
     cosets, each with at most a0 + a1 r + a2 r^2 points within r of K
     (Steiner: area(K + disc(r + rho)) / vol, rho a cell's circumradius).  The
     members left out have d > R, s R^2 = ln(1/floor); integrating by parts
-    from R gives the closed form below, which grows with t.  A translation
-    member by b is left out only when u = |b|^2_G / 4t > ln(1/floor), and its
-    |tau| u e^-u vol / (pi |b|^2_G |P|) is below the identity term / |P|."""
+    from R gives the closed form below, which grows with t.  A class with no
+    rotation has tau = 0 and leaves nothing out, so a model without a rotation
+    has bound 0."""
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
+    if model.bundle.twist_degree:
+        raise StructuralError("$.bundle.twistDegree: heat verification takes no twist, "
+                              "as its kernel is the untwisted Gaussian")
     group: CrystGroup = model.group
     lam_min = _gram_eigs(group)[0]
     g00, g01, g11 = (float(x) for x in (group.gram[0][0], group.gram[0][1], group.gram[1][1]))
@@ -140,10 +144,9 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
     erfc_floor = math.erfc(math.sqrt(LOG_FLOOR))
     bounds = []
     for a in group.point_parts:
-        tau = abs(_supertrace_factor(model, a))
         if a == IDENTITY_MAT:
-            bounds.append(tau * vol * KERNEL_FLOOR * LOG_FLOOR / (math.pi * lam_min))
             continue
+        tau = abs(_supertrace_factor(model, a))
         reach = _reach(group, a, t)
         if reach > MAX_REACH:
             return math.inf
@@ -151,7 +154,7 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
         tail = ((a0 + a2 / (2 * s)) * erfc_floor
                 + (a1 + a2 * math.sqrt(lam_min) * reach) * KERNEL_FLOOR / math.sqrt(math.pi * s))
         bounds.append(tau * group.point_group_order * tail / (8 * t * s))
-    return max(bounds)
+    return max(bounds, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +207,8 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     a = cls.representative.point_part
     tau = _supertrace_factor(model, a)
     if not tau:
+        # every class with no rotation: its fiber supertrace is 0
         return {t: 0j for t in ts}
-    if a == IDENTITY_MAT:
-        # the members (I, B b), B in P, have the constant kernel e^{-|Bb|^2_G / 4t}
-        # / 4 pi t, and c integrates to 1/|P|: no grid
-        g, b = model.group.gram, cls.representative.translation
-        d2 = [float(sum(v[i] * g[i][j] * v[j] for i in range(2) for j in range(2)))
-              for v in {mat_vec(p, b) for p in model.group.point_parts}]
-        scale = tau * model.group.torus.area / model.group.point_group_order
-        return {t: scale * math.fsum(k for k in (math.exp(-d / (4 * t)) for d in d2)
-                                     if k >= KERNEL_FLOOR) / (4 * math.pi * t) for t in ts}
     centres, d2_min = _members_in_reach(cls, cutoff, quad.t_max)
     sizes = {t: _grid_size(model, t, quad.tolerance) for t in ts}
     # every grid point lies in the box, so one count per t serves every grid;
@@ -291,14 +286,12 @@ def _grid_size(model: QuotientModel, t: float, tolerance: float) -> int:
 
 def _grid_anchor(group: CrystGroup) -> tuple[Fraction, Fraction]:
     """x0 = (I - A)^-1 s_A, the fixed point of the point-group generator
-    (A, s_A), A the point part of largest order; 0 for a trivial point group.
-    The point group is cyclic and the translations are exactly Z^2, so every
-    element is a power of (A, s_A) times a lattice translation and maps
-    x0 + (Z/n)^2 onto itself for every n."""
-    rotations = [a for a in group.point_parts if a != IDENTITY_MAT]
-    if not rotations:
-        return Fraction(0), Fraction(0)
-    a = max(rotations, key=lambda a: group.rotation_turns(a).denominator)
+    (A, s_A), A the point part of largest order; only rotation classes are
+    summed on a grid, so the point group has one.  The point group is cyclic
+    and the translations are exactly Z^2, so every element is a power of
+    (A, s_A) times a lattice translation and maps x0 + (Z/n)^2 onto itself
+    for every n."""
+    a = max(group.point_parts, key=lambda a: group.rotation_turns(a).denominator)
     return mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), group.coset_vectors[a])
 
 
@@ -377,7 +370,7 @@ def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.nda
 
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
-    data = fiber_eigendata(model.group.rotation_turns(point_part), model.bundle)
+    data = fiber_eigendata(model.group.rotation_turns(point_part))
     return Scalars.to_complex(supertrace_turns(data, FLOAT))
 
 
@@ -415,26 +408,16 @@ def orbital_integral_euclidean(model: QuotientModel, cls: ConjugacyClassHandle,
     center u, and the integral is exact: h_u(0) = (I - A) u, so
     vol (4 pi t)^-1 int exp(-|(I - A) u|^2_G / 4t) du = 1 / det(I - A) and
     the value is tau(A) / (|Z_Gamma(g)| det(I - A)) at every t (the Gaussian
-    integral behind Atiyah-Bott).  For translations it is the compact
-    rotation factor, where the graded fiber character kills the integrand;
-    for the identity it is the quotient volume times the supertrace of the
-    kernel at the origin.
+    integral behind Atiyah-Bott).  For the identity and the translations the
+    graded fiber character, rank E+ - rank E- = 0, kills the integrand.
     """
     if t <= 0:
         raise DomainError("heat time must be positive")
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("orbital integrals need a crystallographic plane model")
-    group = model.group
     g = cls.representative
 
-    if g.is_identity:
-        vol = group.torus.area / group.point_group_order
-        return vol * _supertrace_factor(model, g.point_part) / (4 * math.pi * t)
-
-    if g.is_translation:
-        # Z_G = translations, Z_Gamma = lattice: the integral runs over the
-        # rotation factor, where the graded fiber character of a translation
-        # vanishes
+    if g.point_part == IDENTITY_MAT:
         return 0j
 
     # rotation class: weight 1/|Z_Gamma(g)|, the local group order of the

@@ -85,17 +85,15 @@ GroupAction = Union[CrystGroup, TorusAction, SphereRotationAction]
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """Operator kind plus fiber eigen-angle data.
+    """Operator kind plus twist: together they fix every fiber character,
+    by the one rule of `fiber_eigendata`.
 
-    `fiber_weights`, when given, overrides the built-in eigen-angle rule: a map
-    from a rotation angle (in turns) to a pair (plus angles, minus angles).
     `twist_degree` is also the first Chern number of the twist over the
     compact model (k for O(k) on the sphere).
     """
 
     operator_kind: str = "dolbeault"
     twist_degree: int = 0
-    fiber_weights: Optional[dict] = None
 
     def __post_init__(self):
         if self.operator_kind not in ("dolbeault", "spinc_dirac"):
@@ -116,8 +114,8 @@ class QuotientModel:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        # flat fixed points carry no twist character yet, and the todd route
-        # reads no fiber weights, so such a model would print untwisted terms
+        # flat fixed points carry no twist character yet, so such a model
+        # would print untwisted point terms
         if isinstance(self.group, (TorusAction, CrystGroup)) and self.bundle.twist_degree \
                 and self.group.point_parts != (IDENTITY_MAT,):
             raise StructuralError(
@@ -183,7 +181,6 @@ class SectorComponent:
     geometry: Union[PointOrbit, FullComponentGeometry]
     normal_angle_turns: Optional[Fraction]   # in (0,1); None for full components
     local_group_order: int
-    fiber_data: FiberEigenData
 
     @property
     def is_full(self) -> bool:
@@ -198,21 +195,17 @@ class SectorComponent:
 # Fiber eigen-data
 # ---------------------------------------------------------------------------
 
-def fiber_eigendata(rotation_turns: Fraction, bundle: BundleSpec,
+def fiber_eigendata(rotation_turns: Fraction,
                     twist_turns: Fraction = Fraction(0)) -> FiberEigenData:
-    """Eigen-angles (in turns) of a class representative on the fiber.
+    """Eigen-angles (in turns) of a class representative on the fiber: the one
+    fiber rule of every route.
 
     Dolbeault rule on a surface: the degree-0 part carries angle 0 and the
     degree-(0,1) part carries minus the rotation angle; an equivariant twist
     shifts both lists by the twist angle.  The same spinor data drives the
-    spin^c route, so the two normalizations see identical eigen-angles.
+    spin^c route, so the two normalizations see identical eigen-angles.  At
+    rotation 0 the two lists agree, so the graded character is 0.
     """
-    if bundle.fiber_weights is not None:
-        key = rotation_turns % 1
-        if key in bundle.fiber_weights:
-            plus, minus = bundle.fiber_weights[key]
-            return FiberEigenData(tuple(Fraction(p) % 1 for p in plus),
-                                  tuple(Fraction(m) % 1 for m in minus))
     theta = rotation_turns % 1
     plus = ((twist_turns) % 1,)
     minus = ((twist_turns - theta) % 1,)
@@ -428,18 +421,14 @@ def class_components(model: QuotientModel,
 
 def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
                     order: int) -> SectorComponent:
-    data = fiber_eigendata(Fraction(0), model.bundle)
-    return SectorComponent(handle, "full", full_geometry(model.group), None, order, data)
+    return SectorComponent(handle, "full", full_geometry(model.group), None, order)
 
 
-def _point_component(model, handle, tag, point, weight, orbit_size, rot_turns,
+def _point_component(handle, tag, point, weight, orbit_size, rot_turns,
                      twist_turns=Fraction(0)) -> SectorComponent:
-    normal = (-rot_turns) % 1
-    data = fiber_eigendata(rot_turns, model.bundle, twist_turns)
-    stab = int(1 / weight)
     return SectorComponent(handle, tag,
                            PointOrbit(point, weight, orbit_size, twist_turns),
-                           normal, stab, data)
+                           (-rot_turns) % 1, int(1 / weight))
 
 
 def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
@@ -460,7 +449,7 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
         zc = [action.isometries[z] for z in centralizer(g, table)]
         rot = action.rotation_turns(g)
         for i, (p, orbit) in enumerate(orbits_mod_lattice(fs.points, zc)[1]):
-            comps.append(_point_component(model, handle, _center_tag(p, i), p,
+            comps.append(_point_component(handle, _center_tag(p, i), p,
                                           Fraction(len(orbit), len(zc)), len(orbit), rot))
     return comps
 
@@ -478,12 +467,10 @@ def _sectors_sphere(model: QuotientModel) -> list[SectorComponent]:
         rot = Fraction(j, n)
         # north pole: rotation by +j/n, untwisted fiber weight;
         # south pole: rotation by -j/n, twist weight j*k/n
-        comps.append(_point_component(model, handle, "north",
-                                      (Fraction(0), Fraction(0)), Fraction(1, n), 1,
-                                      rot, Fraction(0)))
-        comps.append(_point_component(model, handle, "south",
-                                      (Fraction(1), Fraction(0)), Fraction(1, n), 1,
-                                      (-rot) % 1, Fraction(j * k, n) % 1))
+        comps.append(_point_component(handle, "north", (Fraction(0), Fraction(0)),
+                                      Fraction(1, n), 1, rot))
+        comps.append(_point_component(handle, "south", (Fraction(1), Fraction(0)),
+                                      Fraction(1, n), 1, (-rot) % 1, Fraction(j * k, n) % 1))
     return comps
 
 
@@ -495,7 +482,7 @@ def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
             comps.append(_full_component(model, handle, group.point_group_order))
         else:
             rot = group.rotation_turns(handle.representative.point_part)
-            comps.append(_point_component(model, handle, "p0", center, weight, 1, rot))
+            comps.append(_point_component(handle, "p0", center, weight, 1, rot))
     return comps
 
 

@@ -125,8 +125,7 @@ class TestPointDivisor:
     ], ids=["half_turn", "quarter_turn"])
     def test_todd_point_divisor(self, turns, want):
         # 1/(1 - e^{-i theta}) at the stored normal angle, untwisted
-        data = FiberEigenData((Fraction(0),), (turns,))
-        assert point_term(turns, Fraction(0), data, SX, "todd") == want
+        assert point_term(turns, Fraction(0), SX, "todd") == want
 
 
 def test_exp_line_half():
@@ -167,8 +166,7 @@ class TestDelocChern:
 class TestOrbifoldIntegrate:
     def test_degree_d_line_over_torus(self):
         from orbindex.char import orbifold_integrate
-        from orbindex.sectors import (FullComponentGeometry, SectorComponent,
-                                      FiberEigenData as FED)
+        from orbindex.sectors import FullComponentGeometry, SectorComponent
         from orbindex.groups import ConjugacyClassHandle, FiniteGroupTable
 
         d = 3
@@ -176,8 +174,7 @@ class TestOrbifoldIntegrate:
                                       representative=0, kind_tag="finite-class",
                                       label="e")
         comp = SectorComponent(
-            handle, "full", FullComponentGeometry(1.0, 0),
-            None, 1, FED((Fraction(0),), (Fraction(0),)))
+            handle, "full", FullComponentGeometry(1.0, 0), None, 1)
         curv = ComponentCurvature(dimension=2, twist_line="w",
                                   integrals={"w": Fraction(d)})
         ch = chern_char(["w"], 2, SX)
@@ -186,8 +183,7 @@ class TestOrbifoldIntegrate:
     def test_untwisted_sphere_sector_todd(self):
         # (e)-sector of [S2/Z_n] with the Todd form integrates to 1/n
         from orbindex.char import orbifold_integrate, todd_form
-        from orbindex.sectors import (FullComponentGeometry, SectorComponent,
-                                      FiberEigenData as FED)
+        from orbindex.sectors import FullComponentGeometry, SectorComponent
         from orbindex.groups import ConjugacyClassHandle, FiniteGroupTable
 
         n = 3
@@ -195,8 +191,7 @@ class TestOrbifoldIntegrate:
                                       representative=0, kind_tag="finite-class",
                                       label="e")
         comp = SectorComponent(
-            handle, "full", FullComponentGeometry(12.566, 2),
-            None, n, FED((Fraction(0),), (Fraction(0),)))
+            handle, "full", FullComponentGeometry(12.566, 2), None, n)
         curv = ComponentCurvature(dimension=2, tangent_roots=("t",),
                                   integrals={"t": Fraction(2)})
         td = todd_form(curv, SX)

@@ -267,27 +267,68 @@ def test_sphere_quotient_index_by_every_method(tmp_path, n, k):
         assert all(report["verdicts"].values())
 
 
-# the Dolbeault rule of every rotation in the catalogue, written out
-DOLBEAULT_WEIGHTS = [{"angle": a, "plus": ["0"], "minus": [f"-{a}"]}
-                     for a in ("1/4", "1/2", "3/4")]
-
-
-@pytest.mark.parametrize("name, weights", [
-    ("e_z4", DOLBEAULT_WEIGHTS), ("e_z4", None), ("t2_z2", DOLBEAULT_WEIGHTS),
-    ("p4", DOLBEAULT_WEIGHTS), ("p2", None),
-])
-def test_twisted_flat_model_with_a_rotation_is_refused(tmp_path, capsys, name, weights):
+@pytest.mark.parametrize("name", ["e_z4", "t2_z2", "p4", "p2"])
+def test_twisted_flat_model_with_a_rotation_is_refused(tmp_path, capsys, name):
     # its fixed points carry no twist data: e_z4 at twist 2 would print 1.5,
     # where the index is 1
     doc = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
     doc["bundle"]["twistDegree"] = 2
-    if weights is not None:
-        doc["bundle"]["fiberWeights"] = weights
     path = tmp_path / f"{name}_twisted.json"
     path.write_text(json.dumps(doc))
     code, _, _ = run(["index", str(path), "--method", "kawasaki"])
     assert code == 1
     assert "$.bundle.twistDegree" in capsys.readouterr().err
+
+
+# p1: the unit lattice and no rotation
+P1 = {
+    "schemaVersion": 1,
+    "ambient": {"kind": "plane"},
+    "group": {"kind": "wallpaper", "lattice": [["1", "0"], ["0", "1"]], "generators": []},
+    "bundle": {"operatorKind": "dolbeault", "twistDegree": 0},
+}
+
+
+@pytest.mark.parametrize("cutoff", ["indicator", "smooth"])
+@pytest.mark.parametrize("label", ["e", "t1_0"])
+def test_heat_on_a_rotation_free_plane_model_is_zero(tmp_path, label, cutoff):
+    # a class with no rotation acts on the fiber by the identity, whose
+    # graded character is 0, and nothing is left out of a sum of zeros
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(P1))
+    code, report, _ = run(["heat", str(path), "--class", label, "--cutoff", cutoff])
+    assert code == 0
+    row = report["rows"][0]
+    assert list(row["perT"].values()) == [["0", "0"]] * 3
+    assert row["truncationBound"] == "0"
+
+
+def test_heat_refuses_a_twisted_rotation_free_plane_model(tmp_path, capsys):
+    # index and localized value p1 at twist 2 as 2, but heat's kernel is the
+    # untwisted Gaussian, so the twist is outside what it can check
+    doc = dict(P1, bundle={"operatorKind": "dolbeault", "twistDegree": 2})
+    path = tmp_path / "p1_twisted.json"
+    path.write_text(json.dumps(doc))
+    assert run(["localized", str(path), "--class", "e"])[1]["rows"][0]["value"] == ["2", "0"]
+    code, _, text = run(["heat", str(path), "--class", "e"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: $.bundle.twistDegree: ")
+
+
+def test_duplicate_torus_labels_are_numbered(tmp_path):
+    # t2_z2 with the translation by (1/2, 0): the half turns about 0 and about
+    # (1/4, 0) are both r1 before numbering
+    doc = json.loads((FIXTURE_DIR / "t2_z2.json").read_text())
+    doc["group"]["generators"].append({"matrix": [[1, 0], [0, 1]], "translation": ["1/2", "0"]})
+    path = tmp_path / "t2_z2_half_shift.json"
+    path.write_text(json.dumps(doc))
+    _, report, _ = run(["classes", str(path)])
+    assert [r["label"] for r in report["rows"]] == ["e", "r1", "r1_1"]
+    assert run(["verify", str(path)])[0] == 0
+    code, report, _ = run(["index", str(path), "--method", "assembly"])
+    assert code == 0 and report["totals"] == {"average": ["1", "0"], "byClass": ["1", "0"]}
+    code, report, _ = run(["index", str(path), "--method", "lefschetz"])
+    assert code == 0 and len(report["rows"]) == 4
 
 
 def test_twisted_rotation_free_torus_still_runs(tmp_path):

@@ -216,10 +216,19 @@ def _large_lattice(name, lattice):
     return parse_model(doc, f"{name}_large")
 
 
+def _half_shift_torus():
+    """The half turn and the translation by (1/2, 0) on the unit torus: two
+    half-turn classes, labelled r1 and r1_1."""
+    doc = json.loads((FIXTURE_DIR / "t2_z2.json").read_text())
+    doc["group"]["generators"].append({"matrix": [[1, 0], [0, 1]], "translation": ["1/2", "0"]})
+    return parse_model(doc, "t2_z2_half_shift")
+
+
 INVERSE_LABEL_MODELS = {
     **{p.stem: (lambda p=p: load_model(p)) for p in sorted(FIXTURE_DIR.glob("*.json"))},
     "p4_large": lambda: _large_lattice("p4", [["3", "0"], ["0", "3"]]),
     "p2_large": lambda: _large_lattice("p2", [["2", "0"], ["0", "3"]]),
+    "t2_z2_half_shift": _half_shift_torus,
 }
 
 

@@ -247,6 +247,11 @@ class TestCliErrorBranches:
         ("options", "tolerance", True, "$.options.tolerance"),
         ("group", "lattice", [[1]], "$.group.lattice"),
         ("bundle", "fiberWeights", 5, "$.bundle.fiberWeights"),
+        # a well-formed block of the former fiber-weight override, the
+        # Dolbeault rule at a quarter turn: fiber characters come from the
+        # operator and its twist alone
+        ("bundle", "fiberWeights", [{"angle": "1/4", "plus": ["0"], "minus": ["-1/4"]}],
+         "$.bundle.fiberWeights"),
         (None, "ambient", 5, "$.ambient"),
         (None, "options", [], "$.options"),
         (None, "group", "p4", "$.group"),

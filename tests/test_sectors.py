@@ -124,23 +124,17 @@ class TestEnumeration:
 
 class TestFiberEigendata:
     def test_dolbeault_rule(self):
-        data = fiber_eigendata(Fraction(1, 4), BundleSpec("dolbeault", 0))
+        data = fiber_eigendata(Fraction(1, 4))
         assert data.plus_turns == (Fraction(0),)
         assert data.minus_turns == (Fraction(3, 4),)  # -theta mod 1
 
     def test_identity_all_zero(self):
-        data = fiber_eigendata(Fraction(0), BundleSpec("dolbeault", 0))
+        data = fiber_eigendata(Fraction(0))
         assert data.plus_turns == (Fraction(0),) and data.minus_turns == (Fraction(0),)
 
     def test_half_turn_eigenvalue(self):
-        data = fiber_eigendata(Fraction(1, 2), BundleSpec("dolbeault", 0))
+        data = fiber_eigendata(Fraction(1, 2))
         assert data.minus_turns == (Fraction(1, 2),)  # e^{-i pi} = -1
-
-    def test_explicit_weights_override(self):
-        weights = {Fraction(1, 4): ((Fraction(0),), (Fraction(1, 8),))}
-        bundle = BundleSpec("dolbeault", 0, fiber_weights=weights)
-        data = fiber_eigendata(Fraction(1, 4), bundle)
-        assert data.minus_turns == (Fraction(1, 8),)
 
 
 class TestCutoffs:
