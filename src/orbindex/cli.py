@@ -304,8 +304,7 @@ def base_report(model: QuotientModel, command: str, cutoff_kind: str = "indicato
 def write_report(report: dict, sink) -> None:
     """Serialize a report document deterministically to a text sink."""
     try:
-        json.dump(report, sink, indent=2, sort_keys=True)
-        sink.write("\n")
+        sink.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OrbindexError(f"failed to write report: {exc}") from exc
 

@@ -7,8 +7,10 @@ group element rotates the tangent plane by theta (counterclockwise) is
     twist character / (1 - e^{i theta}),
 
 equivalently the reciprocal Todd divisor evaluated at the component's stored
-normal angle.  The spin^c route computes the same point term as the fiber
-supertrace over the real determinant det(1 - R_theta) and must agree; full
+normal angle.  In exact mode that quotient is a closed form with no field
+inverse (`Scalars.unit_over_divisor`).  The spin^c route computes the same
+point term as the fiber supertrace over the real determinant det(1 - R_theta),
+through the general field inverse, and must agree; full
 components route through Td (dolbeault) or A-hat times the half determinant
 line (spin^c), which coincide as series.
 """
@@ -65,8 +67,7 @@ def point_term(normal_turns: Fraction, twist_turns: Fraction, scalars: Scalars, 
     its twist.
     """
     if route == "todd":
-        divisor = scalars.one() - scalars.unit(-normal_turns)
-        return scalars.unit(twist_turns) / divisor
+        return scalars.unit_over_divisor(twist_turns, normal_turns)
     if route == "a_hat":
         det_r = (scalars.one() - scalars.unit(normal_turns)) * \
                 (scalars.one() - scalars.unit(-normal_turns))
@@ -296,13 +297,20 @@ def _inverse_class_labels(model: QuotientModel) -> dict:
 
 
 def psc_flag(report: IndexReport, model: QuotientModel) -> tuple[Optional[bool], str]:
-    """Obstruction flag: some localized index nonzero, for spin-type operators.
+    """Obstruction flag: some localized index nonzero, where Lichnerowicz applies.
 
-    Dolbeault-kind input is not a spin-type Dirac operator, so the flag is
-    suppressed with a note rather than reported false.
+    Positive scalar curvature makes the localized indices of a spin Dirac
+    operator twisted by a flat line vanish.  The spin^c operator here is the
+    spin one twisted by K^{-1/2} (x) L, which is flat only on a flat model at
+    twist 0 and on the sphere at twist -1 (K^{1/2} = O(-1)).  Elsewhere, and
+    for dolbeault-kind input, the flag is suppressed with a note rather than
+    reported false.
     """
     if model.bundle.operator_kind != "spinc_dirac":
         return None, "flag suppressed: operator kind is not spin-type"
+    flat_twist = -1 if isinstance(model.group, SphereRotationAction) else 0
+    if model.bundle.twist_degree != flat_twist:
+        return None, "flag suppressed: the twisting line is not flat"
     tol = model.tolerance
     nonzero = any(abs(Scalars.to_complex(v)) > tol for v in report.per_class.values())
     return nonzero, ""

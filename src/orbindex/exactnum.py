@@ -7,7 +7,8 @@ integer numerators over one positive denominator, in lowest terms, so equal
 numbers of one order have equal tuples.  Phi_N is monic with integer
 coefficients, so the reduction tables are integer and every operation runs in
 Python ints; an inverse is the product of the other Galois conjugates over
-the rational norm.  Order N = 4 recovers the Gaussian rationals Q(i).
+the rational norm, and a root of unity over its divisor 1 - w takes none
+(`Cyclo.unit_over_divisor`).  Order N = 4 recovers the Gaussian rationals Q(i).
 """
 
 from __future__ import annotations
@@ -115,6 +116,15 @@ def _lowest(den: int, num: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return den // g, tuple(x // g for x in num)
 
 
+def _exponent(turns: Rat, order: int) -> int:
+    """k with e^{2 pi i turns} = zeta_order^k, 0 <= k < order."""
+    t = Fraction(turns)
+    t -= math.floor(t)
+    if order % t.denominator:
+        raise ValueError(f"angle {t} does not live in Q(zeta_{order})")
+    return (order // t.denominator) * t.numerator
+
+
 def _make(order: int, den: int, num: Iterable[int]) -> "Cyclo":
     """sum_j num[j] zeta^j / den for a positive den, in lowest terms."""
     out = Cyclo.__new__(Cyclo)
@@ -155,14 +165,24 @@ class Cyclo:
     @staticmethod
     def unit(turns: Rat, order: int | None = None) -> "Cyclo":
         """e^{2 pi i turns} for a rational number of turns."""
-        t = Fraction(turns)
-        t -= math.floor(t)
-        n = t.denominator
         if order is None:
-            order = n
-        if order % n:
-            raise ValueError(f"angle {t} does not live in Q(zeta_{order})")
-        return Cyclo.zeta(order, (order // n) * t.numerator)
+            order = Fraction(turns).denominator
+        return Cyclo.zeta(order, _exponent(turns, order))
+
+    @staticmethod
+    def unit_over_divisor(twist: Rat, normal: Rat, order: int) -> "Cyclo":
+        """e^{2 pi i twist} / (1 - w), w = e^{-2 pi i normal}, with no inverse.
+
+        w is a primitive m-th root of unity, m the denominator of `normal`, and
+        (1 - w) sum_{j<m} j w^j = -m, so the quotient is
+        -(1/m) sum_j j e^{2 pi i twist} w^j: one substitution over m.
+        """
+        n = Fraction(normal)
+        step, shift = _exponent(-n, order), _exponent(twist, order)
+        m = n.denominator
+        if m == 1:
+            raise ZeroDivisionError(f"divisor 1 - e^(-2 pi i {n}) is zero")
+        return _make(order, m, _substitute(_context(order), range(0, -m, -1), step, shift))
 
     # -- promotion ---------------------------------------------------------
 
@@ -376,6 +396,13 @@ class Scalars:
         if self.mode == "exact":
             return Cyclo.unit(turns, self.order)
         return cmath.exp(2j * math.pi * float(Fraction(turns)))
+
+    def unit_over_divisor(self, twist_turns: Rat, normal_turns: Rat):
+        """e^{2 pi i twist} / (1 - e^{-2 pi i normal}): a fixed point's twist
+        character over its divisor, in closed form when exact."""
+        if self.mode == "exact":
+            return Cyclo.unit_over_divisor(twist_turns, normal_turns, self.order)
+        return self.unit(twist_turns) / (self.one() - self.unit(-normal_turns))
 
     @staticmethod
     def to_complex(x) -> complex:

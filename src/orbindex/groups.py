@@ -362,13 +362,16 @@ class TorusAction:
     """
 
     def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
+        # both checks are invariant under a positive scale of the Gram matrix,
+        # so they run in ints on G times the lcm of its denominators
+        igram = tuple(over_denominator(gram)[1])
         for g in generators:
-            check_point_part(g.point_part, gram)
+            check_point_part(g.point_part, igram)
         self.gram = gram
         self.isometries = close_mod_lattice(generators)
         self.point_parts: tuple[IMat, ...] = tuple(dict.fromkeys(
             g.point_part for g in self.isometries))
-        self.turns = {a: rotation_turns_for_gram(a, gram) for a in self.point_parts}
+        self.turns = {a: rotation_turns_for_gram(a, igram) for a in self.point_parts}
 
     @cached_property
     def table(self) -> FiniteGroupTable:

@@ -21,6 +21,9 @@ from orbindex.engine import (
 )
 from orbindex.groups import AffineIsometry, ConjugacyClassHandle, CrystGroup
 from orbindex.sectors import (
+    BundleSpec,
+    QuotientModel,
+    SphereRotationAction,
     cryst_fixed_classes,
     sphere_model,
     square_torus_rotation_model,
@@ -80,6 +83,33 @@ class TestLefschetz:
                 model, bundle=dataclasses.replace(model.bundle, operator_kind="spinc_dirac"))
             for g in range(n):
                 assert equivariant_lefschetz(model, g) == equivariant_lefschetz(twin, g)
+
+
+class TestPointTermArithmetic:
+    FIXTURES = ["e_z4", "t2_z2", "torus_free", "s2_z3_o7", "p4", "p2"]
+
+    @staticmethod
+    def _count_inverses(monkeypatch, args):
+        calls = []
+        inverse = Cyclo.inverse
+
+        def spy(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(Cyclo, "inverse", spy)
+        assert run_command(args, io.StringIO()) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_todd_route_takes_no_field_inverse(self, monkeypatch, name):
+        path = str(FIXTURE_DIR / f"{name}.json")
+        assert self._count_inverses(monkeypatch, ["verify", path]) == 0
+        assert self._count_inverses(monkeypatch, ["index", path]) == 0
+
+    def test_spinc_route_keeps_its_division(self, monkeypatch):
+        path = str(FIXTURE_DIR / "p4_spinc.json")
+        assert self._count_inverses(monkeypatch, ["verify", path]) > 0
 
 
 class TestKawasaki:
@@ -226,6 +256,38 @@ class TestPscFlag:
         report = sum_identity(make_p4())
         assert report.psc_obstruction is None
         assert "suppressed" in report.psc_note
+
+    @pytest.mark.parametrize("twist, flag", [(0, None), (7, None), (-3, None), (-1, False)])
+    def test_spinc_sphere_flag_only_on_the_flat_line(self, twist, flag):
+        # the round metric has psc: the spin^c line K^{-1/2} (x) O(k) is flat
+        # only at k = -1, and there every localized index vanishes
+        model = QuotientModel(SphereRotationAction(3, Fraction(1)),
+                              BundleSpec("spinc_dirac", twist), name="s2_z3")
+        report = sum_identity(model)
+        assert report.psc_obstruction is flag
+        if flag is None:
+            assert report.psc_note == "flag suppressed: the twisting line is not flat"
+
+    def test_spinc_sphere_at_twist_zero_prints_no_obstruction(self, tmp_path):
+        path = tmp_path / "s2_z3_spinc.json"
+        path.write_text(json.dumps({
+            "schemaVersion": 1,
+            "ambient": {"kind": "sphere", "radius": "1"},
+            "group": {"kind": "polar_rotation", "order": 3},
+            "bundle": {"operatorKind": "spinc_dirac", "twistDegree": 0}}))
+        buf = io.StringIO()
+        assert run_command(["verify", str(path)], buf) == 0
+        report = json.loads(buf.getvalue())
+        assert "pscObstruction" not in report
+        assert report["pscNote"] == "flag suppressed: the twisting line is not flat"
+
+    def test_twisted_flat_torus_flag_suppressed(self):
+        t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))
+        t2 = AffineIsometry.of(((1, 0), (0, 1)), (0, 1))
+        model = wallpaper_model(CrystGroup([[1, 0], [0, 1]], [t1, t2]), "lat",
+                                operator_kind="spinc_dirac")
+        twisted = dataclasses.replace(model, bundle=BundleSpec("spinc_dirac", 2))
+        assert sum_identity(twisted).psc_obstruction is None
 
     def test_free_torus_unobstructed(self):
         t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))

@@ -93,6 +93,56 @@ def test_unit_rejects_incompatible_order():
         Cyclo.unit(Fraction(1, 3), order=4)
 
 
+def _over_divisor_by_inverse(twist, normal, order):
+    """e^{2 pi i twist} / (1 - e^{-2 pi i normal}) through the field inverse."""
+    return Cyclo.unit(twist, order) / (Cyclo.from_rational(1, order) - Cyclo.unit(-normal, order))
+
+
+@pytest.mark.parametrize("order", [4, 8, 12, 20, 28])
+def test_unit_over_divisor_matches_the_field_inverse(order):
+    for n in range(1, order):
+        for t in range(order):
+            twist, normal = Fraction(t, order), Fraction(n, order)
+            got = Cyclo.unit_over_divisor(twist, normal, order)
+            want = _over_divisor_by_inverse(twist, normal, order)
+            assert (got.den, got.num) == (want.den, want.num), (twist, normal)
+
+
+def test_unit_over_divisor_matches_the_field_inverse_up_to_order_92():
+    rng = random.Random(92)
+    for _ in range(300):
+        order = rng.choice([92, rng.randint(2, 92)])
+        # angles of any field inside Q(zeta_order), outside [0, 1) as well
+        m = rng.choice([d for d in range(2, order + 1) if order % d == 0])
+        normal = Fraction(rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1]), m) \
+            + rng.randint(-2, 2)
+        twist = Fraction(rng.randint(-2 * order, 2 * order), order)
+        got = Cyclo.unit_over_divisor(twist, normal, order)
+        want = _over_divisor_by_inverse(twist, normal, order)
+        assert (got.den, got.num) == (want.den, want.num), (order, twist, normal)
+
+
+@pytest.mark.parametrize("twist, normal, order, error", [
+    (0, 0, 4, ZeroDivisionError),                            # 1 - 1 = 0
+    (Fraction(1, 4), 3, 12, ZeroDivisionError),              # a whole turn
+    (Fraction(1, 4), Fraction(1, 3), 4, ValueError),         # normal outside Q(i)
+    (Fraction(1, 3), Fraction(1, 4), 4, ValueError),         # twist outside Q(i)
+    (Fraction(1, 5), 0, 4, ValueError),                      # the field is checked first
+])
+def test_unit_over_divisor_errors_match_the_field_inverse(twist, normal, order, error):
+    with pytest.raises(error):
+        Cyclo.unit_over_divisor(twist, normal, order)
+    with pytest.raises(error):
+        _over_divisor_by_inverse(twist, normal, order)
+
+
+def test_float_unit_over_divisor_keeps_the_division():
+    fl = Scalars("float")
+    for t, n in ((Fraction(0), Fraction(1, 4)), (Fraction(2, 3), Fraction(5, 12)),
+                 (Fraction(1, 23), Fraction(22, 23))):
+        assert fl.unit_over_divisor(t, n) == fl.unit(t) / (fl.one() - fl.unit(-n))
+
+
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 

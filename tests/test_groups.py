@@ -27,6 +27,7 @@ from orbindex.groups import (
     rotation_turns_for_gram,
     vec_frac,
     IDENTITY_MAT,
+    TorusAction,
 )
 
 
@@ -129,6 +130,51 @@ def test_exact_angle_rule_matches_float_rule(gram, rotations):
         found += 1
         assert rotation_turns_for_gram(a, g) == _float_turns(a, g), a
     assert found == rotations
+
+
+def _fraction_refusal(a, gram):
+    """check_point_part's first refusal, in Fraction arithmetic, or None."""
+    if mat_mul(mat_mul(mat_transpose(a), gram), a) != gram:
+        return "does not preserve the lattice Gram matrix"
+    if mat_det(a) != 1:
+        return "orientation-reversing point part"
+    try:
+        order = matrix_order(a)
+    except StructuralError:
+        return "matrix order exceeds crystallographic cap"
+    return None if order in (1, 2, 3, 4, 6) else "crystallographic restriction violated"
+
+
+def _fraction_turns(a, gram) -> Fraction:
+    n = matrix_order(a)
+    ga = mat_mul(gram, a)
+    return Fraction(1 if ga[1][0] - ga[0][1] > 0 else n - 1, n)
+
+
+@pytest.mark.parametrize("gram", [
+    [["5/2", 0], [0, "5/2"]],                    # rational square
+    [["1/3", "1/6"], ["1/6", "1/3"]],            # rational hexagonal
+    [["5/2", "-5/4"], ["-5/4", "5/2"]],          # rational hexagonal, other shear
+    [["5/2", "1/3"], ["1/3", "7/5"]],            # sheared oblique
+    [["2/7", "5/2"], ["5/2", 22]],               # sheared oblique, mixed entries
+])
+def test_integer_gram_checks_match_the_fraction_reference(gram):
+    # the torus action runs its checks on G times the lcm of its
+    # denominators; every verdict must be the one of the rational G
+    g = mat(gram)
+    accepted = 0
+    for e in product(range(-2, 3), repeat=4):
+        a = ((e[0], e[1]), (e[2], e[3]))
+        want = _fraction_refusal(a, g)
+        if want is not None:
+            with pytest.raises(StructuralError, match=want):
+                TorusAction([AffineIsometry.of(a, (0, 0))], g)
+            continue
+        accepted += 1
+        action = TorusAction([AffineIsometry.of(a, (0, 0))], g)
+        assert action.gram == g
+        assert action.turns == {p: _fraction_turns(p, g) for p in action.point_parts}, a
+    assert accepted >= 2
 
 
 class TestCloseModLattice:
