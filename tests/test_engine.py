@@ -9,10 +9,11 @@ from itertools import islice
 
 import pytest
 
-from orbindex.cli import FIXTURE_DIR, run_command
+from orbindex.cli import FIXTURE_DIR, load_model, run_command
 from orbindex.errors import StructuralError
 from orbindex.exactnum import Cyclo
 from orbindex.engine import (
+    component_value,
     equivariant_lefschetz,
     finite_assembly,
     kawasaki_index,
@@ -280,6 +281,35 @@ class TestPscFlag:
         report = json.loads(buf.getvalue())
         assert "pscObstruction" not in report
         assert report["pscNote"] == "flag suppressed: the twisting line is not flat"
+
+    def test_spin_sphere_fixture_values(self):
+        # spin^c at twist -1 is the spin Dirac operator of the round sphere.
+        # The north pole of r_j takes 1/(1 - e^{-i theta}), theta = 2 pi j/3,
+        # with twist character 1; the south pole rotates by -theta and its
+        # twist character e^{-i theta} makes its term the negative of the
+        # north one.  With weight 1/3, r1's poles give
+        # +-(1/3)(1/2 + i cot(pi/3)/2) = +-(1/6 + i sqrt(3)/18), and r2's
+        # their conjugates, so every class value is 0, as Lichnerowicz forces.
+        path = FIXTURE_DIR / "s2_z3_spin.json"
+        model = load_model(path)
+        sc = model.scalars
+        i_sqrt3 = sc.unit(Fraction(1, 6)) - sc.unit(Fraction(5, 6))
+        pole = {"r1": sc.from_rational(Fraction(1, 6)) + i_sqrt3 / 18,
+                "r2": sc.from_rational(Fraction(1, 6)) - i_sqrt3 / 18}
+        values = {(c.label, c.component_tag): component_value(c, model)
+                  for c in model.sectors}
+        assert values == {("e", "full"): 0,
+                          ("r1", "north"): pole["r1"], ("r1", "south"): -pole["r1"],
+                          ("r2", "north"): pole["r2"], ("r2", "south"): -pole["r2"]}
+        for j in range(3):
+            assert equivariant_lefschetz(model, j) == 0
+            assert oracle.sphere_equivariant_character(-1, 3, j).value == 0
+        buf = io.StringIO()
+        assert run_command(["verify", str(path)], buf) == 0
+        report = json.loads(buf.getvalue())
+        assert report["pscObstruction"] is False
+        assert all(row["value"] == ["0", "0"] for row in report["rows"])
+        assert report["totals"]["oracle"] == ["0", "0"]
 
     def test_twisted_flat_torus_flag_suppressed(self):
         t1 = AffineIsometry.of(((1, 0), (0, 1)), (1, 0))

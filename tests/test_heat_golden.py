@@ -1,8 +1,14 @@
-"""Heat reports against reports recorded before the one-pass heat path, and
-the work one heat command does."""
+"""Heat reports against recorded reports, numbers within 1e-12, and the
+work one heat command does.
+
+Record again (only when a report is meant to change) with
+``PYTHONPATH=src python tests/test_heat_golden.py``.
+"""
 
 import io
 import json
+import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -70,15 +76,22 @@ def _assert_close(got, want, path=""):
         assert got == want, path
 
 
-@pytest.mark.parametrize("name", sorted(JOBS))
-def test_heat_report_matches_golden(name, tmp_path):
-    model, args, want_code = JOBS[name]
+def _run_job(name, directory: Path):
+    """A job's exit code and report; a generated model is written under
+    `directory`."""
+    model, args, _ = JOBS[name]
     if model is None:
-        path = tmp_path / "p2_lattice_2_3.json"
+        path = directory / "p2_lattice_2_3.json"
         path.write_text(json.dumps(P2_LATTICE_2_3))
     else:
         path = FIXTURE_DIR / f"{model}.json"
-    code, report = _heat(path, args)
+    return _heat(path, args)
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_heat_report_matches_golden(name, tmp_path):
+    want_code = JOBS[name][2]
+    code, report = _run_job(name, tmp_path)
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     assert code == want_code
     assert report["verdicts"] == golden["verdicts"]
@@ -104,3 +117,18 @@ def test_heat_command_work_counts(monkeypatch, t_values):
     assert code == 0
     # one cut-off grid per grid size, n and 2n, none per t; no ball scans
     assert counts == Counter({"cutoff_grid": 2})
+
+
+def _record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(JOBS):
+            code, report = _run_job(name, Path(tmp))
+            if code != JOBS[name][2]:
+                sys.exit(f"{name}: exit {code}, expected {JOBS[name][2]}")
+            (GOLDEN / f"{name}.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(JOBS)} heat reports to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()
