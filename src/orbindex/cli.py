@@ -18,8 +18,7 @@ from pathlib import Path
 
 from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
-from .groups import (AffineIsometry, CrystGroup, TorusAction, mat, mat_det, mat_mul,
-                     mat_transpose)
+from .groups import AffineIsometry, CrystGroup, TorusAction, gram_matrix, mat, mat_det
 from .sectors import (
     BundleSpec,
     QuotientModel,
@@ -200,8 +199,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
             gens = _generators(group_block, errors)
             if errors:
                 raise ModelValidationError(errors)
-            basis = mat(lattice)
-            action = TorusAction(gens, mat_mul(mat_transpose(basis), basis))
+            action = TorusAction(gens, gram_matrix(mat(lattice)))
             _check_area(action, "$.ambient.lattice", errors)
         elif akind == "sphere":
             _check_fields(ambient_block, {"kind", "radius"}, "$.ambient", errors)

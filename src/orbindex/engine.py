@@ -36,10 +36,11 @@ from .char import (
     todd_form,
 )
 from .groups import (
+    IDENTITY_MAT,
     ConjugacyClassHandle,
     CrystGroup,
     centralizer,
-    fixed_set,
+    torus_fixed_points,
 )
 from .sectors import (
     PointOrbit,
@@ -134,13 +135,12 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
         return north + south
 
     action: TorusAction = model.group
-    fs = fixed_set(action.isometries[g], torus=True)
-    if fs.kind == "empty":
-        return scalars.zero()
-    if fs.kind == "full":
-        return _ordinary_index(model, scalars, route)
-    term = point_term((-action.rotation_turns(g)) % 1, Fraction(0), scalars, route)
-    return term * scalars.from_rational(Fraction(len(fs.points)))
+    a, u = action.pairs[g]
+    if a == IDENTITY_MAT:
+        return _ordinary_index(model, scalars, route) if u == (0, 0) else scalars.zero()
+    count = len(torus_fixed_points(a, u, action.den)[1])
+    term = point_term(action.normal_turns(a), Fraction(0), scalars, route)
+    return term * scalars.from_rational(count)
 
 
 def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):

@@ -7,10 +7,13 @@ TorusAction is a finite group of affine isometries mod the lattice Z^2: it
 checks its generators, closes them, and holds its point parts and their
 rotation angles.  A CrystGroup is such an action plus a lattice basis, since
 the plane mod Z^2 is a torus on which its point group acts by the pairs
-(B, s_B).  The closure mod the lattice, the orbits of points mod Z^2 and the
-fixed points on the torus are computed in integers over one common
-denominator (`over_denominator`), which no other module builds.  All values
-are immutable after construction.
+(B, s_B).  The closure mod the lattice runs on integer pairs (A, u), u the
+translation times one common denominator D, and a TorusAction keeps them:
+its table, the fixed points of its elements (`torus_fixed_points`) and the
+orbits of points mod Z^2 (`orbit_split`) are computed from those integers,
+and a Fraction is made only for a value handed out, such as an isometry's
+translation.  The Gram matrix of a basis is formed in integers too.  All
+values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .errors import DomainError, StructuralError
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 IMat = tuple[tuple[int, int], tuple[int, int]]
 Vec = tuple[Fraction, Fraction]
+IVec = tuple[int, int]
+Pair = tuple[IMat, IVec]    # (A, u): x -> A x + u / D, D the action's denominator
 
 IDENTITY_MAT: IMat = ((1, 0), (0, 1))
 
@@ -96,8 +101,13 @@ def vec_frac(v: Vec) -> Vec:
     return (v[0] - math.floor(v[0]), v[1] - math.floor(v[1]))
 
 
-def vec_mod(v: tuple[int, int], den: int) -> tuple[int, int]:
+def vec_mod(v: IVec, den: int) -> IVec:
     return (v[0] % den, v[1] % den)
+
+
+def vec_over(v: IVec, den: int) -> Vec:
+    """The rational vector v / den."""
+    return (Fraction(v[0], den), Fraction(v[1], den))
 
 
 def over_denominator(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, int]]]:
@@ -106,6 +116,14 @@ def over_denominator(vectors: Sequence[Vec]) -> tuple[int, list[tuple[int, int]]
     den = math.lcm(*(x.denominator for v in vectors for x in v))
     return den, [(v[0].numerator * (den // v[0].denominator),
                   v[1].numerator * (den // v[1].denominator)) for v in vectors]
+
+
+def gram_matrix(basis: Mat) -> Mat:
+    """B^T B, formed in integers on L B, L the lcm of B's denominators."""
+    scale, ib = over_denominator(basis)
+    sq = scale * scale
+    return tuple(tuple(Fraction(x, sq) for x in row)
+                 for row in mat_mul(mat_transpose(ib), ib))  # type: ignore[return-value]
 
 
 def vec_supnorm(v: Vec) -> Fraction:
@@ -287,15 +305,15 @@ class AffineIsometry:
         return f"Aff[{a[0][0]},{a[0][1]};{a[1][0]},{a[1][1]}|{t[0]},{t[1]}]"
 
 
-def close_mod_lattice(generators: Sequence[AffineIsometry]) -> tuple[AffineIsometry, ...]:
-    """The finite group that `generators` generate modulo the lattice Z^2.
+def close_pairs(generators: Sequence[AffineIsometry]) -> tuple[int, list[Pair]]:
+    """The finite group that `generators` generate modulo the lattice Z^2, as
+    D, the generators' common denominator, and the pairs (A, u), u the
+    translation times D reduced mod D: point parts are integral, so every
+    product stays over D.
 
-    Translations are reduced to [0, 1)^2.  The identity comes first and the
-    other elements follow in breadth-first order of left multiplication by
-    the generators, so the order depends only on the generator order.  More
-    than 256 elements is refused.  The closure runs on pairs (A, u) with u
-    the translation times D mod D, D the generators' common denominator:
-    point parts are integral, so every product stays over D.
+    The identity comes first and the other elements follow in breadth-first
+    order of left multiplication by the generators, so the order depends
+    only on the generator order.  More than 256 elements is refused.
     """
     den, shifts = over_denominator([g.translation for g in generators])
     gens = [(g.point_part, u) for g, u in zip(generators, shifts)]
@@ -310,35 +328,29 @@ def close_mod_lattice(generators: Sequence[AffineIsometry]) -> tuple[AffineIsome
                         "group closure modulo the lattice exceeds the finite cap")
                 seen.add(nxt)
                 pairs.append(nxt)
-    return tuple(AffineIsometry(a, (Fraction(u[0], den), Fraction(u[1], den)))
-                 for a, u in pairs)
+    return den, pairs
 
 
-def orbits_mod_lattice(points: Sequence[Vec], elems: Sequence[AffineIsometry]) \
-        -> tuple[int, list[tuple[Vec, list[tuple[int, int]]]]]:
-    """Split points mod the lattice into orbits of the finite group `elems`.
+def orbit_split(points: Sequence[IVec], moves: Sequence[Pair], den: int) \
+        -> list[tuple[IVec, list[IVec]]]:
+    """Split points mod Z^2, given times `den` and reduced mod den, into
+    orbits of the finite group of pairs `moves`, whose translations are over
+    the same den.
 
-    Points and translations are taken over their common denominator D, and
-    the images A x + t are compared mod D as ints.  Returns D and, per orbit,
-    its first point in the order of `points` with the orbit's points times D:
-    the first image A x + t, unreduced, of each point mod Z^2, in the order
-    of `elems`.  By orbit-stabilizer the stabilizer of the first point has
-    |elems| / |orbit| elements.
+    Per orbit, in the order of its first point in `points`: that point and
+    the orbit's points, reduced mod den, in the order of `moves`.  By
+    orbit-stabilizer the first point's stabilizer has |moves| / |orbit|
+    elements.
     """
-    den, ints = over_denominator([*points, *(z.translation for z in elems)])
-    moves = [(z.point_part, s) for z, s in zip(elems, ints[len(points):])]
-    seen: set[tuple[int, int]] = set()
+    seen: set[IVec] = set()
     out = []
-    for p, x in zip(points, ints):
-        if vec_mod(x, den) in seen:
+    for x in points:
+        if x in seen:
             continue
-        orbit: dict[tuple[int, int], tuple[int, int]] = {}
-        for a, s in moves:
-            y = vec_add(mat_vec(a, x), s)
-            orbit.setdefault(vec_mod(y, den), y)
+        orbit = list(dict.fromkeys(vec_mod(vec_add(mat_vec(a, x), u), den) for a, u in moves))
         seen.update(orbit)
-        out.append((p, list(orbit.values())))
-    return den, out
+        out.append((x, orbit))
+    return out
 
 
 @dataclass(frozen=True)
@@ -354,11 +366,12 @@ class TorusAction:
     """A finite group acting on a flat torus by affine isometries mod the lattice.
 
     The group is the closure of `generators` modulo the lattice, after every
-    generator's point part is checked: element i of `table` acts by
-    `isometries[i]`, and element 0 is the identity.  `point_parts` lists the
-    distinct point parts in closure order, and `turns` maps each to its
-    rotation angle.  The table, built on first use, composes the pairs (A, u)
-    of the isometries' translations over their common denominator D, mod D.
+    generator's point part is checked: element i of `table` acts by the
+    integer pair `pairs[i]` = (A, u), x -> A x + u / `den`, and by
+    `isometries[i]`, the same map with a rational translation; element 0 is
+    the identity.  `point_parts` lists the distinct point parts in closure
+    order, and `turns` maps each to its rotation angle.  The table, built on
+    first use, composes the pairs mod den.
     """
 
     def __init__(self, generators: Sequence[AffineIsometry], gram: Mat):
@@ -368,15 +381,14 @@ class TorusAction:
         for g in generators:
             check_point_part(g.point_part, igram)
         self.gram = gram
-        self.isometries = close_mod_lattice(generators)
-        self.point_parts: tuple[IMat, ...] = tuple(dict.fromkeys(
-            g.point_part for g in self.isometries))
+        self.den, self.pairs = close_pairs(generators)
+        self.isometries = tuple(AffineIsometry(a, vec_over(u, self.den)) for a, u in self.pairs)
+        self.point_parts: tuple[IMat, ...] = tuple(dict.fromkeys(a for a, _ in self.pairs))
         self.turns = {a: rotation_turns_for_gram(a, igram) for a in self.point_parts}
 
     @cached_property
     def table(self) -> FiniteGroupTable:
-        den, shifts = over_denominator([g.translation for g in self.isometries])
-        pairs = [(g.point_part, u) for g, u in zip(self.isometries, shifts)]
+        den, pairs = self.den, self.pairs
         index = {p: i for i, p in enumerate(pairs)}
         return FiniteGroupTable.of_composition(
             [[index[mat_mul(a, b), vec_mod(vec_add(u, mat_vec(a, v)), den)] for b, v in pairs]
@@ -387,7 +399,17 @@ class TorusAction:
         return math.sqrt(float(mat_det(self.gram)))
 
     def rotation_turns(self, g: int) -> Fraction:
-        return self.turns[self.isometries[g].point_part]
+        return self.turns[self.pairs[g][0]]
+
+    def normal_turns(self, a: IMat) -> Fraction:
+        """The angle of A^-1, which is A's angle negated mod 1: the normal
+        angle of A's fixed points.  A has det 1, so A^-1 is its adjugate."""
+        return self.turns[((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))]
+
+    def pairs_over(self, den: int) -> list[Pair]:
+        """The pairs with their translations over `den`, a multiple of D."""
+        s = den // self.den
+        return [(a, (u[0] * s, u[1] * s)) for a, u in self.pairs]
 
 
 class CrystGroup:
@@ -404,18 +426,18 @@ class CrystGroup:
         self.lattice_basis: Mat = mat(lattice_basis)
         if mat_det(self.lattice_basis) == 0:
             raise StructuralError("lattice basis is singular")
-        self.gram: Mat = mat_mul(mat_transpose(self.lattice_basis), self.lattice_basis)
+        self.gram: Mat = gram_matrix(self.lattice_basis)
         self.generators = tuple(generators)
         gens = sorted(self.generators, key=lambda g: (g.point_part, g.translation))
         self.torus = TorusAction(gens, self.gram)
         # Z^2 is the whole translation subgroup exactly when the closure
         # holds one coset vector per point part
-        self.coset_vectors: dict[IMat, Vec] = {g.point_part: g.translation
-                                               for g in self.torus.isometries}
-        if len(self.coset_vectors) != len(self.torus.isometries):
+        self.point_parts = self.torus.point_parts
+        if len(self.point_parts) != len(self.torus.pairs):
             raise StructuralError(
                 "translation lattice is not normal: conflicting coset vectors")
-        self.point_parts = self.torus.point_parts
+        self.coset_vectors: dict[IMat, Vec] = {g.point_part: g.translation
+                                               for g in self.torus.isometries}
         self._pp_index = {a: i for i, a in enumerate(self.point_parts)}
 
     # -- structure ----------------------------------------------------------
@@ -622,37 +644,41 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
 # Fixed sets of affine isometries
 # ---------------------------------------------------------------------------
 
-def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
-    """Fixed locus of an orientation-preserving g on the plane or, when
-    `torus`, on the torus of lattice coordinates mod Z^2.
+def torus_fixed_points(a: IMat, u: IVec, den: int) -> tuple[int, list[IVec]]:
+    """The fixed points of x -> A x + u / den on the torus mod Z^2, A a
+    rotation other than I: their denominator den det(I - A) and the points
+    times it, reduced and sorted.
 
-    On the torus the point count equals |det(I - A)| for A != I: the points
-    x = (I - A)^{-1} (t + k), k in Z^2, are solved in integers over
-    D |det(I - A)|, D the denominator of t, with the adjugate of I - A.
+    The points are x = (I - A)^{-1} (u / den + k), k in Z^2, and
+    (I - A)^{-1} = adj / d, d = det(I - A) = 2 - trace(A) > 0; adj k is
+    integral for k in d Z^2, so the k in [0, d)^2 reach every point mod Z^2,
+    and there are d of them.
     """
-    a, t = g.point_part, g.translation
     m = mat_sub(IDENTITY_MAT, a)
-    d = mat_det(m)
-
-    if a == IDENTITY_MAT:
-        offset_ok = (vec_frac(t) == (0, 0)) if torus else (t == (0, 0))
-        return FixedSetDescriptor("full") if offset_ok else FixedSetDescriptor("empty")
-    # det(I - A) = 2 - trace(A) > 0 for every rotation A != I
-    if d == 0:
-        raise StructuralError("orientation-reversing isometries have no isolated fixed points")
-
-    if not torus:
-        return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))
-    # (I - A)^{-1} = adj / d; adj k is integral for k in d Z^2, so the k in
-    # [0, |d|)^2 reach every point mod Z^2
-    n = abs(int(d))
-    sign = 1 if d > 0 else -1
-    adj = ((sign * m[1][1], -sign * m[0][1]), (-sign * m[1][0], sign * m[0][0]))
-    den, (u,) = over_denominator([t])
-    pts = sorted({vec_mod(mat_vec(adj, (u[0] + den * p, u[1] + den * q)), den * n)
+    n = mat_det(m)
+    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    big = den * n
+    pts = sorted({vec_mod(mat_vec(adj, (u[0] + den * p, u[1] + den * q)), big)
                   for p in range(n) for q in range(n)})
     if len(pts) != n:
         raise StructuralError("torus fixed-point count disagrees with |det(I-A)|")
-    return FixedSetDescriptor("points", tuple((Fraction(x, den * n), Fraction(y, den * n))
-                                              for x, y in pts))
+    return big, pts
+
+
+def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
+    """Fixed locus of an orientation-preserving g on the plane or, when
+    `torus`, on the torus of lattice coordinates mod Z^2, where the
+    det(I - A) points of a rotation come from `torus_fixed_points`."""
+    a, t = g.point_part, g.translation
+    if a == IDENTITY_MAT:
+        offset_ok = (vec_frac(t) == (0, 0)) if torus else (t == (0, 0))
+        return FixedSetDescriptor("full") if offset_ok else FixedSetDescriptor("empty")
+    m = mat_sub(IDENTITY_MAT, a)
+    if mat_det(m) == 0:
+        raise StructuralError("orientation-reversing isometries have no isolated fixed points")
+    if not torus:
+        return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))
+    den, (u,) = over_denominator([t])
+    big, pts = torus_fixed_points(a, u, den)
+    return FixedSetDescriptor("points", tuple(vec_over(x, big) for x in pts))
 

@@ -37,7 +37,7 @@ from .groups import (
     mat_inv,
     mat_sub,
     mat_vec,
-    orbits_mod_lattice,
+    orbit_split,
 )
 from .sectors import (
     CutoffFunction,
@@ -246,7 +246,10 @@ def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
     p0 = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), t)
     lo, hi = cutoff.support
     reach = _reach(group, a, t_max) + 1
-    den, [(_, cosets)] = orbits_mod_lattice([p0], group.torus.isometries)
+    torus = group.torus
+    den = math.lcm(torus.den, p0[0].denominator, p0[1].denominator)
+    x0 = tuple(x.numerator * (den // x.denominator) % den for x in p0)
+    [(_, cosets)] = orbit_split([x0], torus.pairs_over(den), den)
     qs = []
     for p in cosets:
         axes = [x + den * np.arange(math.ceil(lo - reach - x / den),

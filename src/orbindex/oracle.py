@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import Scalars
+from .exactnum import Cyclo, Scalars
 from .groups import IDENTITY_MAT, TorusAction
 from .sectors import QuotientModel
 
@@ -41,19 +41,25 @@ def sphere_equivariant_character(k: int, n: int, j: int, mode: str = "exact") ->
     """Supertrace of the j-th rotation power on the degree-k monomial basis.
 
     The rotation multiplies z^m by zeta^{jm}; the H^1 basis of a negative
-    twist counts with sign -1.
+    twist counts with sign -1.  Exactly, the supertrace is the sum over r of
+    zeta^r times the signed count of exponents m with j m = r mod n.
     """
     if abs(k) > MAX_TWIST or n > MAX_ORDER:
         raise DomainError("oracle degree bounds exceeded (|k| <= 100, n <= 24)")
     if n < 1 or not (0 <= j < n):
         raise DomainError("rotation power outside the group")
     sign, exponents = _sphere_basis(k)
+    basis = f"z^m, {exponents.start} <= m <= {exponents.stop - 1}"
+    if mode == "exact":
+        counts = [0] * n
+        for m in exponents:
+            counts[j * m % n] += sign
+        return OracleResult(Cyclo(n, counts), "monomial-character", basis)
     sc = Scalars(mode, n)
     total = sc.zero()
     for m in exponents:
         total = total + sc.unit(Fraction(j * m, n))
-    return OracleResult(total if sign > 0 else -total, "monomial-character",
-                        f"z^m, {exponents.start} <= m <= {exponents.stop - 1}")
+    return OracleResult(total if sign > 0 else -total, "monomial-character", basis)
 
 
 def sphere_invariant_monomial_count(k: int, n: int) -> OracleResult:

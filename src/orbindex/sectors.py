@@ -12,7 +12,11 @@ point group's action on the torus plane/lattice as a TorusAction, and that
 action is the spectral oracle's induced torus model.  Sectors are enumerated
 per connected component: each fixed-point-bearing conjugacy class
 contributes one component per centralizer-orbit of isolated fixed points, or
-one full component.
+one full component.  On both flat actions the class table (labels, centres,
+weights, representatives and local group orders) is read off the closure's
+integer pairs (A, u) over one denominator, `TorusAction.pairs`, through
+`groups.torus_fixed_points` and `groups.orbit_split`; a Fraction is built
+once for each value a component hands out.
 
 Angle convention used throughout: `normal_angle_turns` of a component is the
 rotation angle of the *inverse* of the class representative on the normal
@@ -51,9 +55,10 @@ from .groups import (
     mat_sub,
     mat_vec,
     matrix_order,
-    orbits_mod_lattice,
+    orbit_split,
+    torus_fixed_points,
     vec_add,
-    vec_frac,
+    vec_over,
 )
 
 # ---------------------------------------------------------------------------
@@ -424,33 +429,34 @@ def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
     return SectorComponent(handle, "full", full_geometry(model.group), None, order)
 
 
-def _point_component(handle, tag, point, weight, orbit_size, rot_turns,
+def _point_component(handle, tag, point, stabilizer, orbit_size, normal_turns,
                      twist_turns=Fraction(0)) -> SectorComponent:
+    """A point orbit whose points have `stabilizer` elements fixing them,
+    weight 1 / stabilizer."""
     return SectorComponent(handle, tag,
-                           PointOrbit(point, weight, orbit_size, twist_turns),
-                           (-rot_turns) % 1, int(1 / weight))
+                           PointOrbit(point, Fraction(1, stabilizer), orbit_size, twist_turns),
+                           normal_turns, stabilizer)
 
 
 def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
     action: TorusAction = model.group
     table = action.table
-    handles = _torus_class_handles(action)
     comps: list[SectorComponent] = []
-    for handle in handles:
+    for handle in _torus_class_handles(action):
         g = handle.representative
-        fs = fixed_set(action.isometries[g], torus=True)
-        if fs.kind == "empty":
+        a, u = action.pairs[g]
+        if a == IDENTITY_MAT:
+            # the pairs are distinct mod D, so only the identity is (I, 0)
+            if u == (0, 0):
+                comps.append(_full_component(model, handle, table.order))
             continue
-        if fs.kind == "full":
-            if g != table.identity:
-                raise StructuralError("non-identity element acting trivially")
-            comps.append(_full_component(model, handle, table.order))
-            continue
-        zc = [action.isometries[z] for z in centralizer(g, table)]
-        rot = action.rotation_turns(g)
-        for i, (p, orbit) in enumerate(orbits_mod_lattice(fs.points, zc)[1]):
-            comps.append(_point_component(handle, _center_tag(p, i), p,
-                                          Fraction(len(orbit), len(zc)), len(orbit), rot))
+        den, points = torus_fixed_points(a, u, action.den)
+        moves = action.pairs_over(den)
+        zc = [moves[z] for z in centralizer(g, table)]
+        normal = action.normal_turns(a)
+        for i, (x, orbit) in enumerate(orbit_split(points, zc, den)):
+            comps.append(_point_component(handle, _center_tag(x, den, i), vec_over(x, den),
+                                          len(zc) // len(orbit), len(orbit), normal))
     return comps
 
 
@@ -464,25 +470,24 @@ def _sectors_sphere(model: QuotientModel) -> list[SectorComponent]:
         if j == 0:
             comps.append(_full_component(model, handle, n))
             continue
-        rot = Fraction(j, n)
-        # north pole: rotation by +j/n, untwisted fiber weight;
-        # south pole: rotation by -j/n, twist weight j*k/n
+        # north pole: rotation by +j/n, normal angle -j/n, untwisted fiber
+        # weight; south pole: rotation by -j/n, twist weight j*k/n
         comps.append(_point_component(handle, "north", (Fraction(0), Fraction(0)),
-                                      Fraction(1, n), 1, rot))
+                                      n, 1, Fraction(n - j, n)))
         comps.append(_point_component(handle, "south", (Fraction(1), Fraction(0)),
-                                      Fraction(1, n), 1, (-rot) % 1, Fraction(j * k, n) % 1))
+                                      n, 1, Fraction(j, n), Fraction(j * k % n, n)))
     return comps
 
 
 def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
     group: CrystGroup = model.group
     comps = []
-    for handle, center, weight in _cryst_classes(group):
+    for handle, center, stabilizer in _cryst_classes(group):
         if center is None:
             comps.append(_full_component(model, handle, group.point_group_order))
         else:
-            rot = group.rotation_turns(handle.representative.point_part)
-            comps.append(_point_component(handle, "p0", center, weight, 1, rot))
+            normal = group.torus.normal_turns(handle.representative.point_part)
+            comps.append(_point_component(handle, "p0", center, stabilizer, 1, normal))
     return comps
 
 
@@ -490,13 +495,14 @@ def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
 # Class handles with model-level labels
 # ---------------------------------------------------------------------------
 
-def _center_tag(p: Vec, ordinal: int) -> str:
-    fp = vec_frac(p)
-    if fp == (0, 0):
+def _center_tag(x: tuple[int, int], den: int, ordinal: int) -> str:
+    """The tag of the point x / den of [0, 1)^2."""
+    doubled = (2 * x[0], 2 * x[1])
+    if doubled == (0, 0):
         return "origin"
-    if fp == (Fraction(1, 2), Fraction(1, 2)):
+    if doubled == (den, den):
         return "center"
-    if fp in ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))):
+    if doubled in ((den, 0), (0, den)):
         return "edge"
     return f"pt{ordinal}"
 
@@ -509,12 +515,10 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
         if g != table.identity:
             iso = action.isometries[g]
             if iso.point_part == IDENTITY_MAT:
-                t = vec_frac(iso.translation)
+                t = iso.translation
                 h.label = f"t{t[0]}_{t[1]}".replace("/", "d")
             else:
-                # power of the smallest positive rotation present in the group;
-                # the rotation parts form a cyclic group, so it is an integer
-                h.label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
+                h.label = f"r{_rotation_power(action, iso.point_part)}"
     # disambiguate duplicate labels deterministically
     seen: dict[str, int] = {}
     for h in out:
@@ -526,9 +530,11 @@ def _torus_class_handles(action: TorusAction) -> list[ConjugacyClassHandle]:
     return out
 
 
-def _min_rotation_unit(action: TorusAction) -> Fraction:
-    """The smallest positive rotation angle of a flat action, or 1 if it has none."""
-    return min((t for t in action.turns.values() if t), default=Fraction(1))
+def _rotation_power(action: TorusAction, a) -> int:
+    """A's angle over the smallest positive angle of the action: the point
+    parts form a cyclic group of order |P|, whose smallest angle is 1 / |P|."""
+    t = action.turns[a]
+    return t.numerator * len(action.point_parts) // t.denominator
 
 
 def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHandle]:
@@ -547,44 +553,43 @@ def cryst_fixed_classes(group: CrystGroup) -> list[ConjugacyClassHandle]:
 
 
 def _cryst_classes(group: CrystGroup) \
-        -> list[tuple[ConjugacyClassHandle, Optional[Vec], Optional[Fraction]]]:
-    """(class, center, weight) for every class with a nonempty fixed set.
+        -> list[tuple[ConjugacyClassHandle, Optional[Vec], Optional[int]]]:
+    """(class, center, stabilizer order) for every class with a nonempty
+    fixed set.
 
     The plane mod the lattice is a torus on which the point group P acts by
     the pairs (B, s_B).  The point group is cyclic and conjugation fixes
     point parts, so a rotation class is a rotation part A with one P-orbit
-    of its centers: the fixed points of (A, s_A) on that torus.  The
-    centralizer of a rotation is the stabilizer of its center in Gamma, and
-    taking point parts maps it one to one onto the center's stabilizer in
-    P, so the weight 1/|Z_Gamma(g)| is |orbit|/|P|.  The identity class has
-    neither a center nor a weight.
+    of its centers: the fixed points of (A, s_A) on that torus, in integers
+    over the closure's pairs.  The centralizer of a rotation is the
+    stabilizer of its center q in Gamma, and taking point parts maps it one
+    to one onto q's stabilizer in P, of order |P| / |orbit|; the class's
+    representative is (A, (I - A) q).  The identity class has neither a
+    center nor a stabilizer.
     """
     identity = ConjugacyClassHandle(group=group, representative=AffineIsometry.identity(),
                                     kind_tag="infinite-class", label="e")
     out = [(identity, None, None)]
-    point_group = group.torus.isometries
-    rotations = [g for g in point_group if g.point_part != IDENTITY_MAT]
-    # the rotation parts form a cyclic group, so every angle is a multiple
-    # of the smallest one
-    unit = _min_rotation_unit(group.torus)
-    for g in rotations:
-        a = g.point_part
-        power = int(group.rotation_turns(a) / unit)
+    torus = group.torus
+    for a, u in torus.pairs:
+        if a == IDENTITY_MAT:
+            continue
+        power = _rotation_power(torus, a)
         part_name = f"r{power}" if power > 1 else "r"
+        m = mat_sub(IDENTITY_MAT, a)
         used_tags: dict[str, int] = {}
-        centers = fixed_set(g, torus=True).points
-        for ordinal, (center, orbit) in enumerate(orbits_mod_lattice(centers, point_group)[1]):
-            weight = Fraction(len(orbit), len(point_group))
-            tag = _center_tag(center, ordinal)
+        den, centers = torus_fixed_points(a, u, torus.den)
+        for ordinal, (x, orbit) in enumerate(orbit_split(centers, torus.pairs_over(den), den)):
+            tag = _center_tag(x, den, ordinal)
             if tag in used_tags:
                 used_tags[tag] += 1
                 tag = f"{tag}{used_tags[tag]}"
             else:
                 used_tags[tag] = 1
-            rep = AffineIsometry(a, mat_vec(mat_sub(IDENTITY_MAT, a), center))
+            rep = AffineIsometry(a, vec_over(mat_vec(m, x), den))
             handle = ConjugacyClassHandle(group=group, representative=rep,
                                           kind_tag="infinite-class", label=f"{part_name}_{tag}")
-            out.append((handle, center, weight))
+            out.append((handle, vec_over(x, den), len(torus.pairs) // len(orbit)))
     out.sort(key=lambda item: item[0].label)
     return out
 

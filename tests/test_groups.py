@@ -14,7 +14,6 @@ from orbindex.groups import (
     CrystGroup,
     FiniteGroupTable,
     centralizer,
-    close_mod_lattice,
     conjugate_test,
     enumerate_classes_finite,
     fixed_set,
@@ -44,6 +43,7 @@ def make_p2() -> CrystGroup:
 
 
 ROT = ((0, -1), (1, 0))
+SQUARE = mat([[1, 0], [0, 1]])
 
 
 class TestFiniteGroups:
@@ -180,7 +180,7 @@ def test_integer_gram_checks_match_the_fraction_reference(gram):
 class TestCloseModLattice:
     def test_breadth_first_order_with_reduced_translations(self):
         r = AffineIsometry.of(ROT, (Fraction(3, 2), Fraction(1, 2)))
-        elems = close_mod_lattice([r])
+        elems = TorusAction([r], SQUARE).isometries
         assert elems[0].is_identity and len(elems) == 4
         assert elems[1] == AffineIsometry.of(ROT, (Fraction(1, 2), Fraction(1, 2)))
         assert elems[2] == AffineIsometry.of(((-1, 0), (0, -1)), (0, 0))
@@ -189,7 +189,7 @@ class TestCloseModLattice:
     def test_closure_cap(self):
         t = AffineIsometry.of(IDENTITY_MAT, (Fraction(1, 300), 0))
         with pytest.raises(StructuralError, match="finite cap"):
-            close_mod_lattice([t])
+            TorusAction([t], SQUARE)
 
     def test_second_coset_vector_rejected(self):
         r = AffineIsometry.of(ROT, (0, 0))

@@ -1,13 +1,17 @@
-"""The integer closure, torus fixed points, orbit split and torus table, and
-the class lookup of inverses, against the Fraction loops and the conjugacy
-scan they replaced, kept here as the reference.
+"""The integer closure, torus fixed points, orbit split and torus table, the
+class and sector tables built from the closure's integer pairs, and the
+class lookup of inverses, against the Fraction loops and the conjugacy scan
+they replaced, kept here as the reference.
 
 Generated groups reach rotation orders 3 and 6, which no fixture has: a
 hexagonal lattice has no rational basis, but a torus action takes its Gram
-matrix directly.
+matrix directly.  Generated plane groups are p2 and p4 in a basis B U, U in
+GL_2(Z), with the origin shifted by a rational vector and with redundant
+generators.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +25,8 @@ from orbindex.groups import (
     CrystGroup,
     IDENTITY_MAT,
     FixedSetDescriptor,
-    close_mod_lattice,
+    centralizer,
+    enumerate_classes_finite,
     fixed_set,
     mat,
     mat_det,
@@ -29,14 +34,18 @@ from orbindex.groups import (
     mat_mul,
     mat_sub,
     mat_vec,
-    orbits_mod_lattice,
+    orbit_split,
+    over_denominator,
+    torus_fixed_points,
     vec_add,
     vec_frac,
+    vec_mod,
 )
 from orbindex.sectors import (
     BundleSpec,
     QuotientModel,
     TorusAction,
+    _cryst_classes,
     wallpaper_model,
 )
 
@@ -100,6 +109,157 @@ def ref_orbit_decompose(points, elems):
     return out
 
 
+def ref_fraction_fixed_points(g):
+    """The torus fixed points as the Fraction-valued routine gave them: solved
+    over the denominator of g's own translation, returned as Fractions."""
+    a, t = g.point_part, g.translation
+    m = mat_sub(IDENTITY_MAT, a)
+    n = mat_det(m)
+    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    den, (u,) = over_denominator([t])
+    pts = sorted({vec_mod(mat_vec(adj, (u[0] + den * p, u[1] + den * q)), den * n)
+                  for p in range(n) for q in range(n)})
+    return tuple((Fraction(x, den * n), Fraction(y, den * n)) for x, y in pts)
+
+
+def ref_orbits_mod_lattice(points, elems):
+    """The Fraction-valued orbit split: points and isometries in, each
+    orbit's first point and its images over the common denominator out."""
+    den, ints = over_denominator([*points, *(z.translation for z in elems)])
+    moves = [(z.point_part, s) for z, s in zip(elems, ints[len(points):])]
+    seen = set()
+    out = []
+    for p, x in zip(points, ints):
+        if vec_mod(x, den) in seen:
+            continue
+        orbit = {}
+        for a, s in moves:
+            y = vec_add(mat_vec(a, x), s)
+            orbit.setdefault(vec_mod(y, den), y)
+        seen.update(orbit)
+        out.append((p, list(orbit.values())))
+    return den, out
+
+
+def ref_center_tag(p, ordinal):
+    fp = vec_frac(p)
+    if fp == (0, 0):
+        return "origin"
+    if fp == (Fraction(1, 2), Fraction(1, 2)):
+        return "center"
+    if fp in ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))):
+        return "edge"
+    return f"pt{ordinal}"
+
+
+def _min_rotation_unit(action):
+    return min((t for t in action.turns.values() if t), default=Fraction(1))
+
+
+def ref_cryst_classes(group):
+    """(label, center, weight, representative) per class with a nonempty
+    fixed set, by the Fraction routines, sorted by label."""
+    out = [("e", None, None, AffineIsometry.identity())]
+    point_group = group.torus.isometries
+    unit = _min_rotation_unit(group.torus)
+    for g in point_group:
+        a = g.point_part
+        if a == IDENTITY_MAT:
+            continue
+        power = int(group.rotation_turns(a) / unit)
+        part_name = f"r{power}" if power > 1 else "r"
+        used_tags = {}
+        centers = ref_fraction_fixed_points(g)
+        for ordinal, (center, orbit) in enumerate(ref_orbits_mod_lattice(centers, point_group)[1]):
+            tag = ref_center_tag(center, ordinal)
+            if tag in used_tags:
+                used_tags[tag] += 1
+                tag = f"{tag}{used_tags[tag]}"
+            else:
+                used_tags[tag] = 1
+            rep = AffineIsometry(a, mat_vec(mat_sub(IDENTITY_MAT, a), center))
+            out.append((f"{part_name}_{tag}", center, Fraction(len(orbit), len(point_group)), rep))
+    out.sort(key=lambda row: row[0])
+    return out
+
+
+def ref_torus_labels(action):
+    """Class representative -> label, from the Fraction angles."""
+    table = action.table
+    labels = {}
+    seen = {}
+    for h in enumerate_classes_finite(table):
+        g, label = h.representative, h.label
+        if g != table.identity:
+            iso = action.isometries[g]
+            if iso.point_part == IDENTITY_MAT:
+                t = vec_frac(iso.translation)
+                label = f"t{t[0]}_{t[1]}".replace("/", "d")
+            else:
+                label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
+        if label in seen:
+            seen[label] += 1
+            label = f"{label}_{seen[label]}"
+        else:
+            seen[label] = 0
+        labels[g] = label
+    return labels
+
+
+def ref_sector_rows(model):
+    """Every sector component as (label, tag, representative, point, weight,
+    orbit size, normal angle, local group order), by the Fraction routines,
+    in the order of the sector table."""
+    group = model.group
+    rows = []
+    if isinstance(group, CrystGroup):
+        for label, center, weight, rep in ref_cryst_classes(group):
+            if center is None:
+                rows.append((label, "full", rep, None, None, None, None,
+                             group.point_group_order))
+            else:
+                normal = (-group.rotation_turns(rep.point_part)) % 1
+                rows.append((label, "p0", rep, center, weight, 1, normal, int(1 / weight)))
+        return rows
+    table = group.table
+    for g, label in ref_torus_labels(group).items():
+        iso = group.isometries[g]
+        if iso.point_part == IDENTITY_MAT:
+            if vec_frac(iso.translation) == (0, 0):
+                rows.append((label, "full", g, None, None, None, None, table.order))
+            continue
+        zc = [group.isometries[z] for z in centralizer(g, table)]
+        normal = (-group.rotation_turns(g)) % 1
+        points = ref_fraction_fixed_points(iso)
+        for i, (p, orbit) in enumerate(ref_orbits_mod_lattice(points, zc)[1]):
+            weight = Fraction(len(orbit), len(zc))
+            rows.append((label, ref_center_tag(p, i), g, p, weight, len(orbit), normal,
+                         int(1 / weight)))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return rows
+
+
+def sector_rows(model):
+    rows = []
+    for c in model.sectors:
+        geo = None if c.is_full else c.geometry
+        rows.append((c.label, c.component_tag, c.class_handle.representative,
+                     geo and geo.representative, geo and geo.weight, geo and geo.orbit_size,
+                     c.normal_angle_turns, c.local_group_order))
+    return rows
+
+
+def _assert_public_fractions(model):
+    """Points, weights, angles and translations handed out are Fractions."""
+    for c in model.sectors:
+        if not c.is_full:
+            values = [*c.geometry.representative, c.geometry.weight, c.normal_angle_turns]
+            assert all(type(x) is Fraction for x in values)
+    isometries = model.group.torus.isometries if isinstance(model.group, CrystGroup) \
+        else model.group.isometries
+    assert all(type(x) is Fraction for g in isometries for x in g.translation)
+
+
 def ref_torus_table(isometries):
     index = {g: i for i, g in enumerate(isometries)}
     return tuple(tuple(index[ref_mod_lattice(a.compose(b))] for b in isometries)
@@ -119,18 +279,28 @@ def ref_inverse_class_labels(model):
     return out
 
 
-def _orbit_decompose(points, elems):
+def _orbit_split(points, action):
+    """The integer orbit split of rational points under a torus action: the
+    points over a multiple of the action's denominator, and per orbit its
+    first point and its points mod Z^2, as Fractions."""
+    den = math.lcm(action.den, *(x.denominator for p in points for x in p))
+    ints = [vec_mod(tuple(x.numerator * (den // x.denominator) for x in p), den)
+            for p in points]
+    return [((Fraction(x[0], den), Fraction(x[1], den)),
+             [(Fraction(y[0], den), Fraction(y[1], den)) for y in orbit])
+            for x, orbit in orbit_split(ints, action.pairs_over(den), den)]
+
+
+def _orbit_decompose(points, action):
     """The integer orbit split in the reference's shape: (first point,
     1 / |stabilizer|, orbit size) per orbit, the weight by orbit-stabilizer."""
-    return [(p, Fraction(len(orbit), len(elems)), len(orbit))
-            for p, orbit in orbits_mod_lattice(points, elems)[1]]
+    return [(p, Fraction(len(orbit), len(action.pairs)), len(orbit))
+            for p, orbit in _orbit_split(points, action)]
 
 
-def _orbit_points(points, elems):
-    """Each orbit's points mod Z^2, from the integer images over D."""
-    den, orbits = orbits_mod_lattice(points, elems)
-    return [{vec_frac((Fraction(x, den), Fraction(y, den))) for x, y in orbit}
-            for _, orbit in orbits]
+def _orbit_points(points, action):
+    """Each orbit's points mod Z^2."""
+    return [set(orbit) for _, orbit in _orbit_split(points, action)]
 
 
 # -- generated groups --------------------------------------------------------
@@ -158,8 +328,8 @@ def _closure_or_error(close, gens):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=generators())
 def test_closure_matches_the_fraction_reference(case):
-    gens, _ = case
-    got = _closure_or_error(close_mod_lattice, gens)
+    gens, gram = case
+    got = _closure_or_error(lambda gens: TorusAction(gens, gram).isometries, gens)
     assert got == _closure_or_error(ref_close_mod_lattice, gens)
     if not isinstance(got, str):
         assert all(type(x) is Fraction for g in got for x in g.translation)
@@ -172,7 +342,12 @@ def test_torus_fixed_points_match_the_fraction_reference(a, t):
     g = AffineIsometry.of(a, t)
     got = fixed_set(g, torus=True)
     assert got == ref_torus_fixed_set(g)
+    assert got.points == ref_fraction_fixed_points(g)
     assert len(got.points) == mat_det(mat_sub(IDENTITY_MAT, a))
+    # the integer routine over any multiple of t's denominator
+    den, (u,) = over_denominator([t])
+    big, points = torus_fixed_points(a, (3 * u[0], 3 * u[1]), 3 * den)
+    assert tuple((Fraction(x, big), Fraction(y, big)) for x, y in points) == got.points
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -190,12 +365,102 @@ def test_orbits_and_table_match_the_fraction_reference(case):
     for g in elems:
         if g.point_part != IDENTITY_MAT:
             points = fixed_set(g, torus=True).points
-            assert _orbit_decompose(points, elems) == ref_orbit_decompose(points, elems)
-            assert _orbit_points(points, elems) == [
+            assert _orbit_decompose(points, action) == ref_orbit_decompose(points, elems)
+            assert _orbit_points(points, action) == [
                 {vec_frac(z.apply(p)) for z in elems}
                 for p, _, _ in ref_orbit_decompose(points, elems)]
+            den, orbits = ref_orbits_mod_lattice(points, elems)
+            assert _orbit_points(points, action) == [
+                {vec_frac((Fraction(x, den), Fraction(y, den))) for x, y in orbit}
+                for _, orbit in orbits]
     model = QuotientModel(action, BundleSpec())
     assert _inverse_class_labels(model) == ref_inverse_class_labels(model)
+
+
+# -- class and sector tables from the integer pairs ---------------------------
+
+# unimodular changes of lattice basis, determinants +1 and -1
+UNIMODULAR = [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, 1), (1, 0)),
+              ((1, -2), (1, -1)), ((3, 2), (1, 1)), ((1, 0), (-3, 1)), ((-1, 0), (2, 1))]
+SHIFT = st.tuples(*[st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))] * 2)
+LATTICE_VECTOR = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+POSITIVE = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+def _unimodular_inverse(u):
+    d = mat_det(u)
+    return ((d * u[1][1], -d * u[0][1]), (-d * u[1][0], d * u[0][0]))
+
+
+@st.composite
+def plane_groups(draw):
+    """p4 on a square basis or p2 on an upper-triangular one, in the basis
+    B U, with the rotation's centre shifted by c and redundant generators:
+    powers of the rotation times lattice translations, and translations."""
+    kind = draw(st.sampled_from(["p2", "p4"]))
+    s = draw(POSITIVE)
+    if kind == "p4":
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        basis = ((s * a, -s * b), (s * b, s * a))
+        rot = ((0, -1), (1, 0))
+    else:
+        q, r = draw(st.tuples(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+                              POSITIVE))
+        basis = ((s, q), (0, r))
+        rot = ((-1, 0), (0, -1))
+    u = mat_mul(draw(st.sampled_from(UNIMODULAR)), draw(st.sampled_from(UNIMODULAR)))
+    a = mat_mul(mat_mul(_unimodular_inverse(u), rot), u)
+    c = draw(SHIFT)
+    lift = draw(LATTICE_VECTOR)
+    g = AffineIsometry.of(a, vec_add(mat_vec(mat_sub(IDENTITY_MAT, a), c), lift))
+    gens = [g]
+    for k, v in draw(st.lists(st.tuples(st.integers(1, 3), LATTICE_VECTOR), max_size=3)):
+        h = AffineIsometry.of(IDENTITY_MAT, v)
+        for _ in range(k):
+            h = h.compose(g)
+        gens.append(h)
+    return CrystGroup(mat_mul(basis, u), gens)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(group=plane_groups())
+def test_plane_class_table_matches_the_fraction_reference(group):
+    got = [(h.label, center, stab and Fraction(1, stab), h.representative)
+           for h, center, stab in _cryst_classes(group)]
+    assert got == ref_cryst_classes(group)
+    model = wallpaper_model(group, "plane")
+    assert sector_rows(model) == ref_sector_rows(model)
+    _assert_public_fractions(model)
+
+
+# a point part of each family with a fractional translation generator that
+# its whole point group normalizes
+TORUS_CASES = [
+    ("square", ((0, -1), (1, 0)), (Fraction(1, 2), Fraction(1, 2))),
+    ("square", ((-1, 0), (0, -1)), (Fraction(1, 3), Fraction(2, 3))),
+    ("square", ((-1, 0), (0, -1)), (Fraction(1, 2), Fraction(0))),
+    ("hexagonal", ((1, -1), (1, 0)), (Fraction(1, 3), Fraction(2, 3))),
+    ("hexagonal", ((0, -1), (1, -1)), (Fraction(1, 3), Fraction(2, 3))),
+    ("hexagonal", ((-1, 0), (0, -1)), (Fraction(1, 2), Fraction(1, 2))),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(TORUS_CASES), t=TRANSLATION, lift=LATTICE_VECTOR)
+def test_torus_sector_table_matches_the_fraction_reference(case, t, lift):
+    family, a, shift = case
+    # the rotation, the fractional translation, and the rotation's square
+    # times a lattice translation, which is redundant
+    g = AffineIsometry.of(a, t)
+    gens = [g, AffineIsometry.of(IDENTITY_MAT, shift),
+            AffineIsometry.of(IDENTITY_MAT, lift).compose(g).compose(g)]
+    try:
+        action = TorusAction(gens, FAMILIES[family][1])
+    except StructuralError:
+        return          # over the cap: the closure test compares the refusal
+    model = QuotientModel(action, BundleSpec())
+    assert sector_rows(model) == ref_sector_rows(model)
+    _assert_public_fractions(model)
 
 
 # -- inverse classes on plane groups, every fixture and the large lattices ---
