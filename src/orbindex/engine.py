@@ -10,9 +10,9 @@ equivalently the reciprocal Todd divisor evaluated at the component's stored
 normal angle.  In exact mode that quotient is a closed form with no field
 inverse (`Scalars.unit_over_divisor`).  The spin^c route computes the same
 point term as the fiber supertrace over the real determinant det(1 - R_theta),
-through the general field inverse, and must agree; full
-components route through Td (dolbeault) or A-hat times the half determinant
-line (spin^c), which coincide as series.
+through the general field inverse, and must agree; full components route
+through Td (dolbeault) or A-hat times the half determinant line (spin^c),
+which coincide in degree 2, the one degree a surface integrates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import StructuralError
 from .exactnum import Scalars
 from .char import (
     ComponentCurvature,
-    TruncForm,
+    Form,
     a_hat_form,
     chern_char,
     component_curvature,
@@ -39,6 +39,7 @@ from .groups import (
     IDENTITY_MAT,
     ConjugacyClassHandle,
     CrystGroup,
+    adjugate,
     centralizer,
     torus_fixed_points,
 )
@@ -72,9 +73,7 @@ def point_term(normal_turns: Fraction, twist_turns: Fraction, scalars: Scalars, 
     if route == "a_hat":
         det_r = (scalars.one() - scalars.unit(normal_turns)) * \
                 (scalars.one() - scalars.unit(-normal_turns))
-        data = fiber_eigendata((-normal_turns) % 1, twist_turns)
-        numerator = deloc_chern(data, 0, scalars).coefficient(()) or scalars.zero()
-        return numerator / det_r
+        return deloc_chern(fiber_eigendata((-normal_turns) % 1, twist_turns), scalars) / det_r
     raise StructuralError(f"unknown Lefschetz route {route!r}")
 
 
@@ -94,18 +93,14 @@ def component_value(component: SectorComponent, model: QuotientModel):
     return orbifold_integrate(form, component, curv, scalars)
 
 
-def _full_component_form(curv: ComponentCurvature, scalars: Scalars,
-                         route: str) -> TruncForm:
-    if curv.twist_line:
-        ch_w = chern_char([curv.twist_line], curv.dimension, scalars)
-    else:
-        ch_w = TruncForm.constant(scalars.one(), curv.dimension)
+def _full_component_form(curv: ComponentCurvature, scalars: Scalars, route: str) -> Form:
+    ch_w = chern_char(["w"], scalars)
     if route == "todd":
         return todd_form(curv, scalars) * ch_w
     # spin^c normalization: A-hat times the square root of the determinant line
     form = a_hat_form(curv, scalars)
-    for root in curv.tangent_roots:
-        form = form * exp_line(root, curv.dimension, scalars, half=True)
+    if "t" in curv.integrals:
+        form = form * exp_line("t", scalars, half=True)
     return form * ch_w
 
 
@@ -292,7 +287,7 @@ def _inverse_class_labels(model: QuotientModel) -> dict:
                       None if c.is_full else c.geometry.representative) for c in model.sectors}
     label_of = {key: label for label, key in keys.items()}
     # det A = 1, so A^-1 is the adjugate
-    return {label: label_of[((a[1][1], -a[0][1]), (-a[1][0], a[0][0])), q]
+    return {label: label_of[adjugate(a), q]
             for label, (a, q) in keys.items()}
 
 

@@ -73,12 +73,18 @@ def mat_det(a):
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
+def adjugate(a):
+    """det(A) A^-1, in A's entry type: A^-1 itself when det A = 1."""
+    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+
+
 def mat_inv(a) -> Mat:
     d = mat_det(a)
     if d == 0:
         raise StructuralError("singular 2x2 matrix")
     d = Fraction(d)
-    return ((a[1][1] / d, -a[0][1] / d), (-a[1][0] / d, a[0][0] / d))
+    (p, q), (r, s) = adjugate(a)
+    return ((p / d, q / d), (r / d, s / d))
 
 
 def mat_sub(a, b):
@@ -394,7 +400,7 @@ class TorusAction:
             [[index[mat_mul(a, b), vec_mod(vec_add(u, mat_vec(a, v)), den)] for b, v in pairs]
              for a, u in pairs])
 
-    @property
+    @cached_property
     def area(self) -> float:
         return math.sqrt(float(mat_det(self.gram)))
 
@@ -404,7 +410,7 @@ class TorusAction:
     def normal_turns(self, a: IMat) -> Fraction:
         """The angle of A^-1, which is A's angle negated mod 1: the normal
         angle of A's fixed points.  A has det 1, so A^-1 is its adjugate."""
-        return self.turns[((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))]
+        return self.turns[adjugate(a)]
 
     def pairs_over(self, den: int) -> list[Pair]:
         """The pairs with their translations over `den`, a multiple of D."""
@@ -446,7 +452,7 @@ class CrystGroup:
     def point_group_order(self) -> int:
         return len(self.point_parts)
 
-    @property
+    @cached_property
     def area(self) -> float:
         return float(abs(mat_det(self.lattice_basis)))
 
@@ -656,7 +662,7 @@ def torus_fixed_points(a: IMat, u: IVec, den: int) -> tuple[int, list[IVec]]:
     """
     m = mat_sub(IDENTITY_MAT, a)
     n = mat_det(m)
-    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    adj = adjugate(m)
     big = den * n
     pts = sorted({vec_mod(mat_vec(adj, (u[0] + den * p, u[1] + den * q)), big)
                   for p in range(n) for q in range(n)})

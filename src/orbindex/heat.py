@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .char import deloc_chern
 from .errors import DomainError, ResolutionError, StructuralError
 from .exactnum import Scalars
 from .groups import (
@@ -45,7 +46,6 @@ from .sectors import (
     build_cutoff,
     class_components,
     fiber_eigendata,
-    supertrace_turns,
 )
 
 FLOAT = Scalars("float")
@@ -374,7 +374,7 @@ def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.nda
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
     data = fiber_eigendata(model.group.rotation_turns(point_part))
-    return Scalars.to_complex(supertrace_turns(data, FLOAT))
+    return Scalars.to_complex(deloc_chern(data, FLOAT))
 
 
 def t_independence(model: QuotientModel, cls: ConjugacyClassHandle,

@@ -44,14 +44,14 @@ from .groups import (
     CrystGroup,
     FiniteGroupTable,
     IDENTITY_MAT,
-    Mat,
+    IMat,
     TorusAction,
     Vec,
+    adjugate,
     centralizer,
     enumerate_classes_finite,
     fixed_set,
     mat,
-    mat_inv,
     mat_sub,
     mat_vec,
     matrix_order,
@@ -217,16 +217,6 @@ def fiber_eigendata(rotation_turns: Fraction,
     return FiberEigenData(plus, minus)
 
 
-def supertrace_turns(data: FiberEigenData, scalars):
-    """sum over E+ angles of e^{2 pi i a} minus the same sum over E- angles."""
-    total = scalars.zero()
-    for a in data.plus_turns:
-        total = total + scalars.unit(a)
-    for a in data.minus_turns:
-        total = total - scalars.unit(a)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Cut-off functions
 # ---------------------------------------------------------------------------
@@ -293,13 +283,14 @@ class CutoffFunction:
         total = sum(_periodized_bump(bx) * _periodized_bump(by) for bx, by in preimages)
         return np.where(num > 0, num / np.where(total > 0, total, 1.0), 0.0)
 
-    def _preimage(self, a: Mat, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
-        """b = A^{-1}(x - s_A) without the terms whose coefficient is 0: exact,
-        as each is +-0.0, and a coordinate that depends on one axis stays a
-        vector along it, so on p2 and p4 every bump runs on axis vectors."""
+    def _preimage(self, a: IMat, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+        """b = A^{-1}(x - s_A), A^{-1} the adjugate as det A = 1, without the
+        terms whose coefficient is 0: exact, as each is +-0.0, and a coordinate
+        that depends on one axis stays a vector along it, so on p2 and p4
+        every bump runs on axis vectors."""
         s = self.group.coset_vectors[a]
         v = (xs - float(s[0]), ys - float(s[1]))
-        return [sum(float(c) * vi for c, vi in zip(row, v) if c != 0) for row in mat_inv(a)]
+        return [sum(float(c) * vi for c, vi in zip(row, v) if c != 0) for row in adjugate(a)]
 
     def partition_residual(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """|sum_g c(g^{-1} x) - 1| at arrays of float points.

@@ -280,10 +280,12 @@ def test_acceptance_6_cutoff_suite():
 
 
 def test_acceptance_7_series_engine():
-    """A-hat degree 4 = -p1/24, Td degree 4 = (c1^2+c2)/12 vs sympy; flat A-hat at e is 1."""
+    """A-hat degree 4 = -p1/24, Td degree 4 = (c1^2+c2)/12 vs sympy; the surface
+    forms are the series' linear terms; flat A-hat at e is 1."""
     import sympy
 
-    from orbindex.char import ComponentCurvature, a_hat_form, ahat_series, todd_form
+    from orbindex.char import ComponentCurvature, a_hat_form, todd_form
+    from test_char import ahat_series, two_root_todd
 
     u = sympy.Symbol("u")
     sym_ahat = sympy.series((u / 2) / sympy.sinh(u / 2), u, 0, 5).removeO()
@@ -292,20 +294,21 @@ def test_acceptance_7_series_engine():
 
     sym_td = sympy.series(u / (1 - sympy.exp(-u)), u, 0, 5).removeO()
     td1 = [Fraction(str(sym_td.coeff(u, k))) for k in range(5)]
-    sx = Scalars("exact", 4)
-    curv = ComponentCurvature(dimension=4, tangent_roots=("x", "y"))
-    td = todd_form(curv, sx)
     # reassemble (c1^2 + c2)/12 from the two-root product of the sympy series
-    want_xx = td1[2]                # coefficient of x^2
-    want_xy = td1[1] * td1[1]       # coefficient of x y
-    td_ok = (td.coefficient(("x", "x")) == sx.from_rational(want_xx)
-             and td.coefficient(("x", "y")) == sx.from_rational(want_xy)
-             and want_xx == Fraction(1, 12) and want_xy == Fraction(1, 4))
+    td2 = two_root_todd()
+    td_ok = (td2[2, 0] == td1[2] == Fraction(1, 12)          # coefficient of x^2
+             and td2[1, 1] == td1[1] * td1[1] == Fraction(1, 4))   # coefficient of x y
+
+    # a surface integrates degree 2 alone: Td = 1 + t/2 and A-hat = 1
+    sx = Scalars("exact", 4)
+    sphere = ComponentCurvature({"t": Fraction(2), "w": Fraction(0)})
+    linear_ok = (todd_form(sphere, sx).coeffs == {"t": sx.from_rational(td1[1])}
+                 and a_hat_form(sphere, sx).coeffs == {} and ahat_series(1)[1] == 0)
 
     # A-hat of a flat identity-class component reduces to 1
-    ahat_e = a_hat_form(ComponentCurvature(dimension=2), sx)
-    flat_ok = ahat_e.coeffs == {(): sx.one()}
-    _report(7, "series engine vs symbolic expansion", ahat_ok and td_ok and flat_ok)
+    ahat_e = a_hat_form(ComponentCurvature({"w": Fraction(0)}), sx)
+    flat_ok = ahat_e.const == sx.one() and ahat_e.coeffs == {}
+    _report(7, "series engine vs symbolic expansion", ahat_ok and td_ok and linear_ok and flat_ok)
 
 
 def test_readme_library_use_runs_as_written():

@@ -267,6 +267,27 @@ def test_sphere_quotient_index_by_every_method(tmp_path, n, k):
         assert all(report["verdicts"].values())
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kind", ["dolbeault", "spinc_dirac"])
+@pytest.mark.parametrize("k", [-3, -1, 0, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
+def test_sphere_sweep_on_both_routes_and_modes(tmp_path, n, k, kind, mode):
+    # both full-component routes (Td ch and A-hat e^{t/2} ch) in both modes
+    # against the monomial oracle, and the finite assembly against it too
+    doc = json.loads((FIXTURE_DIR / "s2_z3_o7.json").read_text())
+    doc["group"]["order"], doc["bundle"]["twistDegree"] = n, k
+    doc["bundle"]["operatorKind"], doc["options"]["mode"] = kind, mode
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(["verify", str(path)])
+    assert code == 0 and report["mode"] == mode
+    assert all(report["verdicts"].values())
+    oracle = complex(*map(float, report["totals"]["oracle"]))
+    code, report, _ = run(["index", str(path), "--method", "assembly"])
+    assert code == 0
+    assert all(abs(complex(*map(float, v)) - oracle) <= 1e-9 for v in report["totals"].values())
+
+
 @pytest.mark.parametrize("name", ["e_z4", "t2_z2", "p4", "p2"])
 def test_twisted_flat_model_with_a_rotation_is_refused(tmp_path, capsys, name):
     # its fixed points carry no twist data: e_z4 at twist 2 would print 1.5,
