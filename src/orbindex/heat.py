@@ -8,18 +8,24 @@ centre q, |hx - x|^2_G = kappa |x - q|^2_G with kappa = det(I - A).  At each
 t exactly the members whose kernel reaches 2^-60 on the cut-off box are
 summed; their centres are enumerated out to that reach at the largest t, and
 one closed-form lattice Gaussian tail bound covers the rest.  Both cut-off
-kinds take the finer of two sums on one grid, x0 + (Z/n)^2 with n sized by t,
-anchored at a rotation centre x0 so that the group maps it onto itself; the
-cut-off drops out of that sum, the spectrally convergent periodic rule of the
-Gamma-invariant class sum.  A t whose Gaussian is narrower than the finest
-grid's spacing, and two sums further apart than the tolerance, raise.  A
-class with no rotation has fiber supertrace 0, so it needs no grid, and
-neither does the Euclidean orbital integral, tau(A) / (|Z_Gamma(g)| kappa) at
-every t.  The kernel is untwisted, so a model with a twist is refused.
+kinds take the finer of two sums, on the grids x0 + (Z/n)^2 and x0 +
+(Z/2n)^2 with n sized by t, anchored at a rotation centre x0 so that the
+group maps them onto themselves; the cut-off drops out of such a sum, the
+spectrally convergent periodic rule of the Gamma-invariant class sum.  Only
+the 2n grid is built, as the n grid is its sub-grid of every other point, and
+on it each member's Gaussian is separable: a row factor and a column factor
+per member and one cross factor shared by all, so a sum takes exponentials
+per row and per column, not per point.  A t whose Gaussian is narrower than
+the finest grid's spacing, and two sums further apart than the tolerance,
+raise.  A class with no rotation has fiber supertrace 0, so it needs no grid,
+and neither does the Euclidean orbital integral, tau(A) / (|Z_Gamma(g)|
+kappa) at every t.  The kernel is untwisted, so a model with a twist is
+refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +40,8 @@ from .groups import (
     ConjugacyClassHandle,
     CrystGroup,
     IDENTITY_MAT,
+    adjugate,
     mat_det,
-    mat_inv,
     mat_sub,
     mat_vec,
     orbit_split,
@@ -161,8 +167,8 @@ def truncation_bound(model: QuotientModel, t: float) -> float:
 # Localized heat traces
 # ---------------------------------------------------------------------------
 
-# Grid points per row block, and member x point entries per array, in the heat
-# pass; bounds its memory whatever the class size and grid size.
+# Grid points per row block, and entries per member x row or member x column
+# array, in the heat pass; bounds its memory whatever the class and grid size.
 HEAT_BLOCK = 1 << 15
 
 
@@ -188,12 +194,13 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     eigen-character tau, one per class, times the scalar Gaussian.  A rotation
     class's centres are those of _members_in_reach for the spec's t_max, built
     once; at time t the prefix with exp(-d2_min / 4t) >= KERNEL_FLOOR, exactly
-    the members that reach the floor, is summed.  The times that share a grid
-    size are accumulated in one pass: each t takes the grid sums S_n, S_2n at
-    n = _grid_size per unit on the grid of _grid_axes, for either cut-off
-    kind, and is valued S_2n.  A t above t_max, whose members were not all
-    enumerated, or below the grid raises before any sum, and |S_2n - S_n|
-    above the tolerance after.
+    the members that reach the floor, is summed.  The grid anchor x0 is solved
+    once per call.  The times that share a grid size are accumulated in one
+    pass of _grid_sums, the separable kernel, over the one grid it builds, at
+    2n: each t takes the grid sums S_n, S_2n at n = _grid_size per unit on
+    the grids of _grid_axes, for either cut-off kind, and is valued S_2n.  A t
+    above t_max, whose members were not all enumerated, or below the grid
+    raises before any sum, and |S_2n - S_n| above the tolerance after.
     """
     if not isinstance(model.group, CrystGroup):
         raise StructuralError("heat verification supports flat plane models only")
@@ -215,13 +222,12 @@ def heat_traces(model: QuotientModel, cls: ConjugacyClassHandle, t_list: Sequenc
     # exp is monotone, so the kept members are a prefix
     kept = {t: int(np.count_nonzero(np.exp(d2_min * (-1.0 / (4 * t))) >= KERNEL_FLOOR))
             for t in ts}
+    x0 = _grid_anchor(model.group)
     sums = {}
     for n in dict.fromkeys(sizes.values()):
         batch = [t for t in ts if sizes[t] == n]
-        coarse, fine = (_grid_sums(cutoff, tau, _kappa(a), centres, [kept[t] for t in batch],
-                                   batch, m)
-                        for m in (n, 2 * n))
-        sums.update(zip(batch, zip(coarse, fine)))
+        sums.update(zip(batch, _grid_sums(cutoff, x0, tau, _kappa(a), centres,
+                                          [kept[t] for t in batch], batch, n)))
     for t in ts:
         err = abs(sums[t][1] - sums[t][0])
         if err > quad.tolerance:
@@ -243,7 +249,7 @@ def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
     """
     group: CrystGroup = cls.group
     a, t = cls.representative.point_part, cls.representative.translation
-    p0 = mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), t)
+    p0 = _centre(a, t)
     lo, hi = cutoff.support
     reach = _reach(group, a, t_max) + 1
     torus = group.torus
@@ -295,17 +301,23 @@ def _grid_anchor(group: CrystGroup) -> tuple[Fraction, Fraction]:
     (A, s_A) times a lattice translation and maps x0 + (Z/n)^2 onto itself
     for every n."""
     a = max(group.point_parts, key=lambda a: group.rotation_turns(a).denominator)
-    return mat_vec(mat_inv(mat_sub(IDENTITY_MAT, a)), group.coset_vectors[a])
+    return _centre(a, group.coset_vectors[a])
 
 
-def _grid_axes(cutoff: CutoffFunction, n_per_unit: int) -> list[np.ndarray]:
+def _centre(a, b) -> tuple[Fraction, Fraction]:
+    """The fixed point (I - A)^-1 b of a rotation (A, b): the integer
+    adjugate of I - A applied to b, over its determinant kappa."""
+    kappa = _kappa(a)
+    return tuple(Fraction(x) / kappa for x in mat_vec(adjugate(mat_sub(IDENTITY_MAT, a)), b))
+
+
+def _grid_axes(cutoff: CutoffFunction, x0, n_per_unit: int) -> list[np.ndarray]:
     """The grid x0 + (Z/n)^2 in the cut-off box [lo, hi)^2, one axis per
     coordinate: the (hi - lo) n points lo + ((x0_i - lo) mod 1/n) + k/n, a
     whole number of periods, each point in the closed box."""
     lo, hi = cutoff.support
     steps = np.arange((hi - lo) * n_per_unit) / n_per_unit
-    return [lo + float((x - lo) % Fraction(1, n_per_unit)) + steps
-            for x in _grid_anchor(cutoff.group)]
+    return [lo + float((x - lo) % Fraction(1, n_per_unit)) + steps for x in x0]
 
 
 def _box_dist2(gram, q: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -327,54 +339,101 @@ def _box_dist2(gram, q: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(inside, 0.0, np.min(edges, axis=0))
 
 
-def _grid_sums(cutoff: CutoffFunction, tau: complex, kappa: int, centres: np.ndarray,
-               kept: list, ts: list, n_per_unit: int) -> list[complex]:
-    """Sums of tau sum_h c(x) k_t(hx, x) over the grid of _grid_axes at one
-    size, one per t, for the members about the rows of centres.
+# The largest |cross exponent| 2 s kappa g01 |delta_i Y_j| a row strip of the
+# separable kernel may reach; strips are narrowed to keep below it.
+CROSS_LIMIT = 40.0
+
+
+def _grid_sums(cutoff: CutoffFunction, x0, tau: complex, kappa: int, centres: np.ndarray,
+               kept: list, ts: list, n_per_unit: int) -> list[tuple[complex, complex]]:
+    """(S_n, S_2n) per t: the sums of tau sum_h c(x) k_t(hx, x) over the grids
+    of _grid_axes anchored at x0 at sizes n and 2n, for the members about the
+    rows of centres.
 
     The members come sorted by their box minimum of d^2, and at the k-th t only
-    the first kept[k] are summed; truncation_bound covers the rest.  d^2 =
-    kappa (|x|^2_G - 2 <x, q>_G + |q|^2_G) is one product of the member rows
-    kappa (1, -2 G q, |q|^2_G) with the monomials (|x|^2_G, x, y, 1) of a
-    block of points, both taken about the box's middle to keep the
-    cancellation small.  The grid is walked in row blocks of at most
-    HEAT_BLOCK points, with the cut-off evaluated once per block on its axis
-    vectors (the rows as a column, the axis as a row), and the members in
-    chunks so that no member x point array exceeds HEAT_BLOCK entries; a
-    chunk's d^2 is formed only while some t still needs it, once, and shared
-    by every such t.
+    the first kept[k] are summed; truncation_bound covers the rest.  Only the
+    2n grid is built, and the cut-off is evaluated once on it, per row block
+    of at most HEAT_BLOCK points on its axis vectors (the rows as a column,
+    the axis as a row).  The n grid is its sub-grid of every other point,
+    starting on each axis at the parity read off the exact anchor.
+
+    About the box's middle, with points (X_i, Y_j) and a row strip of centre
+    Xc, X_i = Xc + delta_i, the exponent -s kappa |x - q|^2_G, s = 1/4t,
+    splits into a row factor per member, -s kappa (g00 (X_i - qx)^2 - 2 g01
+    delta_i qy), a column factor per member, -s kappa (2 g01 (Xc - qx) (Y_j -
+    qy) + g11 (Y_j - qy)^2), and a cross factor -2 s kappa g01 delta_i Y_j
+    shared by every member.  A member's strip sum is then one product, rows @
+    (c o cross) . columns, and takes exponentials per row and per column, not
+    per point.  Strips are narrow enough that |cross exponent| < CROSS_LIMIT
+    (a diagonal Gram matrix gives one per block); each member's row factor is
+    divided by its maximum over the strip and its column factor multiplied by
+    it, so no factor overflows, and a factor that underflows only drops terms
+    far below the kernel floor.  Members are taken in chunks so that no array
+    exceeds HEAT_BLOCK entries.
     """
     gram = cutoff.group.gram
     g00, g01, g11 = (float(x) for x in (gram[0][0], gram[0][1], gram[1][1]))
     lo, hi = cutoff.support
     mid = (lo + hi) / 2
+    fine = 2 * n_per_unit
+    xs, ys = _grid_axes(cutoff, x0, fine)
+    # the n grid's points are the 2n grid's with indices p, p + 2, ... on each axis
+    px, py = (math.floor((x - lo) * fine) % 2 for x in x0)
+    big_x, big_y = xs - mid, ys - mid
     qx, qy = (centres - mid).T
-    wx, wy = g00 * qx + g01 * qy, g01 * qx + g11 * qy
-    coef = kappa * np.stack([np.ones_like(qx), -2 * wx, -2 * wy, qx * wx + qy * wy], axis=1)
-    xs, ys = _grid_axes(cutoff, n_per_unit)
-    scales = [-1.0 / (4 * t) for t in ts]
-    sums = np.zeros(len(ts))
     rows = max(1, HEAT_BLOCK // ys.size)
+    # the cross exponent grows by at most this per row of a strip, at s kappa = 1
+    spread = abs(g01) * float(np.max(np.abs(big_y))) / fine
+    sums = np.zeros((len(ts), 2))
     for r0 in range(0, xs.size, rows):
-        col, row = xs[r0:r0 + rows, None], ys[None, :]
-        cvals = cutoff.grid(col, row).ravel()
-        gx, gy = (g.ravel() - mid for g in np.broadcast_arrays(col, row))
-        monomials = np.stack([g00 * gx * gx + 2 * g01 * gx * gy + g11 * gy * gy,
-                              gx, gy, np.ones_like(gx)])
-        chunk = max(1, HEAT_BLOCK // gx.size)
-        for k0 in range(0, max(kept), chunk):
-            d2 = coef[k0:k0 + chunk] @ monomials
-            for k, (scale, m) in enumerate(zip(scales, kept)):
-                c = min(chunk, m - k0)
-                if c > 0:
-                    sums[k] += np.sum(np.exp(d2[:c] * scale) @ cvals)
-    weight = tau * cutoff.group.torus.area * n_per_unit ** -2
-    return [weight * float(v) / (4 * math.pi * t) for v, t in zip(sums, ts)]
+        cvals = cutoff.grid(xs[r0:r0 + rows, None], ys[None, :])
+        block_x = big_x[r0:r0 + rows]
+        for k, (t, m) in enumerate(zip(ts, kept)):
+            sk = kappa / (4 * t)
+            height = _strip_height(sk * spread, block_x.size)
+            chunk = max(1, HEAT_BLOCK // max(ys.size, height))
+            for s0 in range(0, block_x.size, height):
+                strip_x = block_x[s0:s0 + height]
+                mid_x = (strip_x[0] + strip_x[-1]) / 2
+                delta = strip_x - mid_x
+                weights = cvals[s0:s0 + height]
+                if g01:
+                    weights = weights * np.exp(np.outer(delta * (-2 * sk * g01), big_y))
+                coarse_rows = slice((px - r0 - s0) % 2, None, 2)
+                coarse_weights = weights[coarse_rows, py::2]
+                for c0 in range(0, m, chunk):
+                    cx, cy = qx[c0:min(c0 + chunk, m), None], qy[c0:min(c0 + chunk, m), None]
+                    dx = strip_x - cx
+                    row_exp = (-sk) * (g00 * dx * dx - 2 * g01 * delta * cy)
+                    row_max = row_exp.max(axis=1, keepdims=True)
+                    row = np.exp(row_exp - row_max)
+                    dy = big_y - cy
+                    col = np.exp((-sk) * (2 * g01 * (mid_x - cx) * dy + g11 * dy * dy) + row_max)
+                    sums[k, 1] += np.vdot(row @ weights, col)
+                    sums[k, 0] += np.vdot(row[:, coarse_rows] @ coarse_weights, col[:, py::2])
+    area = cutoff.group.torus.area
+    return [tuple(tau * area * float(v) / (size * size * 4 * math.pi * t)
+                  for v, size in zip(pair, (n_per_unit, fine)))
+            for pair, t in zip(sums, ts)]
+
+
+def _strip_height(spread: float, rows: int) -> int:
+    """Rows per strip of a block of `rows`: the most h with spread h <
+    CROSS_LIMIT, which bounds the strip's |cross exponent|, and at least 1."""
+    if spread * rows < CROSS_LIMIT:
+        return rows
+    return max(1, math.ceil(CROSS_LIMIT / spread) - 1) if spread else 1
 
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
-    data = fiber_eigendata(model.group.rotation_turns(point_part))
-    return Scalars.to_complex(deloc_chern(data, FLOAT))
+    return _turn_supertrace(model.group.rotation_turns(point_part))
+
+
+@functools.cache
+def _turn_supertrace(turns: Fraction) -> complex:
+    """The untwisted fiber supertrace tau of a rotation by `turns`, a pure
+    function of the turn."""
+    return Scalars.to_complex(deloc_chern(fiber_eigendata(turns), FLOAT))
 
 
 def t_independence(model: QuotientModel, cls: ConjugacyClassHandle,

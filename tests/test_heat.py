@@ -1,6 +1,7 @@
 """Heat lab: kernels, localized heat traces, orbital integrals."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,8 +232,7 @@ class TestHeatTrace:
     def test_error_estimate_gates_values_near_zero(self, monkeypatch):
         # coarse 2 tol and fine tol/2: a value of tol/2 with error estimate 1.5 tol
         tol = QUAD.tolerance
-        sums = iter([[2 * tol], [tol / 2]])
-        monkeypatch.setattr(heat, "_grid_sums", lambda *args: next(sums))
+        monkeypatch.setattr(heat, "_grid_sums", lambda *args: [(2 * tol, tol / 2)])
         with pytest.raises(ResolutionError):
             heat_traces(P4, CLASSES["r_origin"], [0.1], QUAD)
 
@@ -314,15 +314,16 @@ def test_grid_on_axes_equals_grid_on_points(name, kind):
 
 
 def _smooth_bump_sizes(monkeypatch, model, label):
-    """Per grid sum of `heat --t 0.1 --cutoff smooth` on the class, its
-    number of grid points per axis and the sizes of the bumps it evaluates."""
+    """Per grid size of `heat --t 0.1 --cutoff smooth` on the class, the
+    number of points per axis of the one grid it builds, the 2n grid, and the
+    sizes of the bumps it evaluates."""
     cls = {c.label: c for c in cryst_fixed_classes(model.group)}[label]
     quad = QuadratureSpec.for_model(model, 0.1)
     seen = []
     real_sums, real_bump = heat._grid_sums, sectors._bump_np
 
     def sums_spy(*args):
-        seen.append((3 * args[-1], []))
+        seen.append((3 * 2 * args[-1], []))
         return real_sums(*args)
 
     def bump_spy(u):
@@ -339,9 +340,10 @@ def test_smooth_cutoff_bumps_run_on_axis_vectors(monkeypatch):
     # p4 r_center as `heat --t 0.1 --cutoff smooth` runs it: per row block,
     # 2 bumps for the numerator and 3 per coordinate per point part, each on
     # at most one axis of n grid points, never on the rows x n block; t = 0.1
-    # takes 8 points per unit
+    # takes 8 points per unit, and the cut-off runs on the 16 per unit grid
+    # alone, as the 8 per unit one is its sub-grid
     seen = _smooth_bump_sizes(monkeypatch, P4, "r_center")
-    assert [n for n, _ in seen] == [24, 48]
+    assert [n for n, _ in seen] == [48]
     for n, sizes in seen:
         blocks = -(-n // (heat.HEAT_BLOCK // n))
         assert len(sizes) == (2 + 4 * 2 * 3) * blocks
@@ -353,7 +355,7 @@ def test_smooth_grid_on_sheared_p4_is_sized_by_t(monkeypatch):
     # and maps the grid anchored at its centre onto itself, so the sheared
     # lattice takes the same small grid as the square one
     seen = _smooth_bump_sizes(monkeypatch, SHEARED_P4, "r_origin")
-    assert [n for n, _ in seen] == [24, 48]
+    assert [n for n, _ in seen] == [48]
     for n, sizes in seen:
         assert len(sizes) == (2 + 4 * 2 * 3) * -(-n // (heat.HEAT_BLOCK // n))
 
@@ -448,9 +450,10 @@ def _heat_traces_unpruned(model, cls, ts, quad, cutoff, centres):
     m = np.array(mat_sub(IDENTITY_MAT, a), dtype=float)
     translations = centres @ m.T
     values = {}
+    x0 = heat._grid_anchor(model.group)
     for t in ts:
         n = 2 * heat._grid_size(model, t, quad.tolerance)
-        gx, gy = np.meshgrid(*heat._grid_axes(cutoff, n), indexing="ij")
+        gx, gy = np.meshgrid(*heat._grid_axes(cutoff, x0, n), indexing="ij")
         c = cutoff.grid(gx, gy)
         total = 0j
         for b0, b1 in translations:
@@ -492,18 +495,19 @@ def test_pruned_sum_matches_every_member(case):
 def test_members_summed_per_t(monkeypatch, ts, kind, summed):
     # p4 r_center as the CLI runs it: the members that reach 2^-60 on the
     # cut-off box at t_max are all built, and each t sums the prefix that
-    # reaches it; the smooth kind's box is larger
+    # reaches it on both grids of its size, in one kernel call; the smooth
+    # kind's box is larger
     seen = []
     real = heat._grid_sums
 
-    def spy(cutoff, tau, kappa, centres, kept, ts, n_per_unit):
+    def spy(cutoff, x0, tau, kappa, centres, kept, ts, n_per_unit):
         seen.append((len(centres), kept))
-        return real(cutoff, tau, kappa, centres, kept, ts, n_per_unit)
+        return real(cutoff, x0, tau, kappa, centres, kept, ts, n_per_unit)
 
     monkeypatch.setattr(heat, "_grid_sums", spy)
     quad = QuadratureSpec.for_model(P4, max(ts), 1e-6)
     heat_traces(P4, CLASSES["r_center"], ts, quad, build_cutoff(P4, kind))
-    assert seen == [summed, summed]
+    assert seen == [summed]
 
 
 P2 = make_p2()
@@ -531,13 +535,13 @@ def test_summed_members_are_those_that_reach_the_floor(monkeypatch, label):
     seen = []
     real = heat._grid_sums
 
-    def spy(cutoff, tau, kappa, centres, kept, ts, n_per_unit):
+    def spy(cutoff, x0, tau, kappa, centres, kept, ts, n_per_unit):
         seen.append(centres[:kept[0]])
-        return real(cutoff, tau, kappa, centres, kept, ts, n_per_unit)
+        return real(cutoff, x0, tau, kappa, centres, kept, ts, n_per_unit)
 
     monkeypatch.setattr(heat, "_grid_sums", spy)
     heat_traces(P2, cls, [t], QuadratureSpec.for_model(P2, t), cutoff)
-    assert len(seen) == 2
+    assert len(seen) == 1
     for got in seen:
         assert np.array_equal(got, want)
 
@@ -551,6 +555,93 @@ def test_translation_class_is_zero_without_members_or_grid(monkeypatch, t):
     monkeypatch.setattr(heat, "_grid_sums", lambda *args: pytest.fail("summed"))
     cls = translation_class(P4.group, (Fraction(1), Fraction(0)))
     assert g_heat_trace(P4, cls, t, QuadratureSpec.for_model(P4, t, 1e-9)) == 0
+
+
+def _dense_grid_sums(cutoff, x0, tau, kappa, centres, kept, ts, n_per_unit):
+    """Reference grid sums, one per t, on the grid of size n alone: every
+    member's d^2 at every point as one product of the member rows kappa (1,
+    -2 G q, |q|^2_G) with the point monomials (|x|^2_G, x, y, 1), about the
+    box's middle, and one exp per member per point."""
+    gram = cutoff.group.gram
+    g00, g01, g11 = (float(x) for x in (gram[0][0], gram[0][1], gram[1][1]))
+    lo, hi = cutoff.support
+    mid = (lo + hi) / 2
+    qx, qy = (centres - mid).T
+    wx, wy = g00 * qx + g01 * qy, g01 * qx + g11 * qy
+    coef = kappa * np.stack([np.ones_like(qx), -2 * wx, -2 * wy, qx * wx + qy * wy], axis=1)
+    xs, ys = heat._grid_axes(cutoff, x0, n_per_unit)
+    gx, gy = (g.ravel() - mid for g in np.meshgrid(xs, ys, indexing="ij"))
+    cvals = cutoff.grid(xs[:, None], ys[None, :]).ravel()
+    monomials = np.stack([g00 * gx * gx + 2 * g01 * gx * gy + g11 * gy * gy,
+                          gx, gy, np.ones_like(gx)])
+    weight = tau * cutoff.group.torus.area * n_per_unit ** -2
+    return [weight * float(np.sum(np.exp((coef[:m] @ monomials) * (-1.0 / (4 * t))) @ cvals))
+            / (4 * math.pi * t) for m, t in zip(kept, ts)]
+
+
+KERNEL_MODELS = {
+    "p4": P4,
+    "p2": make_p2(),
+    "p4_sheared": SHEARED_P4,
+    "p2_lattice_2_1_0_3": make_p2([[2, 1], [0, 3]]),
+    "p4_lattice_8I": make_p4([[2, -2], [2, 2]]),
+}
+KERNEL_TIMES = (0.005, 0.05, 0.1, 0.2, 1.0)
+
+
+@pytest.mark.parametrize("cross_limit", [heat.CROSS_LIMIT, 0.0], ids=["strips", "row_strips"])
+@pytest.mark.parametrize("kind", ["indicator", "smooth"])
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_separable_kernel_matches_the_dense_sum(monkeypatch, name, kind, cross_limit):
+    # both sums of the separable kernel against one exp per member per point,
+    # each on its own grid, for every rotation class and t, with each t's
+    # kept prefix of the members enumerated for the largest t.  A cross limit
+    # of 0 makes every row its own strip, on the diagonal lattices as well.
+    # The coarse sum, read off every other point of the fine grid, also
+    # equals the fine sum of the kernel at half the size
+    monkeypatch.setattr(heat, "CROSS_LIMIT", cross_limit)
+    model = KERNEL_MODELS[name]
+    cutoff = build_cutoff(model, kind)
+    x0 = heat._grid_anchor(model.group)
+    rotations = [c.class_handle for c in model.sectors
+                 if not c.class_handle.representative.is_translation]
+    for cls in rotations:
+        a = cls.representative.point_part
+        tau, kappa = heat._supertrace_factor(model, a), heat._kappa(a)
+        centres, d2_min = heat._members_in_reach(cls, cutoff, max(KERNEL_TIMES))
+        for t in KERNEL_TIMES:
+            kept = [int(np.count_nonzero(np.exp(d2_min / (-4 * t)) >= KERNEL_FLOOR))]
+            n = heat._grid_size(model, t, 1e-6)
+            [(coarse, fine)] = heat._grid_sums(cutoff, x0, tau, kappa, centres, kept, [t], n)
+            [want_coarse] = _dense_grid_sums(cutoff, x0, tau, kappa, centres, kept, [t], n)
+            [want_fine] = _dense_grid_sums(cutoff, x0, tau, kappa, centres, kept, [t], 2 * n)
+            assert abs(coarse - want_coarse) < 1e-13, (cls.label, t)
+            assert abs(fine - want_fine) < 1e-13, (cls.label, t)
+            [(_, half_fine)] = heat._grid_sums(cutoff, x0, tau, kappa, centres, kept, [t], n // 2)
+            assert abs(coarse - half_fine) < 1e-13, (cls.label, t)
+
+
+def test_kernel_memory_is_bounded_by_the_block_on_the_largest_grid():
+    # p4 smooth at t = 6e-4 takes n = 64, the largest grid heat forms: 384
+    # points per axis on the fine grid, 147,456 in all.  The kernel's peak
+    # allocation stays within eight arrays of HEAT_BLOCK floats, as the grid
+    # is walked in row blocks and the members in chunks
+    t = 6e-4
+    cutoff = build_cutoff(P4, "smooth")
+    assert heat._grid_size(P4, t, 1e-6) == heat.GRID_SIZES[-1]
+    x0 = heat._grid_anchor(P4.group)
+    for label in ("r_origin", "r_center", "r2_edge"):
+        cls = CLASSES[label]
+        a = cls.representative.point_part
+        centres, _ = heat._members_in_reach(cls, cutoff, t)
+        tracemalloc.start()
+        try:
+            heat._grid_sums(cutoff, x0, 1.0, heat._kappa(a), centres, [len(centres)], [t],
+                            heat.GRID_SIZES[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * heat.HEAT_BLOCK * 8, (label, peak)
 
 
 TAIL_MODELS = {
@@ -570,12 +661,13 @@ def test_truncation_bound_bounds_every_omitted_member(name, kind):
     # it.  Far from the box on a large lattice the terms underflow to 0
     model = TAIL_MODELS[name]
     cutoff = build_cutoff(model, kind)
+    x0 = heat._grid_anchor(model.group)
     rotations = [c.class_handle for c in model.sectors
                  if not c.class_handle.representative.is_translation]
     seen_positive = False
     for t in (0.005, 0.2, 1.0):
         quad = QuadratureSpec.for_model(model, t, 1e-6)
-        n = 2 * heat._grid_size(model, t, quad.tolerance)
+        n = heat._grid_size(model, t, quad.tolerance)
         for cls in rotations:
             a = cls.representative.point_part
             kappa = heat._kappa(a)
@@ -585,8 +677,9 @@ def test_truncation_bound_bounds_every_omitted_member(name, kind):
             assert kept.sum() == len(heat._members_in_reach(cls, cutoff, t)[0])
             omitted = ~kept & (d2_min <= 8 * t * math.log(1 / KERNEL_FLOOR))
             tau = abs(heat._supertrace_factor(model, a))
-            total = heat._grid_sums(cutoff, tau, kappa, around[omitted], [int(omitted.sum())],
-                                    [t], n)[0].real
+            # the fine sum S_2n of the kernel at size n
+            total = heat._grid_sums(cutoff, x0, tau, kappa, around[omitted],
+                                    [int(omitted.sum())], [t], n)[0][1].real
             assert total <= quad.tail_bound, (cls.label, t)
             seen_positive |= total > 0
     assert seen_positive
@@ -670,7 +763,7 @@ def test_anchored_grid_is_gamma_invariant(name, kind):
     for n in heat.GRID_SIZES:
         axes = [[lo + (x - lo) % Fraction(1, n) + Fraction(k, n) for k in range((hi - lo) * n)]
                 for x in x0]
-        for got, want in zip(heat._grid_axes(cutoff, n), axes):
+        for got, want in zip(heat._grid_axes(cutoff, x0, n), axes):
             assert np.max(np.abs(got - np.array(want, dtype=float))) <= 1e-15
             assert lo <= min(want) and max(want) < hi
         # the points as integers over a common denominator d

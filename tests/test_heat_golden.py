@@ -115,8 +115,9 @@ def test_heat_command_work_counts(monkeypatch, t_values):
     monkeypatch.setattr(CutoffFunction, "grid", counted("cutoff_grid", CutoffFunction.grid))
     code, _ = _heat(FIXTURE_DIR / "p4.json", ["--class", "r_center", "--t", t_values])
     assert code == 0
-    # one cut-off grid per grid size, n and 2n, none per t; no ball scans
-    assert counts == Counter({"cutoff_grid": 2})
+    # one cut-off grid per grid size, on the 2n grid, whose sub-grid is the
+    # n grid, and none per t; no ball scans
+    assert counts == Counter({"cutoff_grid": 1})
 
 
 def _record() -> None:
