@@ -1,5 +1,5 @@
 """Surface Riemann-Roch: degree-2 Todd, A-hat and Chern forms, and the one
-fiber supertrace.
+fiber supertrace, a function of a rotation's turn and the twist's turn.
 
 Every full sector component is a surface, so only the degree-2 part of its
 index density is ever integrated.  A Form is a constant plus one coefficient
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Scalars
-from .sectors import FiberEigenData, SectorComponent
+from .sectors import SectorComponent
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,15 @@ def exp_line(gen: str, scalars: Scalars, half: bool = False) -> Form:
     return Form(scalars.one(), {gen: scalars.from_rational(Fraction(1, 2 if half else 1))})
 
 
-def deloc_chern(data: FiberEigenData, scalars: Scalars):
-    """Graded fiber character of flat eigenlines, the package's one fiber
-    supertrace: the sum of e^{2 pi i a} over E+ angles minus the same sum over
-    E- angles (the index pairing demands the supertrace)."""
-    total = scalars.zero()
-    for a in data.plus_turns:
-        total = total + scalars.unit(a)
-    for a in data.minus_turns:
-        total = total - scalars.unit(a)
-    return total
+def deloc_chern(rotation_turns: Fraction, twist_turns: Fraction, scalars: Scalars):
+    """Graded fiber character of a rotation on flat eigenlines, the package's
+    one fiber supertrace: e^{2 pi i a} at the E+ angle minus the same at the
+    E- angle (the index pairing demands the supertrace).  E+, the degree-0
+    part, carries the twist angle and E-, the degree-(0,1) part, the twist
+    angle minus the rotation; both operator kinds see these angles.
+    """
+    total = scalars.zero() + scalars.unit(twist_turns % 1)
+    return total - scalars.unit((twist_turns - rotation_turns) % 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import DomainError, OrbindexError, ResolutionError, StructuralError
 from .exactnum import Scalars
 from .groups import AffineIsometry, CrystGroup, TorusAction, gram_matrix, mat, mat_det
 from .sectors import (
+    OPERATOR_KINDS,
     BundleSpec,
     QuotientModel,
     SphereRotationAction,
@@ -164,7 +165,7 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
 
     _check_fields(bundle_block, {"operatorKind", "twistDegree"}, "$.bundle", errors)
     kind = bundle_block.get("operatorKind", "dolbeault")
-    if kind not in ("dolbeault", "spinc_dirac"):
+    if kind not in OPERATOR_KINDS:
         errors.append(f"$.bundle.operatorKind: unknown kind {kind!r}")
         kind = "dolbeault"
     twist = bundle_block.get("twistDegree", 0)
@@ -418,7 +419,7 @@ def _oracle_value(model: QuotientModel):
     if isinstance(model.group, SphereRotationAction):
         return oracle.sphere_invariant_monomial_count(
             model.bundle.twist_degree, model.group.order).value
-    if model.bundle.twist_degree == 0 and model.bundle.operator_kind == "dolbeault":
+    if model.bundle.twist_degree == 0 and not model.bundle.spin:
         torus = model if isinstance(model.group, TorusAction) else induced_torus_model(model)
         return oracle.torus_invariant_index(torus).value
     return None

@@ -8,11 +8,13 @@ group element rotates the tangent plane by theta (counterclockwise) is
 
 equivalently the reciprocal Todd divisor evaluated at the component's stored
 normal angle.  In exact mode that quotient is a closed form with no field
-inverse (`Scalars.unit_over_divisor`).  The spin^c route computes the same
-point term as the fiber supertrace over the real determinant det(1 - R_theta),
-through the general field inverse, and must agree; full components route
-through Td (dolbeault) or A-hat times the half determinant line (spin^c),
-which coincide in degree 2, the one degree a surface integrates.
+inverse (`Scalars.unit_over_divisor`).  The operator kind is one flag,
+`BundleSpec.spin`, and each function that depends on it takes that flag.  The
+spin^c Dirac operator computes the same point term as the fiber supertrace
+(`char.deloc_chern`) over the real determinant det(1 - R_theta), through the
+general field inverse, and must agree; a full component integrates Td
+(dolbeault) or A-hat times the half determinant line (spin^c), which
+coincide in degree 2, the one degree a surface integrates.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .sectors import (
     SphereRotationAction,
     TorusAction,
     class_components,
-    fiber_eigendata,
     full_geometry,
 )
 
@@ -59,43 +60,36 @@ from .sectors import (
 # Pointwise Lefschetz terms
 # ---------------------------------------------------------------------------
 
-def point_term(normal_turns: Fraction, twist_turns: Fraction, scalars: Scalars, route: str):
+def point_term(normal_turns: Fraction, twist_turns: Fraction, scalars: Scalars, spin: bool):
     """Contribution of one isolated fixed point, before orbit weights; the
     package's one implementation of the fixed-point divisor.
 
-    `route` = "todd": twist character over the complex divisor 1 - e^{-i theta_N}.
-    `route` = "a_hat": fiber supertrace over the real determinant of 1 - R, the
-    fiber data being fiber_eigendata of the point's rotation, -theta_N, and
-    its twist.
+    Dolbeault: twist character over the complex divisor 1 - e^{-i theta_N}.
+    Spin^c: the fiber supertrace of the point's rotation, -theta_N, and its
+    twist, over the real determinant of 1 - R.
     """
-    if route == "todd":
+    if not spin:
         return scalars.unit_over_divisor(twist_turns, normal_turns)
-    if route == "a_hat":
-        det_r = (scalars.one() - scalars.unit(normal_turns)) * \
-                (scalars.one() - scalars.unit(-normal_turns))
-        return deloc_chern(fiber_eigendata((-normal_turns) % 1, twist_turns), scalars) / det_r
-    raise StructuralError(f"unknown Lefschetz route {route!r}")
-
-
-def _route_for(model: QuotientModel) -> str:
-    return "a_hat" if model.bundle.operator_kind == "spinc_dirac" else "todd"
+    det_r = (scalars.one() - scalars.unit(normal_turns)) * \
+            (scalars.one() - scalars.unit(-normal_turns))
+    return deloc_chern(-normal_turns, twist_turns, scalars) / det_r
 
 
 def component_value(component: SectorComponent, model: QuotientModel):
     """Orbifold integral of the delocalized index density over one component."""
-    scalars, route = model.scalars, _route_for(model)
+    scalars, spin = model.scalars, model.bundle.spin
     if isinstance(component.geometry, PointOrbit):
         term = point_term(component.normal_angle_turns, component.geometry.twist_turns,
-                          scalars, route)
+                          scalars, spin)
         return term * scalars.from_rational(component.geometry.weight)
     curv = component_curvature(component.geometry.tangent_chern, model.bundle.twist_degree)
-    form = _full_component_form(curv, scalars, route)
+    form = _full_component_form(curv, scalars, spin)
     return orbifold_integrate(form, component, curv, scalars)
 
 
-def _full_component_form(curv: ComponentCurvature, scalars: Scalars, route: str) -> Form:
+def _full_component_form(curv: ComponentCurvature, scalars: Scalars, spin: bool) -> Form:
     ch_w = chern_char(["w"], scalars)
-    if route == "todd":
+    if not spin:
         return todd_form(curv, scalars) * ch_w
     # spin^c normalization: A-hat times the square root of the determinant line
     form = a_hat_form(curv, scalars)
@@ -116,32 +110,32 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
     """
     if isinstance(model.group, CrystGroup):
         raise StructuralError("Lefschetz evaluator requires a compact model")
-    scalars, route = model.scalars, _route_for(model)
+    scalars, spin = model.scalars, model.bundle.spin
 
     if isinstance(model.group, SphereRotationAction):
         n = model.group.order
         j = g % n
         k = model.bundle.twist_degree
         if j == 0:
-            return _ordinary_index(model, scalars, route)
+            return _ordinary_index(model, scalars, spin)
         rot = Fraction(j, n)
-        north = point_term((-rot) % 1, Fraction(0), scalars, route)
-        south = point_term(rot, Fraction(j * k, n) % 1, scalars, route)
+        north = point_term((-rot) % 1, Fraction(0), scalars, spin)
+        south = point_term(rot, Fraction(j * k, n) % 1, scalars, spin)
         return north + south
 
     action: TorusAction = model.group
     a, u = action.pairs[g]
     if a == IDENTITY_MAT:
-        return _ordinary_index(model, scalars, route) if u == (0, 0) else scalars.zero()
+        return _ordinary_index(model, scalars, spin) if u == (0, 0) else scalars.zero()
     count = len(torus_fixed_points(a, u, action.den)[1])
-    term = point_term(action.normal_turns(a), Fraction(0), scalars, route)
+    term = point_term(action.normal_turns(a), Fraction(0), scalars, spin)
     return term * scalars.from_rational(count)
 
 
-def _ordinary_index(model: QuotientModel, scalars: Scalars, route: str):
+def _ordinary_index(model: QuotientModel, scalars: Scalars, spin: bool):
     curv = component_curvature(full_geometry(model.group).tangent_chern,
                                model.bundle.twist_degree)
-    return surface_integral(_full_component_form(curv, scalars, route), curv, scalars)
+    return surface_integral(_full_component_form(curv, scalars, spin), curv, scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,7 @@ def psc_flag(report: IndexReport, model: QuotientModel) -> tuple[Optional[bool],
     for dolbeault-kind input, the flag is suppressed with a note rather than
     reported false.
     """
-    if model.bundle.operator_kind != "spinc_dirac":
+    if not model.bundle.spin:
         return None, "flag suppressed: operator kind is not spin-type"
     flat_twist = -1 if isinstance(model.group, SphereRotationAction) else 0
     if model.bundle.twist_degree != flat_twist:

@@ -404,9 +404,6 @@ class TorusAction:
     def area(self) -> float:
         return math.sqrt(float(mat_det(self.gram)))
 
-    def rotation_turns(self, g: int) -> Fraction:
-        return self.turns[self.pairs[g][0]]
-
     def normal_turns(self, a: IMat) -> Fraction:
         """The angle of A^-1, which is A's angle negated mod 1: the normal
         angle of A's fixed points.  A has det 1, so A^-1 is its adjugate."""
@@ -465,10 +462,6 @@ class CrystGroup:
         if not self.contains(g):
             raise StructuralError(f"{g} does not belong to the group")
         return g
-
-    def rotation_turns(self, a: IMat) -> Fraction:
-        """Rotation angle of a point part as a fraction of a full turn."""
-        return self.torus.turns[a]
 
     # -- element enumeration -------------------------------------------------
 
@@ -671,20 +664,14 @@ def torus_fixed_points(a: IMat, u: IVec, den: int) -> tuple[int, list[IVec]]:
     return big, pts
 
 
-def fixed_set(g: AffineIsometry, torus: bool) -> FixedSetDescriptor:
-    """Fixed locus of an orientation-preserving g on the plane or, when
-    `torus`, on the torus of lattice coordinates mod Z^2, where the
-    det(I - A) points of a rotation come from `torus_fixed_points`."""
+def fixed_set(g: AffineIsometry) -> FixedSetDescriptor:
+    """Fixed locus of an orientation-preserving g on the plane: everything,
+    nothing, or the one centre of a rotation.  On the torus mod Z^2 the
+    det(I - A) fixed points of a rotation come from `torus_fixed_points`."""
     a, t = g.point_part, g.translation
     if a == IDENTITY_MAT:
-        offset_ok = (vec_frac(t) == (0, 0)) if torus else (t == (0, 0))
-        return FixedSetDescriptor("full") if offset_ok else FixedSetDescriptor("empty")
+        return FixedSetDescriptor("full" if t == (0, 0) else "empty")
     m = mat_sub(IDENTITY_MAT, a)
     if mat_det(m) == 0:
         raise StructuralError("orientation-reversing isometries have no isolated fixed points")
-    if not torus:
-        return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))
-    den, (u,) = over_denominator([t])
-    big, pts = torus_fixed_points(a, u, den)
-    return FixedSetDescriptor("points", tuple(vec_over(x, big) for x in pts))
-
+    return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))

@@ -51,7 +51,6 @@ from .sectors import (
     QuotientModel,
     build_cutoff,
     class_components,
-    fiber_eigendata,
 )
 
 FLOAT = Scalars("float")
@@ -300,7 +299,7 @@ def _grid_anchor(group: CrystGroup) -> tuple[Fraction, Fraction]:
     and the translations are exactly Z^2, so every element is a power of
     (A, s_A) times a lattice translation and maps x0 + (Z/n)^2 onto itself
     for every n."""
-    a = max(group.point_parts, key=lambda a: group.rotation_turns(a).denominator)
+    a = max(group.point_parts, key=lambda a: group.torus.turns[a].denominator)
     return _centre(a, group.coset_vectors[a])
 
 
@@ -426,14 +425,14 @@ def _strip_height(spread: float, rows: int) -> int:
 
 
 def _supertrace_factor(model: QuotientModel, point_part) -> complex:
-    return _turn_supertrace(model.group.rotation_turns(point_part))
+    return _turn_supertrace(model.group.torus.turns[point_part])
 
 
 @functools.cache
 def _turn_supertrace(turns: Fraction) -> complex:
     """The untwisted fiber supertrace tau of a rotation by `turns`, a pure
     function of the turn."""
-    return Scalars.to_complex(deloc_chern(fiber_eigendata(turns), FLOAT))
+    return Scalars.to_complex(deloc_chern(turns, Fraction(0), FLOAT))
 
 
 def t_independence(model: QuotientModel, cls: ConjugacyClassHandle,

@@ -97,7 +97,7 @@ def torus_invariant_index(model: QuotientModel) -> OracleResult:
     """
     if not isinstance(model.group, TorusAction):
         raise DomainError("oracle expects a finite torus action")
-    if model.bundle.operator_kind != "dolbeault" or model.bundle.twist_degree != 0:
+    if model.bundle.spin or model.bundle.twist_degree != 0:
         raise DomainError("oracle supports untwisted dolbeault only")
     action = model.group
     h0 = 1  # constants are invariant under any affine isometry

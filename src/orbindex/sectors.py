@@ -22,8 +22,10 @@ Angle convention used throughout: `normal_angle_turns` of a component is the
 rotation angle of the *inverse* of the class representative on the normal
 plane, normalized to (0, 1) turns.  This is the angle of the automorphism that
 enters the delocalized divisors and equals the eigen-angle carried by the
-antiholomorphic normal line, so the divisor formulas, the fiber eigen-data and
-the heat-kernel supertrace all agree without per-call sign fixups.
+antiholomorphic normal line, so the divisor formulas, the fiber supertrace
+(`char.deloc_chern`) and the heat-kernel supertrace all agree without
+per-call sign fixups.  Every rule that depends on the operator kind reads
+one flag, `BundleSpec.spin`, from `OPERATOR_KINDS`.
 """
 
 from __future__ import annotations
@@ -88,10 +90,14 @@ GroupAction = Union[CrystGroup, TorusAction, SphereRotationAction]
 # Bundles and models
 # ---------------------------------------------------------------------------
 
+# operator kind -> is it the spin^c Dirac operator?
+OPERATOR_KINDS = {"dolbeault": False, "spinc_dirac": True}
+
+
 @dataclass(frozen=True)
 class BundleSpec:
     """Operator kind plus twist: together they fix every fiber character,
-    by the one rule of `fiber_eigendata`.
+    by the one rule of `char.deloc_chern`.
 
     `twist_degree` is also the first Chern number of the twist over the
     compact model (k for O(k) on the sphere).
@@ -101,8 +107,13 @@ class BundleSpec:
     twist_degree: int = 0
 
     def __post_init__(self):
-        if self.operator_kind not in ("dolbeault", "spinc_dirac"):
+        if self.operator_kind not in OPERATOR_KINDS:
             raise StructuralError(f"unknown operator kind {self.operator_kind!r}")
+
+    @property
+    def spin(self) -> bool:
+        """Is the operator the spin^c Dirac operator?"""
+        return OPERATOR_KINDS[self.operator_kind]
 
 
 @dataclass(frozen=True)
@@ -171,12 +182,6 @@ def full_geometry(group: GroupAction) -> FullComponentGeometry:
                                  2 if isinstance(group, SphereRotationAction) else 0)
 
 
-@dataclass(frozen=True)
-class FiberEigenData:
-    plus_turns: tuple[Fraction, ...]
-    minus_turns: tuple[Fraction, ...]
-
-
 @dataclass
 class SectorComponent:
     """One connected component of a twisted sector."""
@@ -194,27 +199,6 @@ class SectorComponent:
     @property
     def label(self) -> str:
         return self.class_handle.label
-
-
-# ---------------------------------------------------------------------------
-# Fiber eigen-data
-# ---------------------------------------------------------------------------
-
-def fiber_eigendata(rotation_turns: Fraction,
-                    twist_turns: Fraction = Fraction(0)) -> FiberEigenData:
-    """Eigen-angles (in turns) of a class representative on the fiber: the one
-    fiber rule of every route.
-
-    Dolbeault rule on a surface: the degree-0 part carries angle 0 and the
-    degree-(0,1) part carries minus the rotation angle; an equivariant twist
-    shifts both lists by the twist angle.  The same spinor data drives the
-    spin^c route, so the two normalizations see identical eigen-angles.  At
-    rotation 0 the two lists agree, so the graded character is 0.
-    """
-    theta = rotation_turns % 1
-    plus = ((twist_turns) % 1,)
-    minus = ((twist_turns - theta) % 1,)
-    return FiberEigenData(plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +394,7 @@ def class_components(model: QuotientModel,
     fixed set really is empty."""
     comps = [c for c in model.sectors if c.label == cls.label]
     if not comps and isinstance(model.group, CrystGroup) \
-            and fixed_set(cls.representative, torus=False).kind != "empty":
+            and fixed_set(cls.representative).kind != "empty":
         raise StructuralError(f"class {cls.label} missing from the sector list")
     return comps
 

@@ -27,7 +27,7 @@ from orbindex.char import (
 from orbindex.engine import point_term
 from orbindex.exactnum import Cyclo, Scalars
 from orbindex.groups import ConjugacyClassHandle, FiniteGroupTable
-from orbindex.sectors import FiberEigenData, FullComponentGeometry, SectorComponent
+from orbindex.sectors import FullComponentGeometry, SectorComponent
 
 SX = Scalars("exact", 4)
 SPHERE = ComponentCurvature({"t": Fraction(2), "w": Fraction(0)})
@@ -138,26 +138,43 @@ class TestPointDivisor:
     ], ids=["half_turn", "quarter_turn"])
     def test_todd_point_divisor(self, turns, want):
         # 1/(1 - e^{-i theta}) at the stored normal angle, untwisted
-        assert point_term(turns, Fraction(0), SX, "todd") == want
+        assert point_term(turns, Fraction(0), SX, False) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12, 24])
+    def test_spinc_and_dolbeault_point_terms_agree(self, n):
+        # the fiber supertrace over the real determinant equals the twist
+        # character over the complex divisor at every normal angle j/n and
+        # twist angle k/n: exactly in exact mode, to rounding in float mode
+        exact, flt = Scalars("exact", math.lcm(4, n)), Scalars("float", math.lcm(4, n))
+        for j in range(1, n):
+            for k in range(n):
+                normal, twist = Fraction(j, n), Fraction(k, n)
+                assert point_term(normal, twist, exact, True) == \
+                    point_term(normal, twist, exact, False), (j, k)
+                spin = point_term(normal, twist, flt, True)
+                dolbeault = point_term(normal, twist, flt, False)
+                assert abs(spin - dolbeault) <= 1e-14 * abs(dolbeault), (j, k)
 
 
 class TestDelocChern:
-    def test_trivial_action_is_graded_rank(self):
-        # all angles zero: ch(E+) - ch(E-) at a point is rank difference
-        data = FiberEigenData((Fraction(0), Fraction(0)), (Fraction(0),))
-        assert deloc_chern(data, SX) == 1  # 2 - 1
+    def test_dolbeault_rule(self):
+        # E+ carries the twist angle and E- the twist angle minus the rotation
+        s12 = Scalars("exact", 12)
+        for twist in (Fraction(0), Fraction(1, 3)):
+            assert deloc_chern(Fraction(1, 4), twist, s12) == \
+                s12.unit(twist) - s12.unit(twist - Fraction(1, 4))
 
     def test_rank_one_rotation(self):
-        data = FiberEigenData((Fraction(0),), (Fraction(-1, 4) % 1,))
-        assert deloc_chern(data, SX) == 1 + Cyclo.zeta(4)  # 1 - e^{-i pi/2}
+        assert deloc_chern(Fraction(1, 4), Fraction(0), SX) == 1 + Cyclo.zeta(4)  # 1 - e^{-i pi/2}
 
     def test_half_turn_gives_two(self):
-        data = FiberEigenData((Fraction(0),), (Fraction(1, 2),))
-        assert deloc_chern(data, SX) == 2
+        # E- carries e^{-i pi} = -1
+        assert deloc_chern(Fraction(1, 2), Fraction(0), SX) == 2
 
     def test_flat_eigenlines_cancel(self):
-        data = FiberEigenData((Fraction(0),), (Fraction(0),))
-        assert deloc_chern(data, SX) == 0
+        # at rotation 0 both lines carry the twist angle, at any twist
+        for twist in (Fraction(0), Fraction(1, 4), Fraction(3, 4)):
+            assert deloc_chern(Fraction(0), twist, SX) == 0
 
 
 def _identity_component(n: int, geometry: FullComponentGeometry) -> SectorComponent:

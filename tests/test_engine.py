@@ -76,7 +76,7 @@ class TestLefschetz:
             equivariant_lefschetz(make_p4(), 0)
 
     def test_spinc_route_equals_todd_route(self):
-        # the operator kind picks the route: the spin^c twin of a dolbeault
+        # the spin flag picks the formulas: the spin^c twin of a dolbeault
         # model goes through A-hat and the half determinant line
         for model, n in ((square_torus_rotation_model(4, "e_z4"), 4),
                          (sphere_model(3, 7, "s2"), 3)):

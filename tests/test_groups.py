@@ -24,7 +24,9 @@ from orbindex.groups import (
     mat_transpose,
     matrix_order,
     rotation_turns_for_gram,
+    torus_fixed_points,
     vec_frac,
+    vec_over,
     IDENTITY_MAT,
     TorusAction,
 )
@@ -207,8 +209,8 @@ class TestCrystGroup:
 
     def test_rotation_angle(self):
         p4 = make_p4()
-        assert p4.rotation_turns(ROT) == Fraction(1, 4)
-        assert p4.rotation_turns(((-1, 0), (0, -1))) == Fraction(1, 2)
+        assert p4.torus.turns[ROT] == Fraction(1, 4)
+        assert p4.torus.turns[((-1, 0), (0, -1))] == Fraction(1, 2)
 
     def test_crystallographic_restriction_rejected(self):
         # order-5 "rotation" matrix cannot preserve any rational Gram matrix,
@@ -301,7 +303,7 @@ class TestCosetSection:
         # centers of pi/2-rotations biject with the lattice
         centers = set()
         for c in conjugates:
-            fs = fixed_set(c, torus=False)
+            fs = fixed_set(c, )
             assert fs.kind == "points"
             centers.add(fs.points[0])
         assert all(x.denominator == 1 and y.denominator == 1 for x, y in centers)
@@ -348,37 +350,35 @@ class TestCosetSection:
 class TestFixedSets:
     def test_rotation_on_plane(self):
         p4 = make_p4()
-        fs = fixed_set(p4.element(ROT, (0, 0)), torus=False)
+        fs = fixed_set(p4.element(ROT, (0, 0)), )
         assert fs.kind == "points" and fs.points == ((0, 0),)
 
     def test_multiplication_by_i_on_square_torus(self):
-        fs = fixed_set(AffineIsometry.of(ROT, (0, 0)), torus=True)
-        assert fs.kind == "points"
-        assert set(fs.points) == {(0, 0), (Fraction(1, 2), Fraction(1, 2))}
+        den, points = torus_fixed_points(ROT, (0, 0), 1)
+        assert {vec_over(x, den) for x in points} == {(0, 0), (Fraction(1, 2), Fraction(1, 2))}
 
     def test_pure_translation_empty(self):
-        assert fixed_set(AffineIsometry.of(IDENTITY_MAT, (1, 0)), torus=False).kind == "empty"
+        assert fixed_set(AffineIsometry.of(IDENTITY_MAT, (1, 0)), ).kind == "empty"
 
     def test_identity_full(self):
-        assert fixed_set(AffineIsometry.identity(), torus=False).kind == "full"
+        assert fixed_set(AffineIsometry.identity(), ).kind == "full"
 
     def test_torus_count_equals_det(self):
         rng = random.Random(3)
         mats = [ROT, ((-1, 0), (0, -1)), ((0, 1), (-1, -1)), ((0, -1), (1, -1))]
         for a in mats:
-            t = (Fraction(rng.randint(0, 3), 4), Fraction(rng.randint(0, 3), 4))
-            g = AffineIsometry.of(a, t)
+            u = (rng.randint(0, 3), rng.randint(0, 3))
             m = mat_sub(IDENTITY_MAT, a)
-            fs = fixed_set(g, torus=True)
-            assert len(fs.points) == abs(mat_det(m))
+            _, points = torus_fixed_points(a, u, 4)
+            assert len(points) == abs(mat_det(m))
 
     def test_equivariance_under_conjugation(self):
         p4 = make_p4()
         g = p4.element(ROT, (1, 0))
-        fs_g = fixed_set(g, torus=False)
+        fs_g = fixed_set(g, )
         for h in p4.elements_in_ball(Fraction(1))[:20]:
             conj = h.compose(g).compose(h.inverse())
-            fs_c = fixed_set(conj, torus=False)
+            fs_c = fixed_set(conj, )
             assert fs_c.points == tuple(h.apply(p) for p in fs_g.points)
 
     def test_reflection_and_glide_rejected(self):
@@ -387,7 +387,7 @@ class TestFixedSets:
         glide = AffineIsometry.of(((1, 0), (0, -1)), (Fraction(1, 2), 0))
         for g in (refl, glide):
             with pytest.raises(StructuralError):
-                fixed_set(g, torus=False)
+                fixed_set(g, )
 
 
 # ---------------------------------------------------------------------------

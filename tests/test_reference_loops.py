@@ -27,7 +27,6 @@ from orbindex.groups import (
     FixedSetDescriptor,
     centralizer,
     enumerate_classes_finite,
-    fixed_set,
     mat,
     mat_det,
     mat_inv,
@@ -40,6 +39,7 @@ from orbindex.groups import (
     vec_add,
     vec_frac,
     vec_mod,
+    vec_over,
 )
 from orbindex.sectors import (
     BundleSpec,
@@ -95,6 +95,14 @@ def ref_torus_fixed_set(g):
     pts = {vec_frac(mat_vec(minv, vec_add(t, (Fraction(p), Fraction(q)))))
            for p in range(n) for q in range(n)}
     return FixedSetDescriptor("points", tuple(sorted(pts)))
+
+
+def _torus_fixed_set(g):
+    """The fixed points of a rotation g on the torus mod Z^2, by the integer
+    routine that replaced `ref_torus_fixed_set`."""
+    den, (u,) = over_denominator([g.translation])
+    big, points = torus_fixed_points(g.point_part, u, den)
+    return FixedSetDescriptor("points", tuple(vec_over(x, big) for x in points))
 
 
 def ref_orbit_decompose(points, elems):
@@ -166,7 +174,7 @@ def ref_cryst_classes(group):
         a = g.point_part
         if a == IDENTITY_MAT:
             continue
-        power = int(group.rotation_turns(a) / unit)
+        power = int(group.torus.turns[a] / unit)
         part_name = f"r{power}" if power > 1 else "r"
         used_tags = {}
         centers = ref_fraction_fixed_points(g)
@@ -196,7 +204,7 @@ def ref_torus_labels(action):
                 t = vec_frac(iso.translation)
                 label = f"t{t[0]}_{t[1]}".replace("/", "d")
             else:
-                label = f"r{int(action.rotation_turns(g) / _min_rotation_unit(action))}"
+                label = f"r{int(action.turns[iso.point_part] / _min_rotation_unit(action))}"
         if label in seen:
             seen[label] += 1
             label = f"{label}_{seen[label]}"
@@ -218,7 +226,7 @@ def ref_sector_rows(model):
                 rows.append((label, "full", rep, None, None, None, None,
                              group.point_group_order))
             else:
-                normal = (-group.rotation_turns(rep.point_part)) % 1
+                normal = (-group.torus.turns[rep.point_part]) % 1
                 rows.append((label, "p0", rep, center, weight, 1, normal, int(1 / weight)))
         return rows
     table = group.table
@@ -229,7 +237,7 @@ def ref_sector_rows(model):
                 rows.append((label, "full", g, None, None, None, None, table.order))
             continue
         zc = [group.isometries[z] for z in centralizer(g, table)]
-        normal = (-group.rotation_turns(g)) % 1
+        normal = (-group.turns[iso.point_part]) % 1
         points = ref_fraction_fixed_points(iso)
         for i, (p, orbit) in enumerate(ref_orbits_mod_lattice(points, zc)[1]):
             weight = Fraction(len(orbit), len(zc))
@@ -340,7 +348,7 @@ def test_closure_matches_the_fraction_reference(case):
        t=TRANSLATION)
 def test_torus_fixed_points_match_the_fraction_reference(a, t):
     g = AffineIsometry.of(a, t)
-    got = fixed_set(g, torus=True)
+    got = _torus_fixed_set(g)
     assert got == ref_torus_fixed_set(g)
     assert got.points == ref_fraction_fixed_points(g)
     assert len(got.points) == mat_det(mat_sub(IDENTITY_MAT, a))
@@ -364,7 +372,7 @@ def test_orbits_and_table_match_the_fraction_reference(case):
     assert action.table.product == ref_torus_table(elems)
     for g in elems:
         if g.point_part != IDENTITY_MAT:
-            points = fixed_set(g, torus=True).points
+            points = _torus_fixed_set(g).points
             assert _orbit_decompose(points, action) == ref_orbit_decompose(points, elems)
             assert _orbit_points(points, action) == [
                 {vec_frac(z.apply(p)) for z in elems}

@@ -18,6 +18,7 @@ from orbindex.groups import (
     vec_supnorm,
 )
 from orbindex.sectors import (
+    OPERATOR_KINDS,
     BundleSpec,
     CutoffFunction,
     TorusAction,
@@ -25,7 +26,6 @@ from orbindex.sectors import (
     cryst_fixed_classes,
     cutoff_on_fixed_set_direct,
     enumerate_sectors,
-    fiber_eigendata,
     fixed_set_cutoff,
     induced_torus_model,
     sphere_model,
@@ -122,19 +122,14 @@ class TestEnumeration:
             TorusAction([refl], gram)
 
 
-class TestFiberEigendata:
-    def test_dolbeault_rule(self):
-        data = fiber_eigendata(Fraction(1, 4))
-        assert data.plus_turns == (Fraction(0),)
-        assert data.minus_turns == (Fraction(3, 4),)  # -theta mod 1
+class TestOperatorKinds:
+    def test_spin_is_the_kind_table_bit(self):
+        assert {kind: BundleSpec(kind).spin for kind in OPERATOR_KINDS} == \
+            {"dolbeault": False, "spinc_dirac": True}
 
-    def test_identity_all_zero(self):
-        data = fiber_eigendata(Fraction(0))
-        assert data.plus_turns == (Fraction(0),) and data.minus_turns == (Fraction(0),)
-
-    def test_half_turn_eigenvalue(self):
-        data = fiber_eigendata(Fraction(1, 2))
-        assert data.minus_turns == (Fraction(1, 2),)  # e^{-i pi} = -1
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(StructuralError, match="unknown operator kind"):
+            BundleSpec("bogus")
 
 
 class TestCutoffs:
@@ -252,7 +247,7 @@ def test_torus_action_table_comes_from_the_closure():
     gram = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     action = TorusAction([AffineIsometry.of(ROT, (Fraction(1, 2), Fraction(1, 2)))], gram)
     assert action.table.product == FiniteGroupTable.cyclic(4).product
-    assert [action.rotation_turns(g) for g in range(4)] == \
+    assert [action.turns[a] for a, _ in action.pairs] == \
         [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
 
 
