@@ -25,7 +25,6 @@ from .sectors import (
     QuotientModel,
     SphereRotationAction,
     build_cutoff,
-    class_components,
     induced_torus_model,
     translation_class,
 )
@@ -133,6 +132,14 @@ def _parse_generator(block, path: str, errors: list[str]) -> AffineIsometry:
     return AffineIsometry.of(m, tv)
 
 
+# ambient kind -> (ambient fields, group kind, group fields)
+SCENE_KINDS = {
+    "plane": ({"kind"}, "wallpaper", {"kind", "lattice", "generators"}),
+    "torus": ({"kind", "lattice"}, "finite_torus", {"kind", "generators"}),
+    "sphere": ({"kind", "radius"}, "polar_rotation", {"kind", "order"}),
+}
+
+
 def parse_model(doc: dict, name: str = "model") -> QuotientModel:
     """Validate a model document and build the QuotientModel, or raise with
     the full list of schema violations."""
@@ -174,55 +181,42 @@ def parse_model(doc: dict, name: str = "model") -> QuotientModel:
         twist = 0
 
     akind = ambient_block.get("kind")
-    gkind = group_block.get("kind")
+    scene = SCENE_KINDS.get(akind) if isinstance(akind, str) else None
+    if scene is None:
+        errors.append(f"$.ambient.kind: unknown ambient {akind!r}")
+        raise ModelValidationError(errors)
+    ambient_fields, gkind, group_fields = scene
+    _check_fields(ambient_block, ambient_fields, "$.ambient", errors)
+    _check_fields(group_block, group_fields, "$.group", errors)
+    if group_block.get("kind") != gkind:
+        errors.append(f"$.group.kind: {akind} models need a {gkind!r} group")
+        raise ModelValidationError(errors)
     try:
-        if akind == "plane":
-            _check_fields(ambient_block, {"kind"}, "$.ambient", errors)
-            _check_fields(group_block, {"kind", "lattice", "generators"}, "$.group", errors)
-            if gkind != "wallpaper":
-                errors.append("$.group.kind: plane models need a 'wallpaper' group")
-                raise ModelValidationError(errors)
-            lattice = _lattice(group_block.get("lattice", [[1, 0], [0, 1]]),
-                               "$.group.lattice", errors)
-            gens = _generators(group_block, errors)
-            if errors:
-                raise ModelValidationError(errors)
-            action = CrystGroup(lattice, gens)
-            _check_area(action, "$.group.lattice", errors)
-        elif akind == "torus":
-            _check_fields(ambient_block, {"kind", "lattice"}, "$.ambient", errors)
-            _check_fields(group_block, {"kind", "generators"}, "$.group", errors)
-            if gkind != "finite_torus":
-                errors.append("$.group.kind: torus models need a 'finite_torus' group")
-                raise ModelValidationError(errors)
-            lattice = _lattice(ambient_block.get("lattice", [[1, 0], [0, 1]]),
-                               "$.ambient.lattice", errors)
-            gens = _generators(group_block, errors)
-            if errors:
-                raise ModelValidationError(errors)
-            action = TorusAction(gens, gram_matrix(mat(lattice)))
-            _check_area(action, "$.ambient.lattice", errors)
-        elif akind == "sphere":
-            _check_fields(ambient_block, {"kind", "radius"}, "$.ambient", errors)
-            _check_fields(group_block, {"kind", "order"}, "$.group", errors)
-            if gkind != "polar_rotation":
-                errors.append("$.group.kind: sphere models need a 'polar_rotation' group")
-                raise ModelValidationError(errors)
+        if akind == "sphere":
             order = group_block.get("order", 1)
             if not _is_int(order) or order < 1 or order > 24:
                 errors.append("$.group.order: expected an integer in [1, 24]")
                 raise ModelValidationError(errors)
+            area_path = "$.ambient.radius"
             before = len(errors)
-            radius = _rational(ambient_block.get("radius", "1"), "$.ambient.radius", errors)
+            radius = _rational(ambient_block.get("radius", "1"), area_path, errors)
             if len(errors) == before and radius <= 0:
-                errors.append(f"$.ambient.radius: expected a positive radius, got {radius}")
-            if errors:
-                raise ModelValidationError(errors)
-            action = SphereRotationAction(order, radius)
-            _check_area(action, "$.ambient.radius", errors)
+                errors.append(f"{area_path}: expected a positive radius, got {radius}")
         else:
-            errors.append(f"$.ambient.kind: unknown ambient {akind!r}")
+            # a plane model keeps its lattice in the group block, a torus model in the ambient
+            block, area_path = ((group_block, "$.group.lattice") if akind == "plane"
+                                else (ambient_block, "$.ambient.lattice"))
+            lattice = _lattice(block.get("lattice", [[1, 0], [0, 1]]), area_path, errors)
+            gens = _generators(group_block, errors)
+        if errors:
             raise ModelValidationError(errors)
+        if akind == "plane":
+            action = CrystGroup(lattice, gens)
+        elif akind == "torus":
+            action = TorusAction(gens, gram_matrix(mat(lattice)))
+        else:
+            action = SphereRotationAction(order, radius)
+        _check_area(action, area_path, errors)
         return QuotientModel(action, BundleSpec(kind, twist), name, mode, tolerance)
     except StructuralError as exc:
         errors.append(str(exc))
@@ -241,15 +235,10 @@ def load_model(path: str | Path) -> QuotientModel:
 # Class lookup
 # ---------------------------------------------------------------------------
 
-def model_classes(model: QuotientModel) -> dict:
-    """label -> class handle for the sector-bearing classes."""
-    return {c.label: c.class_handle for c in model.sectors}
-
-
 def lookup_class(model: QuotientModel, label: str):
-    classes = model_classes(model)
+    classes = model.classes
     if label in classes:
-        return classes[label]
+        return classes[label][0].class_handle
     if isinstance(model.group, CrystGroup) and label.startswith("t"):
         body = label[1:]
         try:
@@ -277,12 +266,11 @@ def _complex_pair(value) -> list[str]:
     return [_f17(z.real), _f17(z.imag)]
 
 
-def _fixed_summary(model: QuotientModel, handle) -> str:
-    comps = class_components(model, handle)
-    if comps[0].is_full:
-        return "full"
-    n = sum(c.geometry.orbit_size for c in comps)
-    return f"{n} point" + ("s" if n > 1 else "")
+def _class_row(label: str, comps) -> dict:
+    """A class's label, kind and fixed set, from its sector components."""
+    n = sum(c.geometry.orbit_size for c in comps if not c.is_full)
+    fixed = "full" if comps[0].is_full else f"{n} point" + ("s" if n > 1 else "")
+    return {"label": label, "kind": comps[0].class_handle.kind_tag, "fixedSet": fixed}
 
 
 def base_report(model: QuotientModel, command: str, cutoff_kind: str = "indicator") -> dict:
@@ -314,14 +302,7 @@ def write_report(report: dict, sink) -> None:
 
 def cmd_classes(model: QuotientModel) -> tuple[dict, int]:
     report = base_report(model, "classes")
-    rows = []
-    for label, handle in sorted(model_classes(model).items()):
-        rows.append({
-            "label": label,
-            "kind": handle.kind_tag,
-            "fixedSet": _fixed_summary(model, handle),
-        })
-    report["rows"] = rows
+    report["rows"] = [_class_row(label, comps) for label, comps in model.classes.items()]
     return report, 0
 
 
@@ -429,17 +410,8 @@ def cmd_verify(model: QuotientModel) -> tuple[dict, int]:
     oracle_value = _oracle_value(model)
     rep = engine.sum_identity(model, oracle_value)
     report = base_report(model, "verify")
-    classes = model_classes(model)
-    rows = []
-    for label in sorted(rep.per_class):
-        handle = classes[label]
-        rows.append({
-            "label": label,
-            "kind": handle.kind_tag,
-            "fixedSet": _fixed_summary(model, handle),
-            "value": _complex_pair(rep.per_class[label]),
-        })
-    report["rows"] = rows
+    report["rows"] = [{**_class_row(label, comps), "value": _complex_pair(rep.per_class[label])}
+                      for label, comps in model.classes.items()]
     report["totals"] = {
         "kawasaki": _complex_pair(rep.kawasaki_total),
         "sumLocalized": _complex_pair(rep.assembly_total),

@@ -14,7 +14,9 @@ spin^c Dirac operator computes the same point term as the fiber supertrace
 (`char.deloc_chern`) over the real determinant det(1 - R_theta), through the
 general field inverse, and must agree; a full component integrates Td
 (dolbeault) or A-hat times the half determinant line (spin^c), which
-coincide in degree 2, the one degree a surface integrates.
+coincide in degree 2, the one degree a surface integrates.  On a torus a
+rotation's Lefschetz number is its point term times det(I - A), the number
+of its fixed points, so it shares no fixed-point code with the sector table.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .groups import (
     CrystGroup,
     adjugate,
     centralizer,
-    torus_fixed_points,
+    enumerate_classes_finite,
+    mat_det,
+    mat_sub,
 )
 from .sectors import (
     PointOrbit,
@@ -127,9 +131,9 @@ def equivariant_lefschetz(model: QuotientModel, g: int):
     a, u = action.pairs[g]
     if a == IDENTITY_MAT:
         return _ordinary_index(model, scalars, spin) if u == (0, 0) else scalars.zero()
-    count = len(torus_fixed_points(a, u, action.den)[1])
+    # a rotation has det(I - A) fixed points on the torus, each with one term
     term = point_term(action.normal_turns(a), Fraction(0), scalars, spin)
-    return term * scalars.from_rational(count)
+    return term * scalars.from_rational(mat_det(mat_sub(IDENTITY_MAT, a)))
 
 
 def _ordinary_index(model: QuotientModel, scalars: Scalars, spin: bool):
@@ -169,7 +173,6 @@ def finite_assembly(model: QuotientModel) -> AssemblyResult:
         avg = avg + v
     avg = avg * scalars.from_rational(Fraction(1, table.order))
 
-    from .groups import enumerate_classes_finite
     ctotal = scalars.zero()
     for cls in enumerate_classes_finite(table):
         z = len(centralizer(cls.representative, table))
@@ -217,15 +220,17 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
     """Per-class localized indices, their sum against the quotient index, and
     the conjugate-pair reality checks."""
     scalars = model.scalars
-    comps = model.sectors
-    values = [component_value(c, model) for c in comps]
-    per_class = {c.label: scalars.zero() for c in comps}
-    # the same additions, in the same order, as the per-class and the
-    # kawasaki_index sums, so float reports stay bit-identical
+    # per class in table order: the additions of the localized_index and the
+    # kawasaki_index sums, in their order, so float reports stay bit-identical
+    per_class = {}
     kawasaki_total = scalars.zero()
-    for c, v in zip(comps, values):
-        per_class[c.label] = per_class[c.label] + v
-        kawasaki_total = kawasaki_total + v
+    for label, comps in model.classes.items():
+        value = scalars.zero()
+        for c in comps:
+            v = component_value(c, model)
+            value = value + v
+            kawasaki_total = kawasaki_total + v
+        per_class[label] = value
 
     assembly_total = scalars.zero()
     for v in per_class.values():
@@ -239,14 +244,11 @@ def sum_identity(model: QuotientModel, oracle_value=None) -> IndexReport:
         residuals["total_vs_oracle"] = abs(Scalars.to_complex(assembly_total)
                                            - Scalars.to_complex(oracle_value))
 
-    pair_reality = {}
+    # every class's inverse is a class of the table too
     inverse_label = _inverse_class_labels(model)
-    for label, value in per_class.items():
-        partner = inverse_label.get(label)
-        if partner is None or partner not in per_class:
-            continue
-        s = Scalars.to_complex(value) + Scalars.to_complex(per_class[partner])
-        pair_reality[label] = abs(s.imag)
+    pair_reality = {label: abs((Scalars.to_complex(value)
+                                + Scalars.to_complex(per_class[inverse_label[label]])).imag)
+                    for label, value in per_class.items()}
 
     integrality = scalars.is_integer(kawasaki_total, model.tolerance)
 
@@ -273,12 +275,15 @@ def _inverse_class_labels(model: QuotientModel) -> dict:
     one of A^-1 with the same least centre.
     """
     group = model.group
+    firsts = {label: comps[0] for label, comps in model.classes.items()}
     if not isinstance(group, CrystGroup):
-        class_of = {m: c.label for c in model.sectors for m in c.class_handle.members()}
-        return {c.label: class_of[group.table.inv(c.class_handle.representative)]
-                for c in model.sectors}
-    keys = {c.label: (c.class_handle.representative.point_part,
-                      None if c.is_full else c.geometry.representative) for c in model.sectors}
+        class_of = {m: label for label, c in firsts.items() for m in c.class_handle.members()}
+        return {label: class_of[group.table.inv(c.class_handle.representative)]
+                for label, c in firsts.items()}
+    # a plane class has one component: the whole plane, or its least centre
+    keys = {label: (c.class_handle.representative.point_part,
+                    None if c.is_full else c.geometry.representative)
+            for label, c in firsts.items()}
     label_of = {key: label for label, key in keys.items()}
     # det A = 1, so A^-1 is the adjugate
     return {label: label_of[adjugate(a), q]

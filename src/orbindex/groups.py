@@ -12,8 +12,9 @@ translation times one common denominator D, and a TorusAction keeps them:
 its table, the fixed points of its elements (`torus_fixed_points`) and the
 orbits of points mod Z^2 (`orbit_split`) are computed from those integers,
 and a Fraction is made only for a value handed out, such as an isometry's
-translation.  The Gram matrix of a basis is formed in integers too.  All
-values are immutable after construction.
+translation.  A rotation's centre (I - A)^-1 b has one solver,
+`rotation_centre`, in the integer adjugate of I - A.  The Gram matrix of a
+basis is formed in integers too.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -529,9 +530,8 @@ def conjugate_test(g, h, group: GroupLike) -> bool:
         return any(mat_vec(b, g.translation) == h.translation for b in group.point_parts)
     # I - A is invertible for every rotation A != I: w solves
     # (I - A) w = a_h - B a_g and must lie in s_B + lattice
-    minv = mat_inv(mat_sub(IDENTITY_MAT, a))
     for b in group.point_parts:
-        w = mat_vec(minv, vec_sub(h.translation, mat_vec(b, g.translation)))
+        w = rotation_centre(a, vec_sub(h.translation, mat_vec(b, g.translation)))
         if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
             return True
     return False
@@ -550,10 +550,9 @@ def centralizer(g, group: GroupLike) -> tuple:
         raise DomainError("a translation has an infinite centralizer")
     # every B commutes with A, and (I - A) w = (I - B) a_g has one rational
     # solution per B
-    minv = mat_inv(mat_sub(IDENTITY_MAT, a))
     elems = []
     for b in group.point_parts:
-        w = mat_vec(minv, vec_sub(t, mat_vec(b, t)))
+        w = rotation_centre(a, vec_sub(t, mat_vec(b, t)))
         if vec_frac(vec_sub(w, group.coset_vectors[b])) == (0, 0):
             elems.append(AffineIsometry(b, w))
     return tuple(sorted(elems, key=group._order_key))
@@ -643,6 +642,15 @@ def enumerate_classes_finite(table: FiniteGroupTable) -> list[ConjugacyClassHand
 # Fixed sets of affine isometries
 # ---------------------------------------------------------------------------
 
+def rotation_centre(a: IMat, b) -> Vec:
+    """The fixed point (I - A)^-1 b of a rotation (A, b), A != I: the integer
+    adjugate of I - A applied to b times its denominator D, over D det(I - A)."""
+    m = mat_sub(IDENTITY_MAT, a)
+    den, [u] = over_denominator([b])
+    big = den * mat_det(m)
+    return tuple(Fraction(x, big) for x in mat_vec(adjugate(m), u))  # type: ignore[return-value]
+
+
 def torus_fixed_points(a: IMat, u: IVec, den: int) -> tuple[int, list[IVec]]:
     """The fixed points of x -> A x + u / den on the torus mod Z^2, A a
     rotation other than I: their denominator den det(I - A) and the points
@@ -671,7 +679,6 @@ def fixed_set(g: AffineIsometry) -> FixedSetDescriptor:
     a, t = g.point_part, g.translation
     if a == IDENTITY_MAT:
         return FixedSetDescriptor("full" if t == (0, 0) else "empty")
-    m = mat_sub(IDENTITY_MAT, a)
-    if mat_det(m) == 0:
+    if mat_det(mat_sub(IDENTITY_MAT, a)) == 0:
         raise StructuralError("orientation-reversing isometries have no isolated fixed points")
-    return FixedSetDescriptor("points", (mat_vec(mat_inv(m), t),))
+    return FixedSetDescriptor("points", (rotation_centre(a, t),))

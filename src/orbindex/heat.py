@@ -4,7 +4,8 @@ Only models whose action is a CrystGroup are heat-verified: on the plane the
 heat kernel is the exact Gaussian (4 pi t)^{-n/2} e^{-d^2/4t} with identity
 fiber transport, so quadrature checks the index identities without curved
 parametrices.  A rotation member h = (A, (I - A) q) is the Gaussian about its
-centre q, |hx - x|^2_G = kappa |x - q|^2_G with kappa = det(I - A).  At each
+centre q, |hx - x|^2_G = kappa |x - q|^2_G with kappa = det(I - A), and
+`groups.rotation_centre` solves every centre a class or grid needs.  At each
 t exactly the members whose kernel reaches 2^-60 on the cut-off box are
 summed; their centres are enumerated out to that reach at the largest t, and
 one closed-form lattice Gaussian tail bound covers the rest.  Both cut-off
@@ -40,11 +41,10 @@ from .groups import (
     ConjugacyClassHandle,
     CrystGroup,
     IDENTITY_MAT,
-    adjugate,
     mat_det,
     mat_sub,
-    mat_vec,
     orbit_split,
+    rotation_centre,
 )
 from .sectors import (
     CutoffFunction,
@@ -248,7 +248,7 @@ def _members_in_reach(cls: ConjugacyClassHandle, cutoff: CutoffFunction,
     """
     group: CrystGroup = cls.group
     a, t = cls.representative.point_part, cls.representative.translation
-    p0 = _centre(a, t)
+    p0 = rotation_centre(a, t)
     lo, hi = cutoff.support
     reach = _reach(group, a, t_max) + 1
     torus = group.torus
@@ -300,14 +300,7 @@ def _grid_anchor(group: CrystGroup) -> tuple[Fraction, Fraction]:
     (A, s_A) times a lattice translation and maps x0 + (Z/n)^2 onto itself
     for every n."""
     a = max(group.point_parts, key=lambda a: group.torus.turns[a].denominator)
-    return _centre(a, group.coset_vectors[a])
-
-
-def _centre(a, b) -> tuple[Fraction, Fraction]:
-    """The fixed point (I - A)^-1 b of a rotation (A, b): the integer
-    adjugate of I - A applied to b, over its determinant kappa."""
-    kappa = _kappa(a)
-    return tuple(Fraction(x) / kappa for x in mat_vec(adjugate(mat_sub(IDENTITY_MAT, a)), b))
+    return rotation_centre(a, group.coset_vectors[a])
 
 
 def _grid_axes(cutoff: CutoffFunction, x0, n_per_unit: int) -> list[np.ndarray]:

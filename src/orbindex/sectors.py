@@ -12,11 +12,13 @@ point group's action on the torus plane/lattice as a TorusAction, and that
 action is the spectral oracle's induced torus model.  Sectors are enumerated
 per connected component: each fixed-point-bearing conjugacy class
 contributes one component per centralizer-orbit of isolated fixed points, or
-one full component.  On both flat actions the class table (labels, centres,
-weights, representatives and local group orders) is read off the closure's
+one full component.  On both flat actions one pass over the closure's
 integer pairs (A, u) over one denominator, `TorusAction.pairs`, through
-`groups.torus_fixed_points` and `groups.orbit_split`; a Fraction is built
-once for each value a component hands out.
+`groups.torus_fixed_points` and `groups.orbit_split`, gives the classes and
+their components (labels, centres, weights, representatives and local group
+orders); a Fraction is built once for each value a component hands out.
+`QuotientModel.classes` indexes that table by class label, and every reader
+of a class's components looks them up there.
 
 Angle convention used throughout: `normal_angle_turns` of a component is the
 rotation angle of the *inverse* of the class representative on the normal
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Union
 
 import numpy as np
@@ -143,6 +146,12 @@ class QuotientModel:
         """Every sector component, sorted by label: the one table that every
         command reads."""
         return tuple(enumerate_sectors(self))
+
+    @cached_property
+    def classes(self) -> dict[str, tuple[SectorComponent, ...]]:
+        """label -> the class's sector components, in table order: the one
+        class index, read off the table, which is sorted by label."""
+        return {label: tuple(comps) for label, comps in groupby(self.sectors, lambda c: c.label)}
 
     @cached_property
     def scalars(self) -> Scalars:
@@ -379,9 +388,9 @@ def cutoff_on_fixed_set_direct(cutoff: CutoffFunction, cls: ConjugacyClassHandle
 def enumerate_sectors(model: QuotientModel) -> list[SectorComponent]:
     """All connected components of all nonempty twisted sectors, sorted by label."""
     if isinstance(model.group, CrystGroup):
-        comps = _sectors_cryst(model)
+        comps = _sectors_cryst(model.group)
     elif isinstance(model.group, TorusAction):
-        comps = _sectors_torus(model)
+        comps = _sectors_torus(model.group)
     else:
         comps = _sectors_sphere(model)
     comps.sort(key=lambda c: (c.class_handle.label, c.component_tag))
@@ -389,19 +398,19 @@ def enumerate_sectors(model: QuotientModel) -> list[SectorComponent]:
 
 
 def class_components(model: QuotientModel,
-                     cls: ConjugacyClassHandle) -> list[SectorComponent]:
-    """The sector components of class `cls`, or [] after checking that its
-    fixed set really is empty."""
-    comps = [c for c in model.sectors if c.label == cls.label]
+                     cls: ConjugacyClassHandle) -> tuple[SectorComponent, ...]:
+    """The sector components of class `cls`, looked up in the class index,
+    or () after checking that its fixed set really is empty."""
+    comps = model.classes.get(cls.label, ())
     if not comps and isinstance(model.group, CrystGroup) \
             and fixed_set(cls.representative).kind != "empty":
         raise StructuralError(f"class {cls.label} missing from the sector list")
     return comps
 
 
-def _full_component(model: QuotientModel, handle: ConjugacyClassHandle,
+def _full_component(action: GroupAction, handle: ConjugacyClassHandle,
                     order: int) -> SectorComponent:
-    return SectorComponent(handle, "full", full_geometry(model.group), None, order)
+    return SectorComponent(handle, "full", full_geometry(action), None, order)
 
 
 def _point_component(handle, tag, point, stabilizer, orbit_size, normal_turns,
@@ -413,8 +422,7 @@ def _point_component(handle, tag, point, stabilizer, orbit_size, normal_turns,
                            normal_turns, stabilizer)
 
 
-def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
-    action: TorusAction = model.group
+def _sectors_torus(action: TorusAction) -> list[SectorComponent]:
     table = action.table
     comps: list[SectorComponent] = []
     for handle in _torus_class_handles(action):
@@ -423,7 +431,7 @@ def _sectors_torus(model: QuotientModel) -> list[SectorComponent]:
         if a == IDENTITY_MAT:
             # the pairs are distinct mod D, so only the identity is (I, 0)
             if u == (0, 0):
-                comps.append(_full_component(model, handle, table.order))
+                comps.append(_full_component(action, handle, table.order))
             continue
         den, points = torus_fixed_points(a, u, action.den)
         moves = action.pairs_over(den)
@@ -443,7 +451,7 @@ def _sectors_sphere(model: QuotientModel) -> list[SectorComponent]:
     for handle in _sphere_class_handles(action):
         j = handle.representative
         if j == 0:
-            comps.append(_full_component(model, handle, n))
+            comps.append(_full_component(action, handle, n))
             continue
         # north pole: rotation by +j/n, normal angle -j/n, untwisted fiber
         # weight; south pole: rotation by -j/n, twist weight j*k/n
@@ -454,15 +462,44 @@ def _sectors_sphere(model: QuotientModel) -> list[SectorComponent]:
     return comps
 
 
-def _sectors_cryst(model: QuotientModel) -> list[SectorComponent]:
-    group: CrystGroup = model.group
-    comps = []
-    for handle, center, stabilizer in _cryst_classes(group):
-        if center is None:
-            comps.append(_full_component(model, handle, group.point_group_order))
-        else:
-            normal = group.torus.normal_turns(handle.representative.point_part)
-            comps.append(_point_component(handle, "p0", center, stabilizer, 1, normal))
+def _sectors_cryst(group: CrystGroup) -> list[SectorComponent]:
+    """One component per class with a nonempty fixed set, in closure order.
+
+    The plane mod the lattice is a torus on which the point group P acts by
+    the pairs (B, s_B).  The point group is cyclic and conjugation fixes
+    point parts, so a rotation class is a rotation part A with one P-orbit
+    of its centers: the fixed points of (A, s_A) on that torus, in integers
+    over the closure's pairs.  The centralizer of a rotation is the
+    stabilizer of its center q in Gamma, and taking point parts maps it one
+    to one onto q's stabilizer in P, of order |P| / |orbit|; the class's
+    representative is (A, (I - A) q) and its component is the point q.  The
+    identity class's component is the whole plane.
+    """
+    identity = ConjugacyClassHandle(group=group, representative=AffineIsometry.identity(),
+                                    kind_tag="infinite-class", label="e")
+    comps = [_full_component(group, identity, group.point_group_order)]
+    torus = group.torus
+    for a, u in torus.pairs:
+        if a == IDENTITY_MAT:
+            continue
+        power = _rotation_power(torus, a)
+        part_name = f"r{power}" if power > 1 else "r"
+        m = mat_sub(IDENTITY_MAT, a)
+        normal = torus.normal_turns(a)
+        used_tags: dict[str, int] = {}
+        den, centers = torus_fixed_points(a, u, torus.den)
+        for ordinal, (x, orbit) in enumerate(orbit_split(centers, torus.pairs_over(den), den)):
+            tag = _center_tag(x, den, ordinal)
+            if tag in used_tags:
+                used_tags[tag] += 1
+                tag = f"{tag}{used_tags[tag]}"
+            else:
+                used_tags[tag] = 1
+            rep = AffineIsometry(a, vec_over(mat_vec(m, x), den))
+            handle = ConjugacyClassHandle(group=group, representative=rep,
+                                          kind_tag="infinite-class", label=f"{part_name}_{tag}")
+            comps.append(_point_component(handle, "p0", vec_over(x, den),
+                                          len(torus.pairs) // len(orbit), 1, normal))
     return comps
 
 
@@ -523,50 +560,8 @@ def _sphere_class_handles(action: SphereRotationAction) -> list[ConjugacyClassHa
 
 def cryst_fixed_classes(group: CrystGroup) -> list[ConjugacyClassHandle]:
     """Conjugacy classes of a wallpaper group with nonempty fixed sets,
-    sorted by label."""
-    return [handle for handle, _, _ in _cryst_classes(group)]
-
-
-def _cryst_classes(group: CrystGroup) \
-        -> list[tuple[ConjugacyClassHandle, Optional[Vec], Optional[int]]]:
-    """(class, center, stabilizer order) for every class with a nonempty
-    fixed set.
-
-    The plane mod the lattice is a torus on which the point group P acts by
-    the pairs (B, s_B).  The point group is cyclic and conjugation fixes
-    point parts, so a rotation class is a rotation part A with one P-orbit
-    of its centers: the fixed points of (A, s_A) on that torus, in integers
-    over the closure's pairs.  The centralizer of a rotation is the
-    stabilizer of its center q in Gamma, and taking point parts maps it one
-    to one onto q's stabilizer in P, of order |P| / |orbit|; the class's
-    representative is (A, (I - A) q).  The identity class has neither a
-    center nor a stabilizer.
-    """
-    identity = ConjugacyClassHandle(group=group, representative=AffineIsometry.identity(),
-                                    kind_tag="infinite-class", label="e")
-    out = [(identity, None, None)]
-    torus = group.torus
-    for a, u in torus.pairs:
-        if a == IDENTITY_MAT:
-            continue
-        power = _rotation_power(torus, a)
-        part_name = f"r{power}" if power > 1 else "r"
-        m = mat_sub(IDENTITY_MAT, a)
-        used_tags: dict[str, int] = {}
-        den, centers = torus_fixed_points(a, u, torus.den)
-        for ordinal, (x, orbit) in enumerate(orbit_split(centers, torus.pairs_over(den), den)):
-            tag = _center_tag(x, den, ordinal)
-            if tag in used_tags:
-                used_tags[tag] += 1
-                tag = f"{tag}{used_tags[tag]}"
-            else:
-                used_tags[tag] = 1
-            rep = AffineIsometry(a, vec_over(mat_vec(m, x), den))
-            handle = ConjugacyClassHandle(group=group, representative=rep,
-                                          kind_tag="infinite-class", label=f"{part_name}_{tag}")
-            out.append((handle, vec_over(x, den), len(torus.pairs) // len(orbit)))
-    out.sort(key=lambda item: item[0].label)
-    return out
+    sorted by label: the handles of the plane sector pass."""
+    return sorted((c.class_handle for c in _sectors_cryst(group)), key=lambda h: h.label)
 
 
 def translation_class(group: CrystGroup, t: Vec) -> ConjugacyClassHandle:

@@ -19,10 +19,13 @@ from orbindex.groups import (
     fixed_set,
     mat,
     mat_det,
+    mat_inv,
     mat_mul,
     mat_sub,
+    mat_vec,
     mat_transpose,
     matrix_order,
+    rotation_centre,
     rotation_turns_for_gram,
     torus_fixed_points,
     vec_frac,
@@ -380,6 +383,22 @@ class TestFixedSets:
             conj = h.compose(g).compose(h.inverse())
             fs_c = fixed_set(conj, )
             assert fs_c.points == tuple(h.apply(p) for p in fs_g.points)
+
+    # rotations of orders 2, 4, 4 on the square lattice and 3, 3, 6, 6 on the
+    # hexagonal one, whose point parts no fixture has
+    @pytest.mark.parametrize("a", [((-1, 0), (0, -1)), ROT, ((0, 1), (-1, 0)),
+                                   ((0, -1), (1, -1)), ((-1, 1), (-1, 0)),
+                                   ((1, -1), (1, 0)), ((0, 1), (-1, 1))])
+    def test_rotation_centre_solves_the_fixed_point_equation(self, a):
+        assert matrix_order(a) in (2, 3, 4, 6)
+        m = mat_sub(IDENTITY_MAT, a)
+        rng = random.Random(str(a))
+        for _ in range(50):
+            b = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+            c = rotation_centre(a, b)
+            assert mat_vec(m, c) == b
+            assert c == mat_vec(mat_inv(m), b)
+            assert all(type(x) is Fraction for x in c)
 
     def test_reflection_and_glide_rejected(self):
         # orientation-reversing input has no isolated fixed points

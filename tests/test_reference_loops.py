@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbindex.cli import FIXTURE_DIR, load_model, parse_model
-from orbindex.engine import _inverse_class_labels
+from orbindex.engine import _inverse_class_labels, equivariant_lefschetz, point_term
 from orbindex.errors import StructuralError
 from orbindex.groups import (
     AffineIsometry,
@@ -45,7 +45,7 @@ from orbindex.sectors import (
     BundleSpec,
     QuotientModel,
     TorusAction,
-    _cryst_classes,
+    cryst_fixed_classes,
     wallpaper_model,
 )
 
@@ -433,9 +433,9 @@ def plane_groups(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(group=plane_groups())
 def test_plane_class_table_matches_the_fraction_reference(group):
-    got = [(h.label, center, stab and Fraction(1, stab), h.representative)
-           for h, center, stab in _cryst_classes(group)]
-    assert got == ref_cryst_classes(group)
+    # the classes' centres and weights are their sector components'
+    got = [(h.label, h.representative) for h in cryst_fixed_classes(group)]
+    assert got == [(label, rep) for label, _, _, rep in ref_cryst_classes(group)]
     model = wallpaper_model(group, "plane")
     assert sector_rows(model) == ref_sector_rows(model)
     _assert_public_fractions(model)
@@ -511,3 +511,41 @@ def test_inverse_class_labels_match_the_conjugacy_scan(name):
     want = ref_inverse_class_labels(model)
     assert None not in want.values()
     assert _inverse_class_labels(model) == want
+
+
+# -- torus Lefschetz numbers against the enumerated fixed points -------------
+
+def ref_torus_lefschetz(model, g):
+    """The route that equivariant_lefschetz replaced on a rotation: its point
+    term times the number of fixed points that torus_fixed_points lists."""
+    action = model.group
+    a, u = action.pairs[g]
+    count = len(torus_fixed_points(a, u, action.den)[1])
+    term = point_term(action.normal_turns(a), Fraction(0), model.scalars, model.bundle.spin)
+    return term * model.scalars.from_rational(count)
+
+
+def _torus_doc(name):
+    if name != "z4_half_shift":
+        return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    # the quarter turn and the translation by (1/2, 1/2) on the unit torus
+    doc = json.loads((FIXTURE_DIR / "e_z4.json").read_text())
+    doc["group"]["generators"].append({"matrix": [[1, 0], [0, 1]],
+                                       "translation": ["1/2", "1/2"]})
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["e_z4", "t2_z2", "torus_free", "z4_half_shift"])
+def test_torus_lefschetz_matches_the_enumerated_fixed_points(name, mode):
+    doc = _torus_doc(name)
+    doc["options"]["mode"] = mode
+    model = parse_model(doc, name)
+    for g in model.group.table.elements():
+        value = equivariant_lefschetz(model, g)
+        if model.group.pairs[g][0] != IDENTITY_MAT:
+            assert value == ref_torus_lefschetz(model, g), g
+        else:
+            # a translation fixes nothing, and the identity gives the flat
+            # torus's untwisted index, 0
+            assert model.scalars.is_zero(value), g

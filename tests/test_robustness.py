@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbindex.cli import FIXTURE_DIR, load_model, model_classes, run_command
+from orbindex.cli import FIXTURE_DIR, load_model, lookup_class, run_command
 from orbindex.errors import OrbindexError
 from orbindex.exactnum import Cyclo, Scalars
 from orbindex.engine import (
@@ -78,15 +78,14 @@ class TestObliqueLattices:
     def _heat_matches_localized(path, t_values, kind, n_rotations):
         # every rotation class passes heat, each perT within 1e-9 of localized
         model = load_model(path)
-        classes = model_classes(model)
-        labels = sorted(label for label in classes if label != "e")
+        labels = sorted(label for label in model.classes if label != "e")
         assert len(labels) == n_rotations
         for label in labels:
             out = io.StringIO()
             code = run_command(["heat", str(path), "--class", label, "--t", t_values,
                                 "--cutoff", kind], out)
             assert code == 0, label
-            want = Scalars.to_complex(localized_index(model, classes[label]))
+            want = Scalars.to_complex(localized_index(model, lookup_class(model, label)))
             for re, im in json.loads(out.getvalue())["rows"][0]["perT"].values():
                 assert abs(complex(float(re), float(im)) - want) < 1e-9, label
 

@@ -1,5 +1,6 @@
 """Sector enumeration, cut-off functions and fixed-set weights."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from orbindex.sectors import (
     CutoffFunction,
     TorusAction,
     build_cutoff,
+    class_components,
     cryst_fixed_classes,
     cutoff_on_fixed_set_direct,
     enumerate_sectors,
@@ -64,6 +66,17 @@ class TestEnumeration:
         assert labels == sorted(labels)
         assert set(labels) == {"e", "r_origin", "r_center", "r3_origin", "r3_center",
                                "r2_origin", "r2_center", "r2_edge"}
+
+    def test_class_components_look_up_the_class_index(self):
+        model = make_p4_model()
+        for handle in cryst_fixed_classes(model.group):
+            assert class_components(model, handle) == model.classes[handle.label]
+        # a translation fixes nothing, so its class has no components
+        assert class_components(model, translation_class(model.group, (1, 0))) == ()
+        # a rotation whose label the table lacks is a table fault, not an empty set
+        rotation = {c.label: c for c in cryst_fixed_classes(model.group)}["r_center"]
+        with pytest.raises(StructuralError, match="missing from the sector list"):
+            class_components(model, dataclasses.replace(rotation, label="r_nowhere"))
 
     def test_trivial_group_single_full_sector(self):
         model = square_torus_rotation_model(1, "free")
